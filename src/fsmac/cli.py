@@ -17,10 +17,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--no-plots", action="store_true", help="skip SVG rendering")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker count hint; results are identical at any value",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

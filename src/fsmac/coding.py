@@ -45,6 +45,10 @@ def message_count(n: int, rate: float) -> int:
     """
     if rate < 0:
         raise ValueError("rates must be nonnegative")
+    if n * rate >= 1024:
+        raise ValueError(
+            f"2^(n*rate) messages overflow a float: n={n}, rate={rate!r}, n*rate >= 1024"
+        )
     return max(1, int(math.floor(2.0 ** (n * rate) + 1e-9)))
 
 

@@ -172,171 +172,190 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-def _bounds_from_parts(spec, gamma1, delta1, gamma2, delta2, c12, c21):
-    """The four rate caps for P = gamma + delta; exact, no interior smoothing."""
-    _, w3, wA = spec.state_weights()
-    L = spec.log_factor
-    G1sq = spec.gains1**2
-    G2sq = spec.gains2**2
-    b1 = (wA[:, :, None] * L * np.log2(1.0 + G1sq[None, :, :] * gamma1[:, None, :])).sum() + c12
-    b2 = (w3[:, :, :, None] * L * np.log2(1.0 + G2sq[None, None, :, :] * gamma2[:, :, None, :])).sum() + c21
-    b12 = (
-        w3[:, :, :, None]
-        * L
-        * np.log2(
-            1.0
-            + G1sq[None, None, :, :] * gamma1[:, None, None, :]
-            + G2sq[None, None, :, :] * gamma2[:, :, None, :]
-        )
-    ).sum() + c12 + c21
-    P1 = gamma1 + delta1
-    P2 = gamma2 + delta2
-    cross = 2.0 * spec.gains1[None, None, :, :] * spec.gains2[None, None, :, :] * np.sqrt(
-        delta1[:, None, :] * delta2
-    )[:, :, None, :]
-    bsum = (
-        w3[:, :, :, None]
-        * L
-        * np.log2(
-            1.0
-            + G1sq[None, None, :, :] * P1[:, None, None, :]
-            + G2sq[None, None, :, :] * P2[:, :, None, :]
-            + cross
-        )
-    ).sum()
-    return float(b1), float(b2), float(b12), float(bsum)
+class _Kernel:
+    """Constants of the bounds kernel for one spec and one pair of link
+    offsets, hoisted out of the solver step.
+
+    A batch of T allocations is an array of shape (T, 2, 2m), m = k*k*n_sub.
+    Row 0 holds encoder 1's gamma cells [a1, n], zero-padded from k*n_sub to
+    m, then its delta cells, padded alike; row 1 holds encoder 2's gamma then
+    delta cells [a1, a2, n]. Padding cells have zero weight and stay at zero.
+    Bounds are sums over the flat grid [a1, a2, s, n] of observed states,
+    true state and subchannel; per-bound arrays lead with the bound axis.
+    """
+
+    def __init__(self, spec: GaussianMacSpec, c12: float, c21: float) -> None:
+        k, N = spec.k, spec.n_sub
+        self.k, self.N, self.m1, self.m = k, N, k * N, k * k * N
+        m = self.m
+        w2, w3, _ = spec.state_weights()
+        a1, a2, s, n = np.indices((k, k, k, N)).reshape(4, -1)
+        # where gamma1, gamma2, delta1, delta2 of each grid cell sit in a batch row
+        gammas = np.array([a1 * N + n, 2 * m + (a1 * k + a2) * N + n])
+        self.at = np.concatenate([gammas, gammas + m])[:, None, :]
+        w = w3[a1, a2, s]
+        g1, g2 = spec.gains1[s, n], spec.gains2[s, n]
+        C = spec.log_factor / _LN2
+        self.gsq = np.array([g1 * g1, g2 * g2, g1 * g1, g2 * g2])[:, None, :]
+        self.gg2 = 2.0 * g1 * g2
+        self.Lw = spec.log_factor * w
+        self.Cwgsq = C * w * self.gsq[:2]
+        self.Cwgg = C * w * g1 * g2
+        self.off = np.array([c12, c21, c12 + c21, 0.0])[:, None]
+        # budget weight of each cell of a batch row
+        cells1 = np.concatenate([np.repeat(spec.chain.pi, N), np.zeros(m - self.m1)])
+        cells2 = np.repeat(w2.ravel(), N)
+        self.w = np.array([np.tile(cells1, 2), np.tile(cells2, 2)])
+        # -1/w, 0 where w = 0: sorting x * neg_inv_w orders cells by x/w, largest first
+        self.neg_inv_w = -np.divide(1.0, self.w, out=np.zeros_like(self.w), where=self.w > 0)
+        self.budget = np.array([spec.pbar1, spec.pbar2])[:, None]
+        self._index: dict[int, tuple] = {}
+
+    def index(self, T: int):
+        """Flat positions in a batch of T: of each variable at each grid cell
+        (4, T, grid), of each row start (T, 2, 1); and the weights of each
+        batch cell."""
+        if T not in self._index:
+            rows = np.arange(0, 4 * self.m * T, 2 * self.m).reshape(T, 2, 1)
+            self._index[T] = (self.at + rows[:, 0], rows, np.tile(self.w, (T, 1, 1)))
+        return self._index[T]
+
+    def pack(self, parts) -> np.ndarray:
+        """Batch from a list of (gamma1, delta1, gamma2, delta2) tuples."""
+        X = np.zeros((len(parts), 2, 2 * self.m))
+        for x, (g1, d1, g2, d2) in zip(X, parts):
+            x[0, : self.m1] = np.ravel(g1)
+            x[0, self.m : self.m + self.m1] = np.ravel(d1)
+            x[1, : self.m] = np.ravel(g2)
+            x[1, self.m :] = np.ravel(d2)
+        return X
+
+    def allocation(self, x: np.ndarray) -> Allocation:
+        """The allocation of one batch row."""
+        k, N, m1, m = self.k, self.N, self.m1, self.m
+        g1, d1 = x[0, :m1].reshape(k, N), x[0, m : m + m1].reshape(k, N)
+        g2, d2 = x[1, :m].reshape(k, k, N), x[1, m:].reshape(k, k, N)
+        return Allocation(g1 + d1, g1.copy(), g2 + d2, g2.copy())
+
+
+def _bounds_and_grads(kern: _Kernel, X: np.ndarray, grads: bool = True):
+    """The four rate caps of a batch of allocations, with supergradients.
+
+    Returns b of shape (4, T), rows (b1, b2, b12, bsum), and, when `grads`,
+    a function mapping bound weights c of shape (4, T) to a supergradient of
+    sum_i c_i b_i in the batch layout. The square-root cross term has an
+    unbounded derivative as delta -> 0, so gradient ratios are evaluated at
+    an interior point floored at 1e-9 * P.
+    """
+    at, _, _ = kern.index(len(X))
+    V = X.take(at)  # gamma1, gamma2, delta1, delta2 at each grid cell
+    U = kern.gsq * V
+    A = np.empty_like(V)  # arguments of the logs of b1, b2, b12, bsum
+    np.add(U[:2], 1.0, out=A[:2])
+    np.add(A[1], U[0], out=A[2])
+    np.add(A[2], U[2] + U[3], out=A[3])
+    A[3] += kern.gg2 * np.sqrt(V[2] * V[3])
+    b = (np.log2(A) * kern.Lw).sum(axis=2) + kern.off
+    if not grads:
+        return b, None
+    floored = np.maximum(V[2:], 1e-9 * (V[:2] + V[2:]) + 1e-300)
+    Kd = kern.Cwgsq + kern.Cwgg * np.sqrt(floored[::-1] / floored)
+
+    def grad(c):
+        ci = c[:, :, None] / A
+        Q = np.empty_like(V)
+        # each gamma enters three caps; the deltas enter bsum alone
+        np.multiply(ci[:2] + (ci[2] + ci[3]), kern.Cwgsq, out=Q[:2])
+        np.multiply(Kd, ci[3], out=Q[2:])
+        return np.bincount(at.ravel(), Q.ravel(), X.size).reshape(X.shape)
+
+    return b, grad
 
 
 def rate_bounds_gaussian(spec: GaussianMacSpec, alloc: Allocation) -> RateBounds:
     """Evaluate the four conferencing-mode rate caps at a feasible allocation."""
-    report = feasible(spec, alloc)
-    if not report:
-        raise FeasibilityError(report.violation)
-    delta1 = np.maximum(alloc.P1 - alloc.gamma1, 0.0)
-    delta2 = np.maximum(alloc.P2 - alloc.gamma2, 0.0)
-    b1, b2, b12, bsum = _bounds_from_parts(
-        spec, alloc.gamma1, delta1, alloc.gamma2, delta2, spec.conf.c12, spec.conf.c21
-    )
-    return RateBounds(b1, b2, b12, bsum)
+    return _alloc_bounds(spec, alloc, spec.conf.c12, spec.conf.c21)
 
 
 def common_message_bounds_gaussian(spec: GaussianMacSpec, alloc: Allocation) -> RateBounds:
     """Common-message caps: no link offsets; bsum caps the three-rate total."""
+    return _alloc_bounds(spec, alloc, 0.0, 0.0)
+
+
+def _alloc_bounds(spec, alloc, c12, c21) -> RateBounds:
     report = feasible(spec, alloc)
     if not report:
         raise FeasibilityError(report.violation)
-    delta1 = np.maximum(alloc.P1 - alloc.gamma1, 0.0)
-    delta2 = np.maximum(alloc.P2 - alloc.gamma2, 0.0)
-    return RateBounds(*_bounds_from_parts(spec, alloc.gamma1, delta1, alloc.gamma2, delta2, 0.0, 0.0))
+    kern = _Kernel(spec, c12, c21)
+    X = kern.pack([(
+        alloc.gamma1, np.maximum(alloc.P1 - alloc.gamma1, 0.0),
+        alloc.gamma2, np.maximum(alloc.P2 - alloc.gamma2, 0.0),
+    )])
+    b, _ = _bounds_and_grads(kern, X, grads=False)
+    return RateBounds(*(float(v) for v in b[:, 0]))
 
 
 # ---------------------------------------------------------------------------
 # solver internals
 # ---------------------------------------------------------------------------
 
-def _mul(a: float, b: float) -> float:
+def _dual_vertices(mus) -> np.ndarray:
+    """Dual vertices of the rate LP for each weight pair, shape (4, 5, D).
+
+    Vertex j weighs the caps (b1, b2, b12, bsum); the LP value is the least
+    candidate y_j . b. Where b12 and bsum tie, the bsum vertex comes first.
+    """
+    Y = []
+    for mu1, mu2 in mus:
+        if mu1 >= mu2:
+            lo, hi, d = mu2, mu1, (mu1 - mu2, 0.0)
+        else:
+            lo, hi, d = mu1, mu2, (0.0, mu2 - mu1)
+        Y.append([
+            (mu1, mu2, 0.0, 0.0),
+            (*d, 0.0, lo), (*d, lo, 0.0),
+            (0.0, 0.0, 0.0, hi), (0.0, 0.0, hi, 0.0),
+        ])
+    return np.array(Y, dtype=float).transpose(2, 1, 0).copy()
+
+
+def _lp_value_duals(b, Y, r0=0.0):
+    """Value and duals of max mu.r over {r >= 0, r1 <= b1, r2 <= b2,
+    r1 + r2 <= b12, r1 + r2 <= bsum - r0} for a batch.
+
+    b is (4, T) as from _bounds_and_grads and Y (4, 5, T) from
+    _dual_vertices. Returns the values (T,) and the minimizing vertices
+    (4, T), first on ties; a vertex weighs each cap by its slope in the value.
+    """
+    B = b.copy()
+    np.maximum(b[3] - r0, 0.0, out=B[3])
     # 0 * inf must read as 0 when a weight deactivates an unbounded cap
-    return 0.0 if a == 0.0 else a * b
+    prod = np.zeros(Y.shape)
+    np.multiply(Y, B[:, None], out=prod, where=Y != 0.0)
+    cands = prod.sum(axis=0)
+    j = cands.argmin(axis=0)
+    rows = np.arange(len(j))
+    return cands[j, rows], Y[:, j, rows]
 
 
-def _lp_value_duals(b1, b2, b12, bsum, mu1, mu2, r0=0.0):
-    """Value and duals of max mu.r over {r>=0, r1<=b1, r2<=b2, r1+r2<=cap}.
+def _budget_project_pair(kern: _Kernel, X: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each (gamma, delta) row of a batch onto
+    {gamma >= 0, delta >= 0, sum w*(gamma + delta) <= budget}.
 
-    cap = min(b12, bsum - r0). Returns (value, y1, y2, y3, cap_is_bsum).
+    The projection is max(x - lam*w, 0). With the cells sorted by x/w,
+    largest first, each prefix of j cells would spend the budget exactly at
+    lam_j = (sum w*x - budget) / sum w^2; the budget used at any lam is the
+    largest of these prefix sums, so lam is the largest lam_j, or zero when
+    clipping at zero already fits. Zero-weight cells are only clipped at
+    zero since the budget never sees them.
     """
-    shifted = max(bsum - r0, 0.0)
-    if shifted <= b12:
-        bs, cap_is_bsum = shifted, True
-    else:
-        bs, cap_is_bsum = b12, False
-    if mu1 >= mu2:
-        cands = (_mul(mu1, b1) + _mul(mu2, b2), _mul(mu1 - mu2, b1) + _mul(mu2, bs), _mul(mu1, bs))
-        ys = ((mu1, mu2, 0.0), (mu1 - mu2, 0.0, mu2), (0.0, 0.0, mu1))
-    else:
-        cands = (_mul(mu1, b1) + _mul(mu2, b2), _mul(mu2 - mu1, b2) + _mul(mu1, bs), _mul(mu2, bs))
-        ys = ((mu1, mu2, 0.0), (0.0, mu2 - mu1, mu1), (0.0, 0.0, mu2))
-    j = int(np.argmin(cands))
-    return cands[j], *ys[j], cap_is_bsum
-
-
-def _budget_project_pair(gam, dlt, w, budget):
-    """Euclidean projection of (gam, dlt) onto
-    {gam >= 0, dlt >= 0, sum w*(gam + dlt) <= budget}; zero-weight cells are
-    only clipped at zero since the budget never sees them."""
-    x = np.concatenate([gam.ravel(), dlt.ravel()])
-    u = np.concatenate([w.ravel(), w.ravel()])
-    z = np.maximum(x, 0.0)
-    act = u > 0
-    if (u[act] * z[act]).sum() <= budget:
-        out = z
-    else:
-        xf, uf = x[act], u[act]
-        order = np.argsort(xf / uf)[::-1]
-        xs, us = xf[order], uf[order]
-        cw2 = np.cumsum(us * us)
-        cwx = np.cumsum(us * xs)
-        lams = xs / us
-        usage = cwx - lams * cw2  # budget used at threshold lams[j]; ascending in j
-        j = max(int(np.searchsorted(usage, budget, side="right")) - 1, 0)
-        lam = max((cwx[j] - budget) / cw2[j], 0.0)
-        out = np.empty_like(x)
-        out[act] = np.maximum(xf - lam * uf, 0.0)
-        out[~act] = np.maximum(x[~act], 0.0)
-    ng = gam.size
-    return out[:ng].reshape(gam.shape), out[ng:].reshape(dlt.shape)
-
-
-def _bounds_and_grads(spec, gamma1, delta1, gamma2, delta2, c12, c21):
-    """Bounds plus supergradients in the (gamma, delta) coordinates.
-
-    The square-root cross term has an unbounded derivative as delta -> 0, so
-    gradient ratios are evaluated at an interior point floored at 1e-9 * P.
-    """
-    _, w3, wA = spec.state_weights()
-    L = spec.log_factor
-    C = L / _LN2
-    G1 = spec.gains1
-    G2 = spec.gains2
-    G1sq = G1**2
-    G2sq = G2**2
-    A1 = 1.0 + G1sq[None, :, :] * gamma1[:, None, :]
-    b1 = (wA[:, :, None] * L * np.log2(A1)).sum() + c12
-    db1_g1 = C * (wA[:, :, None] * (G1sq[None, :, :] / A1)).sum(axis=1)
-    A2 = 1.0 + G2sq[None, None, :, :] * gamma2[:, :, None, :]
-    b2 = (w3[:, :, :, None] * L * np.log2(A2)).sum() + c21
-    db2_g2 = C * (w3[:, :, :, None] * (G2sq[None, None, :, :] / A2)).sum(axis=2)
-    A12 = (
-        1.0
-        + G1sq[None, None, :, :] * gamma1[:, None, None, :]
-        + G2sq[None, None, :, :] * gamma2[:, :, None, :]
-    )
-    b12 = (w3[:, :, :, None] * L * np.log2(A12)).sum() + c12 + c21
-    d12_g1 = C * (w3[:, :, :, None] * (G1sq[None, None, :, :] / A12)).sum(axis=(1, 2))
-    d12_g2 = C * (w3[:, :, :, None] * (G2sq[None, None, :, :] / A12)).sum(axis=2)
-    P1 = gamma1 + delta1
-    P2 = gamma2 + delta2
-    root = np.sqrt(delta1[:, None, :] * delta2)
-    GG = G1[None, None, :, :] * G2[None, None, :, :]
-    As = (
-        1.0
-        + G1sq[None, None, :, :] * P1[:, None, None, :]
-        + G2sq[None, None, :, :] * P2[:, :, None, :]
-        + 2.0 * GG * root[:, :, None, :]
-    )
-    bsum = (w3[:, :, :, None] * L * np.log2(As)).sum()
-    d1s = np.maximum(delta1, 1e-9 * P1 + 1e-300)
-    d2s = np.maximum(delta2, 1e-9 * P2 + 1e-300)
-    rt1 = np.sqrt(d2s / d1s[:, None, :])
-    rt2 = np.sqrt(d1s[:, None, :] / d2s)
-    ds_g1 = C * (w3[:, :, :, None] * (G1sq[None, None, :, :] / As)).sum(axis=(1, 2))
-    ds_g2 = C * (w3[:, :, :, None] * (G2sq[None, None, :, :] / As)).sum(axis=2)
-    ds_d1 = C * (w3[:, :, :, None] * ((G1sq[None, None, :, :] + GG * rt1[:, :, None, :]) / As)).sum(axis=(1, 2))
-    ds_d2 = C * (w3[:, :, :, None] * ((G2sq[None, None, :, :] + GG * rt2[:, :, None, :]) / As)).sum(axis=2)
-    grads = {
-        "b1_g1": db1_g1, "b2_g2": db2_g2, "b12_g1": d12_g1, "b12_g2": d12_g2,
-        "s_g1": ds_g1, "s_g2": ds_g2, "s_d1": ds_d1, "s_d2": ds_d2,
-    }
-    return (float(b1), float(b2), float(b12), float(bsum)), grads
+    _, rows, w = kern.index(len(X))
+    order = (X * kern.neg_inv_w).argsort(axis=-1) + rows
+    ws = w.take(order)
+    cwx = (ws * X.take(order)).cumsum(axis=-1)
+    cw2 = (ws * ws).cumsum(axis=-1)
+    lam = ((cwx - kern.budget) / np.maximum(cw2, 1e-300)).max(axis=-1)
+    return np.maximum(X - np.maximum(lam, 0.0)[:, :, None] * kern.w, 0.0)
 
 
 @dataclass
@@ -374,33 +393,17 @@ class TracePoint:
     flag: str
 
 
-def _solve(spec: GaussianMacSpec, mu1: float, mu2: float, config: SolverConfig,
-           c12: float, c21: float, r0: float = 0.0):
+def _starts(spec: GaussianMacSpec, config: SolverConfig):
+    """The three fixed starts, then the seeded random ones."""
     k, N = spec.k, spec.n_sub
-    pi = spec.chain.pi
-    w2, _, _ = spec.state_weights()
-    if config.tie_users:
-        if k != 1:
-            raise ValueError("tie_users requires a single-state spec")
-        if spec.pbar1 != spec.pbar2:
-            raise ValueError("tie_users requires equal power budgets")
-    wP1 = np.broadcast_to(pi[:, None], (k, N))
-    wP2 = np.broadcast_to(w2[:, :, None], (k, k, N))
-
-    def symmetrize(g1, d1, g2, d2):
-        if not config.tie_users:
-            return g1, d1, g2, d2
-        gm = 0.5 * (g1 + g2.reshape(g1.shape))
-        dm = 0.5 * (d1 + d2.reshape(d1.shape))
-        return gm.copy(), dm.copy(), gm.reshape(g2.shape).copy(), dm.reshape(d2.shape).copy()
-
+    wP1 = spec.chain.pi[:, None]
+    wP2 = spec.state_weights()[0][:, :, None]
     P1u = np.full((k, N), spec.pbar1 / N)
     P2u = np.full((k, k, N), spec.pbar2 / N)
-    z1 = np.zeros((k, N))
-    z2 = np.zeros((k, k, N))
+    z1, z2 = np.zeros((k, N)), np.zeros((k, k, N))
     starts = [
-        (P1u.copy(), z1.copy(), P2u.copy(), z2.copy()),   # fully correlated: gamma = P
-        (z1.copy(), P1u.copy(), z2.copy(), P2u.copy()),   # fully private: gamma = 0
+        (P1u, z1, P2u, z2),   # fully correlated: gamma = P
+        (z1, P1u, z2, P2u),   # fully private: gamma = 0
         (0.5 * P1u, 0.5 * P1u, 0.5 * P2u, 0.5 * P2u),
     ]
     for r_i in range(config.multistarts):
@@ -416,77 +419,77 @@ def _solve(spec: GaussianMacSpec, mu1: float, mu2: float, config: SolverConfig,
         f1 = rng.random((k, N))
         f2 = rng.random((k, k, N))
         starts.append((f1 * P1r, (1 - f1) * P1r, f2 * P2r, (1 - f2) * P2r))
+    return starts
 
-    best_v = -np.inf
-    best_x = None
-    exhausted = False
-    for st in starts:
-        g1, d1, g2, d2 = (a.copy() for a in st)
-        g1, d1 = _budget_project_pair(g1, d1, wP1, spec.pbar1)
-        g2, d2 = _budget_project_pair(g2, d2, wP2, spec.pbar2)
-        g1, d1, g2, d2 = symmetrize(g1, d1, g2, d2)
-        (b1, b2, b12, bsum), _ = _bounds_and_grads(spec, g1, d1, g2, d2, c12, c21)
-        v0, *_ = _lp_value_duals(b1, b2, b12, bsum, mu1, mu2, r0)
-        loc_v = v0
-        loc_x = (g1.copy(), d1.copy(), g2.copy(), d2.copy())
-        gap = max(0.05 * max(abs(v0), 1e-6), 1e-3)
-        for rnd in range(config.rounds):
-            round_start = loc_v
-            for _ in range(config.iterations):
-                (b1, b2, b12, bsum), gr = _bounds_and_grads(spec, g1, d1, g2, d2, c12, c21)
-                v, y1, y2, y3, cap_is_bsum = _lp_value_duals(b1, b2, b12, bsum, mu1, mu2, r0)
-                if v > loc_v:
-                    loc_v = v
-                    loc_x = (g1.copy(), d1.copy(), g2.copy(), d2.copy())
-                gg1 = y1 * gr["b1_g1"]
-                gg2 = y2 * gr["b2_g2"]
-                gd1 = np.zeros_like(d1)
-                gd2 = np.zeros_like(d2)
-                if y3 > 0:
-                    if cap_is_bsum:
-                        gg1 = gg1 + y3 * gr["s_g1"]
-                        gg2 = gg2 + y3 * gr["s_g2"]
-                        gd1 = gd1 + y3 * gr["s_d1"]
-                        gd2 = gd2 + y3 * gr["s_d2"]
-                    else:
-                        gg1 = gg1 + y3 * gr["b12_g1"]
-                        gg2 = gg2 + y3 * gr["b12_g2"]
-                n2 = (gg1**2).sum() + (gg2**2).sum() + (gd1**2).sum() + (gd2**2).sum()
-                if n2 < 1e-300:
-                    break
-                step = (loc_v + gap - v) / n2
-                g1, d1 = _budget_project_pair(g1 + step * gg1, d1 + step * gd1, wP1, spec.pbar1)
-                g2, d2 = _budget_project_pair(g2 + step * gg2, d2 + step * gd2, wP2, spec.pbar2)
-                g1, d1, g2, d2 = symmetrize(g1, d1, g2, d2)
-            g1, d1, g2, d2 = (a.copy() for a in loc_x)
-            gap *= 0.4
-            if rnd == config.rounds - 1 and loc_v - round_start > config.tolerance:
-                exhausted = True
-        if loc_v > best_v:
-            best_v = loc_v
-            best_x = loc_x
-    g1, d1, g2, d2 = best_x
-    alloc = Allocation(g1 + d1, g1, g2 + d2, g2)
+
+def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
+           c12: float, c21: float, r0: float = 0.0) -> list[GaussianSolveResult]:
+    """Solve every weight pair in `mus` with one batched ascent.
+
+    Trajectory t = d * S + s runs start s for direction d. Each advances as
+    the scalar method would: a trajectory whose supergradient vanishes is
+    frozen for the rest of its round, and each direction keeps its first
+    best start.
+    """
+    if config.tie_users:
+        if spec.k != 1:
+            raise ValueError("tie_users requires a single-state spec")
+        if spec.pbar1 != spec.pbar2:
+            raise ValueError("tie_users requires equal power budgets")
+    kern = _Kernel(spec, c12, c21)
+
+    def project(X):
+        X = _budget_project_pair(kern, X)
+        if config.tie_users:
+            X[:, :] = 0.5 * (X[:, 0] + X[:, 1])[:, None]
+        return X
+
+    X0 = project(kern.pack(_starts(spec, config)))
+    S, D = len(X0), len(mus)
+    X = np.tile(X0, (D, 1, 1))
+    Y = np.repeat(_dual_vertices(mus), S, axis=2)
+    loc_v, _ = _lp_value_duals(_bounds_and_grads(kern, X, grads=False)[0], Y, r0)
+    loc_x = X
+    gap = np.maximum(0.05 * np.maximum(np.abs(loc_v), 1e-6), 1e-3)
+    exhausted = np.zeros(len(X), dtype=bool)
+    for _ in range(config.rounds):
+        round_start = loc_v
+        live = np.ones(len(X), dtype=bool)
+        for _ in range(config.iterations):
+            b, grad = _bounds_and_grads(kern, X)
+            v, c = _lp_value_duals(b, Y, r0)
+            better = v > loc_v
+            loc_v = np.where(better, v, loc_v)
+            loc_x = np.where(better[:, None, None], X, loc_x)
+            G = grad(c)
+            n2 = (G * G).sum(axis=(1, 2))
+            live &= n2 >= 1e-300
+            step = np.divide(loc_v + gap - v, n2, out=np.zeros(len(X)), where=live)
+            X = np.where(live[:, None, None], project(X + step[:, None, None] * G), X)
+        X = loc_x
+        gap = gap * 0.4
+        exhausted = loc_v - round_start > config.tolerance
+    best = np.arange(D) * S + loc_v.reshape(D, S).argmax(axis=1)
+    Xb = loc_x[best]
+    flags = exhausted.reshape(D, S).any(axis=1)
     # projected-ascent residual: feasible displacement per unit supergradient step
-    (b1, b2, b12, bsum), gr = _bounds_and_grads(spec, g1, d1, g2, d2, c12, c21)
-    _, y1, y2, y3, cap_is_bsum = _lp_value_duals(b1, b2, b12, bsum, mu1, mu2, r0)
-    gg1 = y1 * gr["b1_g1"] + (y3 * (gr["s_g1"] if cap_is_bsum else gr["b12_g1"]) if y3 > 0 else 0.0)
-    gg2 = y2 * gr["b2_g2"] + (y3 * (gr["s_g2"] if cap_is_bsum else gr["b12_g2"]) if y3 > 0 else 0.0)
-    gd1 = y3 * gr["s_d1"] if (y3 > 0 and cap_is_bsum) else np.zeros_like(d1)
-    gd2 = y3 * gr["s_d2"] if (y3 > 0 and cap_is_bsum) else np.zeros_like(d2)
+    b, grad = _bounds_and_grads(kern, Xb)
+    _, c = _lp_value_duals(b, Y[:, :, best], r0)
+    G = grad(c)
     tau = 1e-6 * max(spec.pbar1, spec.pbar2, 1.0)
-    p1, q1 = _budget_project_pair(g1 + tau * gg1, d1 + tau * gd1, wP1, spec.pbar1)
-    p2, q2 = _budget_project_pair(g2 + tau * gg2, d2 + tau * gd2, wP2, spec.pbar2)
-    disp = max(
-        np.abs(p1 - g1).max(), np.abs(q1 - d1).max(),
-        np.abs(p2 - g2).max(), np.abs(q2 - d2).max(),
-    )
-    residual = float(disp / tau)
-    bounds = RateBounds(b1, b2, b12, max(bsum - r0, 0.0))
-    value, point = best_weighted_point(bounds, mu1, mu2)
-    point = RatePoint(r0, point.r1, point.r2)
-    flag = "budget-exhausted" if exhausted else "converged"
-    return GaussianSolveResult(value=value, point=point, alloc=alloc, flag=flag, kkt_residual=residual)
+    residual = np.abs(_budget_project_pair(kern, Xb + tau * G) - Xb).max(axis=(1, 2)) / tau
+    results = []
+    for d, (mu1, mu2) in enumerate(mus):
+        b1, b2, b12, bsum = (float(x) for x in b[:, d])
+        value, point = best_weighted_point(RateBounds(b1, b2, b12, max(bsum - r0, 0.0)), mu1, mu2)
+        results.append(GaussianSolveResult(
+            value=value,
+            point=RatePoint(r0, point.r1, point.r2),
+            alloc=kern.allocation(Xb[d]),
+            flag="budget-exhausted" if flags[d] else "converged",
+            kkt_residual=float(residual[d]),
+        ))
+    return results
 
 
 def maximize_weighted_rate(
@@ -502,7 +505,7 @@ def maximize_weighted_rate(
     if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
         raise ValueError("weights must be nonnegative with mu1 + mu2 > 0")
     config = config or SolverConfig()
-    return _solve(spec, mu1, mu2, config, spec.conf.c12, spec.conf.c21)
+    return _solve(spec, [(mu1, mu2)], config, spec.conf.c12, spec.conf.c21)[0]
 
 
 def trace_boundary(
@@ -510,15 +513,7 @@ def trace_boundary(
 ) -> list[TracePoint]:
     """Sweep weight directions over the open quarter circle and keep the
     mutually non-dominated achieved points."""
-    if n_directions < 2:
-        raise ValueError("n_directions must be >= 2")
-    config = config or SolverConfig()
-    raw: list[TracePoint] = []
-    for j in range(n_directions):
-        theta = (j + 1) * (math.pi / 2) / (n_directions + 1)
-        res = _solve(spec, math.cos(theta), math.sin(theta), config, spec.conf.c12, spec.conf.c21)
-        raw.append(TracePoint(theta, res.point, res.value, res.flag))
-    return _non_dominated(raw)
+    return _trace(spec, n_directions, config, spec.conf.c12, spec.conf.c21, 0.0)
 
 
 def common_message_region_gaussian(
@@ -532,17 +527,21 @@ def common_message_region_gaussian(
     Same machinery as the conferencing trace with the link offsets removed
     and the total cap reduced by r0.
     """
-    if n_directions < 2:
-        raise ValueError("n_directions must be >= 2")
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
+    return _trace(spec, n_directions, config, 0.0, 0.0, r0)
+
+
+def _trace(spec, n_directions, config, c12, c21, r0) -> list[TracePoint]:
+    """All directions of a trace as one batched solve."""
+    if n_directions < 2:
+        raise ValueError("n_directions must be >= 2")
     config = config or SolverConfig()
-    raw: list[TracePoint] = []
-    for j in range(n_directions):
-        theta = (j + 1) * (math.pi / 2) / (n_directions + 1)
-        res = _solve(spec, math.cos(theta), math.sin(theta), config, 0.0, 0.0, r0=r0)
-        raw.append(TracePoint(theta, res.point, res.value, res.flag))
-    return _non_dominated(raw)
+    thetas = [(j + 1) * (math.pi / 2) / (n_directions + 1) for j in range(n_directions)]
+    results = _solve(spec, [(math.cos(t), math.sin(t)) for t in thetas], config, c12, c21, r0)
+    return _non_dominated([
+        TracePoint(t, res.point, res.value, res.flag) for t, res in zip(thetas, results)
+    ])
 
 
 def _non_dominated(points: list[TracePoint]) -> list[TracePoint]:

@@ -86,6 +86,13 @@ class TestMessageCount:
         with pytest.raises(ValueError):
             message_count(8, -0.1)
 
+    def test_overflowing_count_rejected_by_name(self):
+        assert message_count(1023, 1.0) == 2**1023
+        with pytest.raises(ValueError, match=r"n=512, rate=2\.0"):
+            message_count(512, 2.0)
+        with pytest.raises(ValueError, match=r"n=2048, rate=0\.75"):
+            message_count(2048, 0.75)
+
 
 class TestGenerateCodebooks:
     def test_shapes_and_sizes(self):

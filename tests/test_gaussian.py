@@ -19,7 +19,13 @@ from fsmac import (
     rate_bounds_gaussian,
     trace_boundary,
 )
-from fsmac.gaussian import _lp_value_duals
+from fsmac.gaussian import (
+    _bounds_and_grads,
+    _dual_vertices,
+    _Kernel,
+    _lp_value_duals,
+    _solve,
+)
 
 
 def two_state(g=0.1, b=0.1):
@@ -45,6 +51,16 @@ def reference_spec(c12, c21):
     )
 
 
+def three_state_spec(c12=0.2, c21=0.1):
+    # three states, two subchannels, distinct delays: every weight table differs
+    chain = MarkovChain(["a", "b", "c"], [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
+    gains1 = [[1.0, 0.5], [0.3, 0.9], [0.2, 0.1]]
+    gains2 = [[0.7, 0.2], [1.1, 0.4], [0.5, 0.5]]
+    return GaussianMacSpec(
+        chain, gains1, gains2, 5.0, 8.0, ConferencingConfig(c12, c21), 3, 1, "complex"
+    )
+
+
 def random_feasible_alloc(spec, rng):
     k, n = spec.k, spec.n_sub
     w2 = spec.state_weights()[0]
@@ -57,7 +73,10 @@ def random_feasible_alloc(spec, rng):
 
 def lp_value(spec, alloc, mu1, mu2):
     b = rate_bounds_gaussian(spec, alloc)
-    return _lp_value_duals(b.b1, b.b2, b.b12, b.bsum, mu1, mu2)[0]
+    value, _ = _lp_value_duals(
+        np.array([[b.b1], [b.b2], [b.b12], [b.bsum]]), _dual_vertices([(mu1, mu2)])
+    )
+    return value[0]
 
 
 class TestRateBounds:
@@ -99,6 +118,67 @@ class TestRateBounds:
         real = rate_bounds_gaussian(scalar_spec(), alloc)
         cplx = rate_bounds_gaussian(scalar_spec(convention="complex"), alloc)
         assert abs(cplx.bsum - 2 * real.bsum) <= 1e-12
+
+
+def per_cell_bounds(spec, alloc, c12, c21):
+    """The four caps summed cell by cell in plain Python."""
+    _, w3, wA = spec.state_weights()
+    L, k, n_sub = spec.log_factor, spec.k, spec.n_sub
+    G1, G2 = spec.gains1, spec.gains2
+    b1 = b2 = b12 = bsum = 0.0
+    for a1 in range(k):
+        for s_ in range(k):
+            for n in range(n_sub):
+                b1 += wA[a1, s_] * L * math.log2(1 + G1[s_, n] ** 2 * alloc.gamma1[a1, n])
+        for a2 in range(k):
+            for s_ in range(k):
+                for n in range(n_sub):
+                    g1, g2 = alloc.gamma1[a1, n], alloc.gamma2[a1, a2, n]
+                    p1, p2 = alloc.P1[a1, n], alloc.P2[a1, a2, n]
+                    h1, h2 = G1[s_, n], G2[s_, n]
+                    w = w3[a1, a2, s_] * L
+                    b2 += w * math.log2(1 + h2**2 * g2)
+                    b12 += w * math.log2(1 + h1**2 * g1 + h2**2 * g2)
+                    cross = 2 * h1 * h2 * math.sqrt((p1 - g1) * (p2 - g2))
+                    bsum += w * math.log2(1 + h1**2 * p1 + h2**2 * p2 + cross)
+    return b1 + c12, b2 + c21, b12 + c12 + c21, bsum
+
+
+class TestBoundsKernel:
+    def test_bounds_match_per_cell_reference(self):
+        rng = np.random.default_rng(17)
+        for spec in (reference_spec(0.3, 0.1), three_state_spec()):
+            allocs = [random_feasible_alloc(spec, rng) for _ in range(6)]
+            kern = _Kernel(spec, spec.conf.c12, spec.conf.c21)
+            batch = kern.pack([
+                (a.gamma1, a.P1 - a.gamma1, a.gamma2, a.P2 - a.gamma2) for a in allocs
+            ])
+            b, _ = _bounds_and_grads(kern, batch, grads=False)
+            for t, alloc in enumerate(allocs):
+                ref = per_cell_bounds(spec, alloc, spec.conf.c12, spec.conf.c21)
+                single = rate_bounds_gaussian(spec, alloc)
+                for i, name in enumerate(("b1", "b2", "b12", "bsum")):
+                    assert abs(b[i, t] - ref[i]) <= 1e-12
+                    assert abs(getattr(single, name) - ref[i]) <= 1e-12
+
+    def test_gradients_match_central_differences(self):
+        spec = three_state_spec()
+        kern = _Kernel(spec, spec.conf.c12, spec.conf.c21)
+        rng = np.random.default_rng(3)
+        k, n_sub = spec.k, spec.n_sub
+        shapes = [(k, n_sub), (k, n_sub), (k, k, n_sub), (k, k, n_sub)]
+        X = kern.pack([tuple(rng.uniform(0.2, 1.0, sh) for sh in shapes) for _ in range(2)])
+        _, grad = _bounds_and_grads(kern, X)
+        h = 1e-6
+        for i in range(4):
+            G = grad(np.eye(4)[:, [i, i]])
+            for cell in np.ndindex(X.shape[1:]):
+                step = np.zeros_like(X)
+                step[(slice(None),) + cell] = h
+                hi, _ = _bounds_and_grads(kern, X + step, grads=False)
+                lo, _ = _bounds_and_grads(kern, X - step, grads=False)
+                numeric = (hi[i] - lo[i]) / (2 * h)
+                assert np.allclose(G[(slice(None),) + cell], numeric, rtol=1e-6, atol=1e-8)
 
 
 class TestFeasible:
@@ -277,6 +357,76 @@ class TestTraceBoundary:
     def test_requires_two_directions(self):
         with pytest.raises(ValueError):
             trace_boundary(reference_spec(0, 0), 1)
+
+
+class TestBatchedSolver:
+    CFG = SolverConfig(seed=4, iterations=60, rounds=3, multistarts=2)
+
+    @pytest.mark.parametrize("spec", [reference_spec(0.3, 0.1), three_state_spec()])
+    def test_trace_points_equal_solo_solves(self, spec):
+        points = trace_boundary(spec, 5, self.CFG)
+        assert len(points) >= 2
+        for p in points:
+            solo = maximize_weighted_rate(spec, math.cos(p.theta), math.sin(p.theta), self.CFG)
+            assert (solo.value, solo.point, solo.flag) == (p.value, p.point, p.flag)
+
+    def test_common_message_points_equal_solo_solves(self):
+        spec = reference_spec(0.0, 0.0)
+        points = common_message_region_gaussian(spec, 4, self.CFG, r0=0.3)
+        for p in points:
+            solo = _solve(spec, [(math.cos(p.theta), math.sin(p.theta))], self.CFG, 0.0, 0.0, 0.3)
+            assert (solo[0].value, solo[0].point, solo[0].flag) == (p.value, p.point, p.flag)
+
+    def test_unbounded_links(self):
+        spec = reference_spec(float("inf"), float("inf"))
+        for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+            res = maximize_weighted_rate(spec, *mu, self.CFG)
+            assert math.isfinite(res.value) and math.isfinite(res.kkt_residual)
+            # only the total cap binds: each single-user value is the sum-rate ceiling
+            assert abs(res.point.r1 + res.point.r2 - 1.498077) <= 0.01
+        for p in trace_boundary(spec, 4, self.CFG):
+            assert math.isfinite(p.value)
+
+    def test_zero_power_encoder(self):
+        # encoder 1 silent: it contributes only its link, encoder 2 gets the
+        # point-to-point capacity
+        spec = scalar_spec(p1=0.0, p2=10.0, c12=0.2, c21=0.1)
+        r1 = maximize_weighted_rate(spec, 1.0, 0.0, self.CFG)
+        r2 = maximize_weighted_rate(spec, 0.0, 1.0, self.CFG)
+        assert abs(r1.value - 0.2) <= 1e-12
+        assert abs(r2.value - 0.5 * math.log2(11.0)) <= 1e-9
+        assert np.all(r2.alloc.P1 == 0.0)
+        for p in trace_boundary(spec, 3, self.CFG):
+            assert math.isfinite(p.value)
+
+    def test_two_states_two_subchannels(self):
+        spec = GaussianMacSpec(
+            two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
+            4.0, 6.0, ConferencingConfig(0.1, 0.2), 1, 0, "real",
+        )
+        for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+            res = maximize_weighted_rate(spec, *mu, self.CFG)
+            assert feasible(spec, res.alloc)
+            b = rate_bounds_gaussian(spec, res.alloc)
+            # the reported value is the LP value at the reported allocation
+            assert abs(res.value - lp_value(spec, res.alloc, *mu)) <= 1e-12
+            assert res.point.r1 <= b.b1 + 1e-12 and res.point.r2 <= b.b2 + 1e-12
+        pts = trace_boundary(spec, 4, self.CFG)
+        assert [p.point.r1 for p in pts] == sorted((p.point.r1 for p in pts), reverse=True)
+
+    def test_tied_users(self):
+        spec = scalar_spec(c12=0.2, c21=0.2)
+        tied = maximize_weighted_rate(
+            spec, 1.0, 1.0, SolverConfig(seed=1, iterations=200, rounds=6, tie_users=True)
+        )
+        free = maximize_weighted_rate(
+            spec, 1.0, 1.0, SolverConfig(seed=1, iterations=200, rounds=6)
+        )
+        assert np.array_equal(tied.alloc.P1.ravel(), tied.alloc.P2.ravel())
+        assert np.array_equal(tied.alloc.gamma1.ravel(), tied.alloc.gamma2.ravel())
+        assert abs(tied.value - free.value) <= 1e-6
+        with pytest.raises(ValueError, match="single-state"):
+            maximize_weighted_rate(reference_spec(0, 0), 1.0, 1.0, SolverConfig(tie_users=True))
 
 
 class TestCommonMessageRegion:
