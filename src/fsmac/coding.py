@@ -29,12 +29,19 @@ __all__ = [
     "estimate_error_rate",
     "split_messages",
     "merge_messages",
+    "conferencing_counts",
     "conferencing_error_rate",
+    "check_decoder_caps",
 ]
 
 MAX_BLOCKLENGTH = 512
 MAX_TRIPLETS = 1 << 16
 _CHUNK_CELL_LIMIT = 8_000_000
+# candidate pairs (m1, m2) per m0 from which the decoder counts cells with
+# matrix products: below it the bincount kernel is faster, the matmul
+# kernel's fixed cost being about 0.3 ms per m0. Measured crossover between
+# 64 and 144 pairs at n = 128..512 on a 2-core x86 box (numpy 2.4, OpenBLAS).
+_MATMUL_MIN_PAIRS = 128
 FILL_SYMBOL = 0
 
 
@@ -63,13 +70,12 @@ class Codebooks:
     with the same seed is bit-identical.
     """
 
-    def __init__(self, policy: InputPolicy, t0, t1, t2, n: int, seed) -> None:
+    def __init__(self, policy: InputPolicy, t0, t1, t2, n: int) -> None:
         self.policy = policy
         self.t0 = t0
         self.t1 = t1
         self.t2 = t2
         self.n = int(n)
-        self.seed = seed
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -104,7 +110,7 @@ def _generate_codebooks_counts(
         for a in range(k):
             for b in range(k):
                 t2[:, :, u, a, b] = _sample_rows(rng, policy.pX2[u, a, b], (m2, n))
-    return Codebooks(policy, t0, t1, t2, n, None)
+    return Codebooks(policy, t0, t1, t2, n)
 
 
 def generate_codebooks(
@@ -112,10 +118,7 @@ def generate_codebooks(
 ) -> Codebooks:
     """Random codebooks for message counts floor(2^(n*rate)) per book."""
     counts = tuple(message_count(n, r) for r in rates)
-    rng = np.random.default_rng(seed)
-    books = _generate_codebooks_counts(policy, n, counts, rng)
-    books.seed = seed
-    return books
+    return _generate_codebooks_counts(policy, n, counts, np.random.default_rng(seed))
 
 
 def delayed_sequences(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +215,20 @@ class DecodeResult:
     n_typical: int
 
 
+def check_decoder_caps(n: int, counts: tuple[int, int, int]) -> None:
+    """Raise ValueError unless blocklength n and the codebook sizes
+    (M0, M1, M2) fit the exhaustive decoder's caps."""
+    if not 1 <= n <= MAX_BLOCKLENGTH:
+        raise ValueError(
+            f"blocklength {n} outside the exhaustive decoder's range [1, {MAX_BLOCKLENGTH}]"
+        )
+    n_triplets = math.prod(counts)
+    if n_triplets > MAX_TRIPLETS:
+        raise ValueError(
+            f"{n_triplets} candidate triplets exceed the exhaustive-decoder cap {MAX_TRIPLETS}"
+        )
+
+
 def decode_joint_typicality(
     books: Codebooks,
     y: np.ndarray,
@@ -233,16 +250,9 @@ def decode_joint_typicality(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n = books.n
-    if n > MAX_BLOCKLENGTH:
-        raise ValueError(f"exhaustive decoding is capped at blocklength {MAX_BLOCKLENGTH}")
+    check_decoder_caps(n, books.sizes)
     if len(y) != n or len(s) != n:
         raise ValueError("output and state sequences must have the block length")
-    M0, M1, M2 = books.sizes
-    n_triplets = M0 * M1 * M2
-    if n_triplets > MAX_TRIPLETS:
-        raise ValueError(
-            f"{n_triplets} candidate triplets exceed the exhaustive-decoder cap {MAX_TRIPLETS}"
-        )
     pol = books.policy
     nu, nx1, nx2 = pol.n_u, pol.n_x1, pol.n_x2
     k = pol.n_states
@@ -252,19 +262,143 @@ def decode_joint_typicality(
             f"model joint shape {joint.table.shape} does not match the codebook "
             f"alphabets ({nu}, {nx1}, {nx2}, {k}, {k}, {k}, ...)"
         )
-    m_eff = n - d1
-    if m_eff <= 0:
+    if n - d1 <= 0:
         return DecodeResult(False, None, 0)
+    M0, M1, M2 = books.sizes
+    kernel = _typical_matmul if M1 * M2 >= _MATMUL_MIN_PAIRS else _typical_bincount
+    typical = kernel(books, y, s, d1, d2, epsilon, joint.table)
+    ids = np.flatnonzero(typical)
+    if len(ids) == 1:
+        triplet = tuple(int(m) for m in np.unravel_index(ids[0], typical.shape))
+        return DecodeResult(True, triplet, 1)
+    return DecodeResult(False, None, len(ids))
 
+
+def _pass_bounds(
+    p: np.ndarray, m_eff: int, epsilon: float, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each model probability in p, the counts in 0..top that pass the
+    typicality test, as an interval [lo, hi] (lo > hi when none does).
+
+    The test is evaluated as stated, emp = count / m_eff, then
+    |emp - p| <= epsilon where p > 0 and emp == 0 where p == 0, at every
+    count. Rounded division and subtraction are monotone in the count, so
+    the passing counts are one interval.
+    """
+    emp = np.arange(top + 1) / m_eff
+    p = p[..., None]
+    ok = np.where(p > 0, np.abs(emp - p) <= epsilon, emp == 0.0)
+    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), top + 1)
+    hi = top - ok[..., ::-1].argmax(axis=-1)
+    return lo, hi
+
+
+def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: int) -> np.ndarray:
+    """(n_rows, nx * M) float32 one-hot of the codebook symbols t[:, off],
+    the symbols of position off[j] in row rows[j]; other rows are zero."""
+    sym = np.full((n_rows, t.shape[0]), nx, dtype=np.min_scalar_type(nx))
+    sym[rows] = t[:, off].T
+    onehot = sym[:, None, :] == np.arange(nx, dtype=sym.dtype)[:, None]
+    return onehot.astype(np.float32).reshape(n_rows, -1)
+
+
+def _typical_matmul(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
+    """(M0, M1, M2) mask of the typical candidate triplets.
+
+    For a fixed m0 the auxiliary symbol is fixed at every position, so the
+    positions split into groups g = (u, s, sd1, sd2, y). Within group g the
+    count of cell (a, b) for every pair (m1, m2) is the product
+    onehot(x1 == a)[:, g] @ onehot(x2 == b)[:, g].T; the products of all
+    groups of one m0, zero-padded to the longest one, are one batched
+    matmul. float32 counts are exact: they are integers at most n <= 512.
+
+    Two cases need no product. Cells of an empty group count 0 for every
+    pair, so an m0 that leaves a group empty whose cells reject a count of 0
+    has no typical candidate. A group whose cells all pass every count from
+    0 to its size passes for every pair.
+    """
+    n = books.n
+    M0, M1, M2 = books.sizes
+    pol = books.policy
+    nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
+    ny = table.shape[-1]
+    m_eff = n - d1
+    i = np.arange(d1, n)
+    sd1 = s[i - d1]
+    sd2 = s[i - d2]
+    n_ctx = k * k * k * ny
+    n_groups = nu * n_ctx
+    u = books.t0[:, i, sd1]  # (M0, m_eff)
+    group = u * n_ctx + (((s[i] * k + sd1) * k + sd2) * ny + y[i])
+    size = np.bincount(
+        (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
+    ).reshape(M0, n_groups)
+
+    # pass bounds per (group, a, b) and what they imply for whole groups
+    p = table.reshape(nu, nx1, nx2, n_ctx).transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2)
+    lo, hi = _pass_bounds(p, m_eff, epsilon, int(size.max()))
+    rejects_empty = (lo > 0).any(axis=(1, 2))
+    live = ~(rejects_empty & (size == 0)).any(axis=1)
+    active = (size > 0) & (rejects_empty | (hi.min(axis=(1, 2)) < size))
+    typical = np.zeros((M0, M1, M2), dtype=bool)
+    typical[live] = True
+    # |count - mid| <= half, exact in float32, is lo <= count <= hi
+    mid = ((lo + hi) / 2).astype(np.float32)[:, :, None, :, None]
+    half = ((hi - lo) / 2).astype(np.float32)[:, :, None, :, None]
+
+    t1 = books.t1.reshape(M1, -1)
+    t2 = books.t2.reshape(M2, -1)
+    off1 = (i * nu + u) * k + sd1  # flat offsets into t1 (M1, n, nu, k)
+    off2 = off1 * k + sd2  # and into t2 (M2, n, nu, k, k)
+    for m0 in np.flatnonzero(live & active.any(axis=1)):
+        groups = np.flatnonzero(active[m0])
+        width = int(size[m0, groups].max())
+        # float32 entries per group: the counts and the two one-hot operands
+        per_group = nx1 * M1 * nx2 * M2 + width * (nx1 * M1 + nx2 * M2)
+        step = max(1, _CHUNK_CELL_LIMIT // per_group)
+        # positions of the active groups, ordered by group; the order within
+        # a group does not change its counts
+        entry = np.full(n_groups, -1)
+        entry[groups] = np.arange(groups.size)
+        e = entry[group[m0]]
+        order = np.argsort(e, kind="stable")[np.count_nonzero(e < 0):]
+        e = e[order]
+        starts = np.searchsorted(e, np.arange(groups.size + 1))
+        row = e * width + np.arange(e.size) - starts[e]
+        for e_lo in range(0, groups.size, step):
+            e_hi = min(e_lo + step, groups.size)
+            el = slice(starts[e_lo], starts[e_hi])
+            n_rows = (e_hi - e_lo) * width
+            r = row[el] - e_lo * width
+            a = _onehot(t1, off1[m0, order[el]], r, n_rows, nx1).reshape(-1, width, nx1 * M1)
+            b = _onehot(t2, off2[m0, order[el]], r, n_rows, nx2).reshape(-1, width, nx2 * M2)
+            counts = np.matmul(a.transpose(0, 2, 1), b).reshape(-1, nx1, M1, nx2, M2)
+            g = groups[e_lo:e_hi]
+            counts -= mid[g]
+            np.abs(counts, out=counts)
+            counts -= half[g]
+            typical[m0] &= counts.max(axis=(0, 1, 3)) <= 0
+    return typical
+
+
+def _typical_bincount(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
+    """(M0, M1, M2) mask of the typical candidate triplets, from a bincount
+    table of every pair's cell counts."""
+    n = books.n
+    M0, M1, M2 = books.sizes
+    pol = books.policy
+    nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
+    ny = table.shape[-1]
+    m_eff = n - d1
     i = np.arange(d1, n)
     sd1 = s[i - d1]
     sd2 = s[i - d2]
     n_ctx = k * k * k * ny
     ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
     n_cells = nu * nx1 * nx2 * n_ctx
-    p = joint.table.ravel()
+    p = table.ravel()
     pos_mask = p > 0
-    typical_ids: list[int] = []
+    typical = np.zeros((M0, M1, M2), dtype=bool)
     # bound both the candidate-cell array (chunk * M2 * m) and the histogram
     # table (chunk * M2 * n_cells) built per chunk of first-user messages
     per_pair = m_eff * max(M2, 1)
@@ -289,24 +423,24 @@ def decode_joint_typicality(
             counts = np.bincount(flat, minlength=c1 * M2 * n_cells).reshape(c1 * M2, n_cells)
             emp = counts / m_eff
             cond = np.where(pos_mask[None, :], np.abs(emp - p[None, :]) <= epsilon, emp == 0.0)
-            for t in np.flatnonzero(cond.all(axis=1)):
-                m1_idx = m1_lo + int(t) // M2
-                m2_idx = int(t) % M2
-                typical_ids.append((i0 * M1 + m1_idx) * M2 + m2_idx)
-    if len(typical_ids) == 1:
-        t = typical_ids[0]
-        triplet = (t // (M1 * M2), (t // M2) % M1, t % M2)
-        return DecodeResult(True, triplet, 1)
-    return DecodeResult(False, None, len(typical_ids))
+            typical[i0, m1_lo:m1_hi] = cond.all(axis=1).reshape(c1, M2)
+    return typical
 
 
 @dataclass(frozen=True)
 class ErrorRateEstimate:
+    """Monte Carlo block error rate with its Wilson interval. The errors
+    split by decoder outcome: `none` found no typical candidate, `several`
+    found more than one, `wrong` found a unique one that was not sent."""
+
     p_e: float
     ci_low: float
     ci_high: float
     errors: int
     trials: int
+    none: int
+    several: int
+    wrong: int
 
 
 def _wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -330,28 +464,41 @@ def _run_trials(
     epsilon: float,
     trials: int,
     seed: int,
-    classify,
+    draw,
 ) -> ErrorRateEstimate:
-    """Shared Monte Carlo loop. Each trial derives an independent stream from
-    (seed, trial); message sets of size one consume no randomness, keeping
-    streams aligned between the private-only and conferencing pipelines."""
+    """Shared Monte Carlo loop over codebooks of sizes `counts`. Each trial
+    derives an independent stream from (seed, trial); `draw(rng)` takes the
+    sent triplet from it after the codebooks are drawn. A trial is an error
+    unless the decoder returns exactly the sent triplet."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    check_decoder_caps(n, counts)
     joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
-    errors = 0
+    none = several = wrong = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
         books = _generate_codebooks_counts(policy, n, counts, rng)
-        sent = tuple(
-            int(rng.integers(size)) if size > 1 else 0 for size in counts
-        )
+        sent = draw(rng)
         s = sample_state_path(chain, n, rng)
         sd1, sd2 = delayed_sequences(s, d1, d2)
         x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
         yseq = _sample_outputs(channel, x1, x2, s, rng)
         result = decode_joint_typicality(books, yseq, s, d1, d2, epsilon, joint)
-        if classify(sent, result):
-            errors += 1
+        if result.n_typical == 0:
+            none += 1
+        elif result.n_typical > 1:
+            several += 1
+        elif result.triplet != sent:
+            wrong += 1
+    errors = none + several + wrong
     lo, hi = _wilson_interval(errors, trials)
-    return ErrorRateEstimate(errors / trials, lo, hi, errors, trials)
+    return ErrorRateEstimate(errors / trials, lo, hi, errors, trials, none, several, wrong)
+
+
+def _draw_index(rng: np.random.Generator, size: int) -> int:
+    """A uniform message index; a message set of size one consumes no
+    randomness, which keeps the streams of the two pipelines aligned."""
+    return int(rng.integers(size)) if size > 1 else 0
 
 
 def estimate_error_rate(
@@ -367,14 +514,12 @@ def estimate_error_rate(
     d2: int = 0,
 ) -> ErrorRateEstimate:
     """Empirical block error rate of the common-message pipeline."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     counts = tuple(message_count(n, r) for r in rates)
 
-    def wrong(sent, result):
-        return not (result.ok and result.triplet == sent)
+    def draw(rng):
+        return tuple(_draw_index(rng, size) for size in counts)
 
-    return _run_trials(chain, channel, policy, counts, n, d1, d2, epsilon, trials, seed, wrong)
+    return _run_trials(chain, channel, policy, counts, n, d1, d2, epsilon, trials, seed, draw)
 
 
 @dataclass(frozen=True)
@@ -438,6 +583,16 @@ def merge_messages(sm: SplitMessages) -> tuple[int, int]:
     return c1 * sm.idx_size1 + sm.m1_prime, c2 * sm.idx_size2 + sm.m2_prime
 
 
+def conferencing_counts(
+    n: int, rates: tuple[float, float], conf: ConferencingConfig
+) -> tuple[int, int, int]:
+    """Codebook sizes of the split-and-share pipeline: the common message
+    ranges over pairs of shared cells, each private one over in-cell
+    indices."""
+    probe = split_messages(0, 0, rates, conf, n)
+    return probe.n_cells1 * probe.n_cells2, probe.idx_size1, probe.idx_size2
+
+
 def conferencing_error_rate(
     chain: MarkovChain,
     channel: DmcChannel,
@@ -453,44 +608,17 @@ def conferencing_error_rate(
 ) -> ErrorRateEstimate:
     """Empirical error rate on (m1, m2) for the split-and-share pipeline.
 
-    The shared cells form the common message; decoding errors are counted on
-    the reconstructed original pair.
+    The shared cells form the common message. A decoded triplet maps back to
+    the original pair one to one, so errors are counted on the triplet.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     r1, r2 = rates
     M1 = message_count(n, r1)
     M2 = message_count(n, r2)
-    probe = split_messages(0, 0, rates, conf, n)
-    counts = (probe.n_cells1 * probe.n_cells2, probe.idx_size1, probe.idx_size2)
+    counts = conferencing_counts(n, rates, conf)
 
-    def to_inner_triplet(m1: int, m2: int):
-        sm = split_messages(m1, m2, rates, conf, n)
+    def draw(rng):
+        sm = split_messages(_draw_index(rng, M1), _draw_index(rng, M2), rates, conf, n)
         c1, c2 = sm.m0_prime
-        return (c1 * probe.n_cells2 + c2, sm.m1_prime, sm.m2_prime)
+        return (c1 * sm.n_cells2 + c2, sm.m1_prime, sm.m2_prime)
 
-    joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
-    errors = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
-        books = _generate_codebooks_counts(policy, n, counts, rng)
-        m1 = int(rng.integers(M1)) if M1 > 1 else 0
-        m2 = int(rng.integers(M2)) if M2 > 1 else 0
-        sent = to_inner_triplet(m1, m2)
-        s = sample_state_path(chain, n, rng)
-        sd1, sd2 = delayed_sequences(s, d1, d2)
-        x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
-        yseq = _sample_outputs(channel, x1, x2, s, rng)
-        result = decode_joint_typicality(books, yseq, s, d1, d2, epsilon, joint)
-        if not result.ok:
-            errors += 1
-        else:
-            d0, dm1, dm2 = result.triplet
-            got = (
-                (d0 // probe.n_cells2) * probe.idx_size1 + dm1,
-                (d0 % probe.n_cells2) * probe.idx_size2 + dm2,
-            )
-            if got != (m1, m2):
-                errors += 1
-    lo, hi = _wilson_interval(errors, trials)
-    return ErrorRateEstimate(errors / trials, lo, hi, errors, trials)
+    return _run_trials(chain, channel, policy, counts, n, d1, d2, epsilon, trials, seed, draw)

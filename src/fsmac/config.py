@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from .coding import check_decoder_caps, conferencing_counts, message_count
 from .gaussian import GaussianMacSpec, SolverConfig
 from .markov import MarkovChain, mixing_horizon
 from .pmf import DmcChannel, InputPolicy
@@ -344,12 +345,29 @@ def load_config(path: str, seed_override: int | None = None, out_override: str |
         n_list = [int(n) for n in _require(sim_sec, "n_list", "sim")]
         epsilon = float(sim_sec.get("epsilon", 0.05))
         trials = int(_require(sim_sec, "trials", "sim"))
+        if trials < 1:
+            raise ConfigError("'sim.trials' must be >= 1")
+        if not epsilon > 0:
+            raise ConfigError("'sim.epsilon' must be positive")
         conf = _parse_conferencing(raw["conferencing"]) if "conferencing" in raw else None
         r0 = float(rates_sec.get("r0", 0.0))
         r1 = float(_require(rates_sec, "r1", "rates"))
         r2 = float(_require(rates_sec, "r2", "rates"))
+        for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
+            if not r >= 0:
+                raise ConfigError(f"'rates.{name}' must be nonnegative")
         if conf is not None and r0 != 0.0:
             raise ConfigError("conferencing simulation uses r1/r2 only; set r0 to 0")
+        # the decoder's caps, checked before a run allocates any codebook
+        for n in n_list:
+            try:
+                if conf is None:
+                    counts = tuple(message_count(n, r) for r in (r0, r1, r2))
+                else:
+                    counts = conferencing_counts(n, (r1, r2), conf)
+                check_decoder_caps(n, counts)
+            except ValueError as exc:
+                raise ConfigError(f"'sim.n_list' entry n={n}: {exc}") from exc
         resolved.update(delays=dres, n_list=n_list, epsilon=epsilon, trials=trials,
                         rates={"r0": r0, "r1": r1, "r2": r2},
                         mode="conferencing" if conf is not None else "common")

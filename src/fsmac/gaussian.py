@@ -375,6 +375,12 @@ class SolverConfig:
     seed: int = 0
     tie_users: bool = False
 
+    def __post_init__(self) -> None:
+        # an empty budget would return a start point flagged as converged
+        for name, least in (("rounds", 1), ("iterations", 1), ("multistarts", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 @dataclass
 class GaussianSolveResult:

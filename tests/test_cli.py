@@ -50,6 +50,20 @@ def gaussian_payload(out_dir, c12=0.3, n_directions=4):
     }
 
 
+def simulate_payload(out_dir, n_list, r):
+    return {
+        "kind": "simulate",
+        "seed": 2,
+        "output": {"dir": out_dir, "prefix": "sim"},
+        "chain": copy.deepcopy(CHAIN),
+        "delays": {"d1": 1, "d2": 0},
+        "channel": {"table": copy.deepcopy(XOR_CHANNEL)},
+        "policy": copy.deepcopy(UNIFORM_POLICY),
+        "rates": {"r0": 0.0, "r1": r, "r2": r},
+        "sim": {"n_list": n_list, "epsilon": 0.1, "trials": 5},
+    }
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -79,6 +93,50 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 2
         record = json.loads(capsys.readouterr().err)
         assert "bogus" in record["message"]
+
+    def test_decoder_caps_checked_at_config_time(self, tmp_path, capsys):
+        # n = 64 at rate 0.5 needs 2^64 candidate triplets, n = 1024 is past
+        # the blocklength cap: neither may reach codebook allocation
+        payload = simulate_payload(str(tmp_path), n_list=[64, 1024], r=0.5)
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert "sim.n_list" in record["message"] and "n=64" in record["message"]
+        payload["sim"]["n_list"] = [1024]
+        payload["rates"] = {"r0": 0.0, "r1": 0.0, "r2": 0.0}
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        assert "blocklength" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_conferencing_caps_use_split_counts(self, tmp_path, capsys):
+        payload = simulate_payload(str(tmp_path), n_list=[64], r=0.125)
+        payload["conferencing"] = {"c12": 0.0625, "c21": 0.0625}
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 0  # 2^4 * 2^4 cells, 2^4 * 2^4 indices
+        payload["rates"].update(r1=0.25, r2=0.25)
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        assert "cap" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("sim", "trials", 0), ("sim", "epsilon", 0.0), ("rates", "r1", -0.1),
+    ])
+    def test_simulation_inputs_checked(self, tmp_path, capsys, section, field, value):
+        payload = simulate_payload(str(tmp_path), n_list=[64], r=0.0)
+        payload[section][field] = value
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        assert f"{section}.{field}" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("rounds", 0), ("iterations", 0), ("multistarts", -1),
+    ])
+    def test_empty_solver_budget_rejected(self, tmp_path, capsys, field, value):
+        payload = gaussian_payload(str(tmp_path))
+        payload["solver"][field] = value
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        assert field in json.loads(capsys.readouterr().err)["message"]
 
     def test_validate_never_writes(self, tmp_path):
         out_dir = tmp_path / "results"

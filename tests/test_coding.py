@@ -20,6 +20,7 @@ from fsmac import (
     simulate_channel,
     split_messages,
 )
+from fsmac import coding
 from fsmac.coding import candidate_sequences
 
 
@@ -164,7 +165,7 @@ class TestEncode:
         t2 = np.zeros((1, 3, 2, 2, 2), dtype=np.int64)
         t2[0, 1, 1, 1, 0] = 1
         t2[0, 2, 1, 0, 1] = 0
-        books = Codebooks(policy, t0, t1, t2, 3, seed=None)
+        books = Codebooks(policy, t0, t1, t2, 3)
         s = np.array([1, 0, 1])
         sd1, sd2 = delayed_sequences(s, 1, 0)
         x1, x2 = encode(books, 0, 0, 0, sd1, sd2, 1, 0)
@@ -334,6 +335,142 @@ class TestDecodeJointTypicality:
             decode_joint_typicality(books, z, z, 0, 0, 0.05, joint)
 
 
+def _sparse_rows(rng, shape, zero_share):
+    """Random distributions along the last axis, some entries set to zero."""
+    w = rng.random(shape) * (rng.random(shape) >= zero_share)
+    w[..., 0] += (w.sum(axis=-1) == 0)  # keep every row a distribution
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _random_instance(rng, counts):
+    """A random pipeline run: codebooks of the given sizes, a sent triplet,
+    the state path and outputs, and the model joint law."""
+    k = int(rng.integers(1, 4))
+    nu = int(rng.integers(1, 3))
+    nx1, nx2, ny = (int(v) for v in rng.integers(2, 4, size=3))
+    d1 = int(rng.choice([0, 1, 3]))
+    d2 = int(rng.integers(0, d1 + 1))
+    n = int(rng.integers(2, 65))
+    chain = MarkovChain([f"s{a}" for a in range(k)], _sparse_rows(rng, (k, k), 0.0))
+    policy = InputPolicy(
+        _sparse_rows(rng, (k, nu), 0.3),
+        _sparse_rows(rng, (nu, k, nx1), 0.3),
+        _sparse_rows(rng, (nu, k, k, nx2), 0.3),
+    )
+    if rng.random() < 0.4:  # noiseless: y is a function of (x1, x2, s)
+        table = np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))]
+    else:
+        table = _sparse_rows(rng, (nx1, nx2, k, ny), 0.3)
+    channel = DmcChannel(table)
+    books = coding._generate_codebooks_counts(policy, n, counts, rng)
+    sent = tuple(int(rng.integers(M)) for M in counts)
+    from fsmac.markov import sample_state_path
+
+    s = sample_state_path(chain, n, rng)
+    sd1, sd2 = delayed_sequences(s, d1, d2)
+    x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
+    y = coding._sample_outputs(channel, x1, x2, s, rng)
+    joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
+    return books, y, s, d1, d2, joint
+
+
+class TestDecoderKernels:
+    """The matmul decoder kernel against the bincount kernel it replaces for
+    large books; test_exhaustive_oracle_agreement checks the bincount one."""
+
+    @staticmethod
+    def _decode_both(monkeypatch, books, y, s, d1, d2, eps, joint):
+        results = []
+        for threshold in (0, 1 << 30):  # matmul for every size, then never
+            monkeypatch.setattr(coding, "_MATMUL_MIN_PAIRS", threshold)
+            results.append(decode_joint_typicality(books, y, s, d1, d2, eps, joint))
+        return results
+
+    def test_random_instances_agree(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        outcomes = {"unique": 0, "none": 0, "several": 0}
+        for trial in range(240):
+            counts = tuple(int(v) for v in rng.integers(1, 9, size=3))
+            if trial % 6 == 0:
+                counts = (counts[0], 1, counts[2])
+            elif trial % 6 == 1:
+                counts = (counts[0], counts[1], 1)
+            books, y, s, d1, d2, joint = _random_instance(rng, counts)
+            eps = float(rng.choice([0.02, 0.1, 0.25, 0.6]))
+            fast, ref = self._decode_both(monkeypatch, books, y, s, d1, d2, eps, joint)
+            assert fast == ref, (trial, counts, d1, d2, eps)
+            if d1 < books.n:
+                masks = [
+                    kern(books, y, s, d1, d2, eps, joint.table)
+                    for kern in (coding._typical_matmul, coding._typical_bincount)
+                ]
+                assert np.array_equal(*masks), (trial, counts, d1, d2, eps)
+            key = "unique" if ref.ok else ("none" if ref.n_typical == 0 else "several")
+            outcomes[key] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_delay_beyond_block(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        books, y, s, _, _, joint = _random_instance(rng, (2, 3, 2))
+        for d1 in (books.n, books.n + 3):
+            for res in self._decode_both(monkeypatch, books, y, s, d1, 0, 0.1, joint):
+                assert res == coding.DecodeResult(False, None, 0)
+
+    @pytest.mark.parametrize("sizes", [(1, 8, 15), (1, 8, 16), (2, 16, 16), (1, 1, 200)])
+    def test_both_sides_of_the_size_threshold(self, monkeypatch, sizes):
+        # the default selection uses bincount below 128 pairs, matmul from it
+        rng = np.random.default_rng(sum(sizes))
+        for _ in range(4):
+            books, y, s, d1, d2, joint = _random_instance(rng, sizes)
+            default = decode_joint_typicality(books, y, s, d1, d2, 0.25, joint)
+            fast, ref = self._decode_both(monkeypatch, books, y, s, d1, d2, 0.25, joint)
+            assert default == fast == ref
+
+    def test_pass_bounds_match_the_stated_test(self):
+        rng = np.random.default_rng(3)
+        for m_eff in (1, 7, 64, 255, 512):
+            eps = float(rng.choice([0.01, 0.07, 0.2]))
+            c = rng.integers(0, m_eff + 1, size=40)
+            # probabilities at, just off and far from the band edges c/m +- eps
+            p = np.concatenate([
+                c / m_eff + eps, c / m_eff - eps, np.nextafter(c / m_eff + eps, 2.0),
+                rng.random(40), [0.0, 1.0, eps, 2 * eps],
+            ])
+            p = p[(p >= 0) & (p <= 1)]
+            lo, hi = coding._pass_bounds(p, m_eff, eps, m_eff)
+            counts = np.arange(m_eff + 1)
+            emp = counts / m_eff
+            for pj, lj, hj in zip(p, lo, hi):
+                ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
+                assert np.array_equal(ok, (counts >= lj) & (counts <= hj))
+
+
+class TestDecoderCaps:
+    def test_error_rates_reject_before_building_codebooks(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("codebooks were allocated")
+
+        monkeypatch.setattr(coding, "_generate_codebooks_counts", fail)
+        chain, channel, policy = two_state(), xor_bsc_channel(2, (0.1, 0.4)), uniform_policy(2)
+        with pytest.raises(ValueError, match="cap"):
+            estimate_error_rate(chain, channel, policy, (0.0, 0.5, 0.5), 64, 0.1, 1, seed=0)
+        with pytest.raises(ValueError, match="cap"):
+            conferencing_error_rate(
+                chain, channel, policy, (0.5, 0.5), ConferencingConfig(0.1, 0.1), 64, 0.1, 1,
+                seed=0,
+            )
+        with pytest.raises(ValueError, match="blocklength"):
+            estimate_error_rate(chain, channel, policy, (0.0, 0.0, 0.0), 1024, 0.1, 1, seed=0)
+
+    def test_split_counts_are_the_conferencing_books(self):
+        # 2^(64*0.25) messages per user; c = 0.125 shares 2^8 cells of each
+        counts = coding.conferencing_counts(64, (0.25, 0.25), ConferencingConfig(0.125, 0.125))
+        assert counts == (2**16, 2**8, 2**8)
+        coding.check_decoder_caps(512, (1, 2**8, 2**8))
+        with pytest.raises(ValueError, match="cap"):
+            coding.check_decoder_caps(64, counts)
+
+
 class TestEstimateErrorRate:
     def test_zero_rates_noiseless(self):
         est = estimate_error_rate(
@@ -358,6 +495,19 @@ class TestEstimateErrorRate:
         a = estimate_error_rate(*args, seed=3, d1=2, d2=2)
         b = estimate_error_rate(*args, seed=3, d1=2, d2=2)
         assert a == b
+
+    def test_error_taxonomy_sums_to_errors(self):
+        args = (two_state(), xor_bsc_channel(2, (0.1, 0.45)), uniform_policy(2))
+        common = estimate_error_rate(
+            *args, (0.0, 2 / 32, 2 / 32), 32, 0.08, 40, seed=2, d1=1, d2=0
+        )
+        conf = conferencing_error_rate(
+            *args, (2 / 32, 2 / 32), ConferencingConfig(0.03, 0.0), 32, 0.08, 40, seed=2,
+            d1=1, d2=0,
+        )
+        for est in (common, conf):
+            assert est.errors > 0
+            assert est.none + est.several + est.wrong == est.errors
 
     def test_wilson_interval_brackets(self):
         est = estimate_error_rate(
