@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, load_config
+from .config import KINDS, ConfigError, load_config
 from .experiments import run_experiment
 
 
@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         "state-driven multiple-access channels with cooperating encoders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         _add_common(p)
     v = sub.add_parser("validate", help="parse a config and echo the resolved experiment")
@@ -53,12 +53,8 @@ def main(argv: list[str] | None = None) -> int:
         print("ok")
         return 0
     if cfg.kind != args.command:
-        print(
-            _error_record(ConfigError(
-                f"config kind '{cfg.kind}' does not match subcommand '{args.command}'"
-            )),
-            file=sys.stderr,
-        )
+        exc = ConfigError(f"config kind '{cfg.kind}' does not match subcommand '{args.command}'")
+        print(_error_record(exc), file=sys.stderr)
         return 2
     try:
         report = run_experiment(cfg, plots=not args.no_plots)

@@ -1,6 +1,6 @@
 """Experiment configuration: a YAML file with nested sections, validated
 strictly (unknown keys rejected, missing fields named) and resolved into the
-library's domain objects."""
+library's domain objects. `KINDS` is the one table of experiment kinds."""
 
 from __future__ import annotations
 
@@ -8,27 +8,27 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from .coding import check_decoder_caps, conferencing_counts, message_count
+from .experiments import (
+    Computed,
+    run_asymptotics,
+    run_region_discrete,
+    run_region_gaussian,
+    run_simulate,
+    run_sweep_correlation,
+    run_sweep_sumrate,
+)
 from .gaussian import GaussianMacSpec, SolverConfig
 from .markov import MarkovChain, mixing_horizon
 from .pmf import DmcChannel, InputPolicy
 from .regions import ConferencingConfig, SearchConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = (
-    "region-gaussian",
-    "region-discrete",
-    "sweep-sumrate",
-    "sweep-correlation",
-    "simulate",
-    "asymptotics",
-)
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "KINDS"]
 
 _INF_HORIZON_TOL = 1e-9
 
@@ -51,14 +51,35 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key '{where}.{sorted(unknown)[0]}'")
 
 
-def _capacity(value, where: str) -> float:
-    if value == "inf":
-        return float("inf")
+def _items(section: dict, key: str, where: str = "top level") -> list:
+    """A required field that must be a nonempty list."""
+    value = _require(section, key, where)
+    if not isinstance(value, list) or not value:
+        name = key if where == "top level" else f"{where}.{key}"
+        raise ConfigError(f"'{name}' must be a nonempty list")
+    return value
+
+
+def _int(value, where: str) -> int:
+    # bool is a subclass of int, but `true` is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, where: str) -> float:
     try:
-        out = float(value)
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"'{where}' must be a number or \"inf\"") from None
-    if math.isnan(out) or out < 0:
+        out = math.nan
+    if math.isnan(out):
+        raise ConfigError(f"'{where}' must be a number, got {value!r}")
+    return out
+
+
+def _capacity(value, where: str) -> float:
+    out = math.inf if value == "inf" else _float(value, where)
+    if out < 0:
         raise ConfigError(f"'{where}' must be nonnegative")
     return out
 
@@ -108,7 +129,7 @@ def _parse_delays(section: dict, chain: MarkovChain) -> tuple[int, int, dict]:
     def resolve(raw, name):
         if raw == "inf":
             return mixing_horizon(chain, _INF_HORIZON_TOL)
-        if not isinstance(raw, int) or raw < 0:
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
             raise ConfigError(f"'delays.{name}' must be a nonnegative integer or \"inf\"")
         return raw
 
@@ -127,20 +148,20 @@ def _parse_conferencing(section: dict) -> ConferencingConfig:
     )
 
 
-def _parse_solver(section: dict, seed: int) -> SolverConfig:
+def _parse_solver(raw: dict, seed: int) -> SolverConfig:
+    section = raw.get("solver", {}) or {}
     _check_keys(
         section, {"tolerance", "iterations", "rounds", "multistarts", "tie_users"}, "solver"
     )
+    budget = {
+        name: _int(section.get(name, default), f"solver.{name}")
+        for name, default in (("iterations", 400), ("rounds", 10), ("multistarts", 2))
+    }
+    tolerance = _float(section.get("tolerance", 1e-9), "solver.tolerance")
     try:
-        return SolverConfig(
-            tolerance=float(section.get("tolerance", 1e-9)),
-            iterations=int(section.get("iterations", 400)),
-            rounds=int(section.get("rounds", 10)),
-            multistarts=int(section.get("multistarts", 2)),
-            seed=seed,
-            tie_users=bool(section.get("tie_users", False)),
-        )
-    except (TypeError, ValueError) as exc:
+        return SolverConfig(tolerance=tolerance, seed=seed,
+                            tie_users=bool(section.get("tie_users", False)), **budget)
+    except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
@@ -148,25 +169,26 @@ def _parse_gaussian(section: dict, chain, conf, d1, d2) -> GaussianMacSpec:
     _check_keys(
         section, {"n_sub", "gains1", "gains2", "pbar1", "pbar2", "convention"}, "gaussian"
     )
-    gains1 = np.asarray(_require(section, "gains1", "gaussian"), dtype=float)
-    gains2 = np.asarray(_require(section, "gains2", "gaussian"), dtype=float)
-    n_sub = int(section.get("n_sub", gains1.shape[-1] if gains1.ndim == 2 else 1))
+    raw1 = _require(section, "gains1", "gaussian")
+    raw2 = _require(section, "gains2", "gaussian")
+    try:
+        gains1 = np.asarray(raw1, dtype=float)
+        gains2 = np.asarray(raw2, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gaussian: gains: {exc}") from exc
+    n_sub = _int(section.get("n_sub", gains1.shape[-1] if gains1.ndim == 2 else 1),
+                 "gaussian.n_sub")
     if gains1.ndim == 1:
         gains1 = gains1[:, None]
     if gains2.ndim == 1:
         gains2 = gains2[:, None]
     if gains1.shape[1] != n_sub:
         raise ConfigError(f"gaussian.gains1 has {gains1.shape[1]} subchannels, n_sub={n_sub}")
+    pbar1 = _float(_require(section, "pbar1", "gaussian"), "gaussian.pbar1")
+    pbar2 = _float(_require(section, "pbar2", "gaussian"), "gaussian.pbar2")
     try:
         return GaussianMacSpec(
-            chain,
-            gains1,
-            gains2,
-            float(_require(section, "pbar1", "gaussian")),
-            float(_require(section, "pbar2", "gaussian")),
-            conf,
-            d1,
-            d2,
+            chain, gains1, gains2, pbar1, pbar2, conf, d1, d2,
             str(section.get("convention", "real")),
         )
     except ValueError as exc:
@@ -193,17 +215,165 @@ def _parse_policy(section: dict) -> InputPolicy:
         raise ConfigError(f"policy: {exc}") from exc
 
 
-_TOP_KEYS = {
-    "region-gaussian": {"kind", "seed", "output", "chain", "delays", "gaussian",
-                        "conferencing", "solver", "trace"},
-    "region-discrete": {"kind", "seed", "output", "chain", "delays", "channel",
-                        "conferencing", "search"},
-    "sweep-sumrate": {"kind", "seed", "output", "chain", "gaussian", "delay_cases",
-                      "c_list", "solver"},
-    "sweep-correlation": {"kind", "seed", "output", "conferencing", "snr_db", "solver"},
-    "simulate": {"kind", "seed", "output", "chain", "delays", "channel", "policy",
-                 "rates", "conferencing", "sim"},
-    "asymptotics": {"kind", "seed", "output", "pairs"},
+def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
+    chain = _parse_chain(_require(raw, "chain", "top level"))
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    conf_sec = _require(raw, "conferencing", "top level")
+    _check_keys(conf_sec, {"c12", "c21"}, "conferencing")
+    c12_raw = conf_sec.get("c12", 0.0)
+    c12_list = c12_raw if isinstance(c12_raw, list) else [c12_raw]
+    if not c12_list:
+        raise ConfigError("'conferencing.c12' must be a capacity or a nonempty list")
+    c12_vals = [_capacity(c, "conferencing.c12") for c in c12_list]
+    c21 = _capacity(conf_sec.get("c21", 0.0), "conferencing.c21")
+    trace_sec = raw.get("trace", {}) or {}
+    _check_keys(trace_sec, {"n_directions"}, "trace")
+    n_directions = _int(trace_sec.get("n_directions", 16), "trace.n_directions")
+    if n_directions < 2:
+        raise ConfigError("'trace.n_directions' must be >= 2")
+    specs = [
+        _parse_gaussian(_require(raw, "gaussian", "top level"), chain,
+                        ConferencingConfig(c12, c21), d1, d2)
+        for c12 in c12_vals
+    ]
+    resolved = dict(delays=dres, c12_values=c12_vals, c21=c21, n_directions=n_directions,
+                    convention=specs[0].convention)
+    return resolved, {
+        "specs": specs, "n_directions": n_directions, "solver": _parse_solver(raw, seed),
+        "c12_values": c12_vals,
+    }
+
+
+def _parse_region_discrete(raw: dict, seed: int) -> tuple[dict, dict]:
+    chain = _parse_chain(_require(raw, "chain", "top level"))
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    channel = _parse_channel(_require(raw, "channel", "top level"))
+    conf = _parse_conferencing(raw.get("conferencing", {}) or {})
+    search_sec = _require(raw, "search", "top level")
+    _check_keys(
+        search_sec, {"u_size", "grid_levels", "restarts", "weights", "max_passes"}, "search"
+    )
+    weights = search_sec.get("weights", [[1.0, 1.0]])
+    if not isinstance(weights, list) or not weights or not all(
+        isinstance(w, list) and len(w) == 2 for w in weights
+    ):
+        raise ConfigError("'search.weights' must be a nonempty list of [mu1, mu2] pairs")
+    budget = {
+        name: _int(search_sec.get(name, default), f"search.{name}")
+        for name, default in (("u_size", 2), ("grid_levels", 3), ("restarts", 3),
+                              ("max_passes", 30))
+    }
+    mus = [[_float(mu, "search.weights") for mu in w] for w in weights]
+    try:
+        searches = [SearchConfig(seed=seed, mu1=mu1, mu2=mu2, **budget) for mu1, mu2 in mus]
+    except ValueError as exc:
+        raise ConfigError(f"search: {exc}") from exc
+    return dict(delays=dres, weights=weights), {
+        "chain": chain, "d1": d1, "d2": d2, "channel": channel, "conf": conf,
+        "searches": searches,
+    }
+
+
+def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
+    chain = _parse_chain(_require(raw, "chain", "top level"))
+    cases = [_parse_delays(c, chain) for c in _items(raw, "delay_cases")]
+    c_list = [_capacity(c, "c_list") for c in _items(raw, "c_list")]
+    gauss = _require(raw, "gaussian", "top level")
+    # each case is solved at every c_list value and once more with unbounded links
+    return dict(delay_cases=[dres for _, _, dres in cases], c_list=c_list), {
+        "cases": [
+            (dres, [_parse_gaussian(gauss, chain, ConferencingConfig(c, c), d1, d2)
+                    for c in [*c_list, math.inf]])
+            for d1, d2, dres in cases
+        ],
+        "c_list": c_list, "solver": _parse_solver(raw, seed),
+    }
+
+
+def _parse_sweep_correlation(raw: dict, seed: int) -> tuple[dict, dict]:
+    conf = _parse_conferencing(_require(raw, "conferencing", "top level"))
+    if math.isinf(conf.c12) or math.isinf(conf.c21):
+        raise ConfigError("sweep-correlation requires finite link capacities")
+    snr_db = [_float(v, "snr_db") for v in _items(raw, "snr_db")]
+    return dict(c12=conf.c12, c21=conf.c21, snr_db=snr_db), {
+        "conf": conf, "snr_db": snr_db, "solver": _parse_solver(raw, seed),
+    }
+
+
+def _parse_simulate(raw: dict, seed: int) -> tuple[dict, dict]:
+    chain = _parse_chain(_require(raw, "chain", "top level"))
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    channel = _parse_channel(_require(raw, "channel", "top level"))
+    policy = _parse_policy(_require(raw, "policy", "top level"))
+    rates_sec = _require(raw, "rates", "top level")
+    _check_keys(rates_sec, {"r0", "r1", "r2"}, "rates")
+    sim_sec = _require(raw, "sim", "top level")
+    _check_keys(sim_sec, {"n_list", "epsilon", "trials"}, "sim")
+    n_list = [_int(n, "sim.n_list") for n in _items(sim_sec, "n_list", "sim")]
+    epsilon = _float(sim_sec.get("epsilon", 0.05), "sim.epsilon")
+    trials = _int(_require(sim_sec, "trials", "sim"), "sim.trials")
+    if trials < 1:
+        raise ConfigError("'sim.trials' must be >= 1")
+    if not epsilon > 0:
+        raise ConfigError("'sim.epsilon' must be positive")
+    conf = _parse_conferencing(raw["conferencing"]) if "conferencing" in raw else None
+    r0 = _float(rates_sec.get("r0", 0.0), "rates.r0")
+    r1 = _float(_require(rates_sec, "r1", "rates"), "rates.r1")
+    r2 = _float(_require(rates_sec, "r2", "rates"), "rates.r2")
+    for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
+        if not r >= 0:
+            raise ConfigError(f"'rates.{name}' must be nonnegative")
+    if conf is not None and r0 != 0.0:
+        raise ConfigError("conferencing simulation uses r1/r2 only; set r0 to 0")
+    # the decoder's caps, checked before a run allocates any codebook
+    for n in n_list:
+        try:
+            if conf is None:
+                counts = tuple(message_count(n, r) for r in (r0, r1, r2))
+            else:
+                counts = conferencing_counts(n, (r1, r2), conf)
+            check_decoder_caps(n, counts)
+        except ValueError as exc:
+            raise ConfigError(f"'sim.n_list' entry n={n}: {exc}") from exc
+    resolved = dict(delays=dres, n_list=n_list, epsilon=epsilon, trials=trials,
+                    rates={"r0": r0, "r1": r1, "r2": r2},
+                    mode="conferencing" if conf is not None else "common")
+    return resolved, {
+        "chain": chain, "d1": d1, "d2": d2, "channel": channel, "policy": policy,
+        "rates": (r0, r1, r2), "conf": conf, "n_list": n_list, "epsilon": epsilon,
+        "trials": trials,
+    }
+
+
+def _parse_asymptotics(raw: dict, seed: int) -> tuple[dict, dict]:
+    parsed = []
+    for i, p in enumerate(_items(raw, "pairs")):
+        _check_keys(p, {"c12", "c21"}, f"pairs[{i}]")
+        parsed.append(
+            (_capacity(_require(p, "c12", f"pairs[{i}]"), "c12"),
+             _capacity(_require(p, "c21", f"pairs[{i}]"), "c21"))
+        )
+    return dict(pairs=[{"c12": a, "c21": b} for a, b in parsed]), {"pairs": parsed}
+
+
+class Kind(NamedTuple):
+    keys: set[str]  # top-level keys besides kind, seed and output
+    parse: Callable[[dict, int], tuple[dict, dict]]  # raw, seed -> resolved, objects
+    run: Callable[[ExperimentConfig], Computed]
+
+
+KINDS = {
+    "region-gaussian": Kind({"chain", "delays", "gaussian", "conferencing", "solver", "trace"},
+                            _parse_region_gaussian, run_region_gaussian),
+    "region-discrete": Kind({"chain", "delays", "channel", "conferencing", "search"},
+                            _parse_region_discrete, run_region_discrete),
+    "sweep-sumrate": Kind({"chain", "gaussian", "delay_cases", "c_list", "solver"},
+                          _parse_sweep_sumrate, run_sweep_sumrate),
+    "sweep-correlation": Kind({"conferencing", "snr_db", "solver"},
+                              _parse_sweep_correlation, run_sweep_correlation),
+    "simulate": Kind({"chain", "delays", "channel", "policy", "rates", "conferencing", "sim"},
+                     _parse_simulate, run_simulate),
+    "asymptotics": Kind({"pairs"}, _parse_asymptotics, run_asymptotics),
 }
 
 
@@ -214,15 +384,14 @@ def load_config(path: str, seed_override: int | None = None, out_override: str |
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
     kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"'kind' must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
-    _check_keys(raw, _TOP_KEYS[kind], "top level")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"'kind' must be one of {', '.join(KINDS)}; got {kind!r}")
+    _check_keys(raw, {"kind", "seed", "output"} | KINDS[kind].keys, "top level")
 
     seed = raw.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
+    seed = _int(seed, "seed")
 
     output = raw.get("output", {}) or {}
     _check_keys(output, {"dir", "prefix"}, "output")
@@ -234,163 +403,6 @@ def load_config(path: str, seed_override: int | None = None, out_override: str |
     canonical = json.loads(json.dumps(raw, default=str))
     canonical["seed"] = seed
 
-    cfg = ExperimentConfig(kind=kind, seed=seed, out_dir=out_dir, prefix=prefix,
-                           canonical=canonical)
-    resolved: dict[str, Any] = {}
-
-    if kind == "region-gaussian":
-        chain = _parse_chain(_require(raw, "chain", "top level"))
-        d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
-        conf_sec = _require(raw, "conferencing", "top level")
-        _check_keys(conf_sec, {"c12", "c21"}, "conferencing")
-        c12_raw = conf_sec.get("c12", 0.0)
-        c12_list = c12_raw if isinstance(c12_raw, list) else [c12_raw]
-        c12_vals = [_capacity(c, "conferencing.c12") for c in c12_list]
-        c21 = _capacity(conf_sec.get("c21", 0.0), "conferencing.c21")
-        trace_sec = raw.get("trace", {}) or {}
-        _check_keys(trace_sec, {"n_directions"}, "trace")
-        n_directions = int(trace_sec.get("n_directions", 16))
-        specs = [
-            _parse_gaussian(_require(raw, "gaussian", "top level"), chain,
-                            ConferencingConfig(c12, c21), d1, d2)
-            for c12 in c12_vals
-        ]
-        resolved.update(
-            delays=dres, c12_values=c12_vals, c21=c21, n_directions=n_directions,
-            convention=specs[0].convention,
-        )
-        cfg.resolved = resolved
-        cfg.objects = {
-            "specs": specs, "chain": chain, "n_directions": n_directions,
-            "solver": _parse_solver(raw.get("solver", {}) or {}, seed),
-            "c12_values": c12_vals, "c21": c21,
-        }
-
-    elif kind == "region-discrete":
-        chain = _parse_chain(_require(raw, "chain", "top level"))
-        d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
-        channel = _parse_channel(_require(raw, "channel", "top level"))
-        conf = _parse_conferencing(raw.get("conferencing", {}) or {})
-        search_sec = _require(raw, "search", "top level")
-        _check_keys(
-            search_sec, {"u_size", "grid_levels", "restarts", "weights", "max_passes"}, "search"
-        )
-        weights = search_sec.get("weights", [[1.0, 1.0]])
-        if not isinstance(weights, list) or not all(len(w) == 2 for w in weights):
-            raise ConfigError("'search.weights' must be a list of [mu1, mu2] pairs")
-        searches = [
-            SearchConfig(
-                u_size=int(search_sec.get("u_size", 2)),
-                grid_levels=int(search_sec.get("grid_levels", 3)),
-                restarts=int(search_sec.get("restarts", 3)),
-                seed=seed,
-                mu1=float(w[0]),
-                mu2=float(w[1]),
-                max_passes=int(search_sec.get("max_passes", 30)),
-            )
-            for w in weights
-        ]
-        resolved.update(delays=dres, weights=weights)
-        cfg.resolved = resolved
-        cfg.objects = {
-            "chain": chain, "d1": d1, "d2": d2, "channel": channel, "conf": conf,
-            "searches": searches,
-        }
-
-    elif kind == "sweep-sumrate":
-        chain = _parse_chain(_require(raw, "chain", "top level"))
-        cases = _require(raw, "delay_cases", "top level")
-        if not isinstance(cases, list) or not cases:
-            raise ConfigError("'delay_cases' must be a nonempty list of delay sections")
-        parsed_cases = [_parse_delays(c, chain) for c in cases]
-        c_list = [_capacity(c, "c_list") for c in _require(raw, "c_list", "top level")]
-        gauss = _require(raw, "gaussian", "top level")
-        case_specs = []
-        for d1, d2, dres in parsed_cases:
-            mk = lambda c, d1=d1, d2=d2: _parse_gaussian(
-                gauss, chain, ConferencingConfig(c, c), d1, d2
-            )
-            case_specs.append((dres, mk))
-        resolved.update(delay_cases=[c[0] for c in parsed_cases], c_list=c_list)
-        cfg.resolved = resolved
-        cfg.objects = {
-            "chain": chain, "case_specs": case_specs, "c_list": c_list,
-            "solver": _parse_solver(raw.get("solver", {}) or {}, seed),
-        }
-
-    elif kind == "sweep-correlation":
-        conf = _parse_conferencing(_require(raw, "conferencing", "top level"))
-        if math.isinf(conf.c12) or math.isinf(conf.c21):
-            raise ConfigError("sweep-correlation requires finite link capacities")
-        snr_db = _require(raw, "snr_db", "top level")
-        if not isinstance(snr_db, list) or not snr_db:
-            raise ConfigError("'snr_db' must be a nonempty list")
-        snr_db = [float(v) for v in snr_db]
-        resolved.update(c12=conf.c12, c21=conf.c21, snr_db=snr_db)
-        cfg.resolved = resolved
-        cfg.objects = {
-            "conf": conf, "snr_db": snr_db,
-            "solver": _parse_solver(raw.get("solver", {}) or {}, seed),
-        }
-
-    elif kind == "simulate":
-        chain = _parse_chain(_require(raw, "chain", "top level"))
-        d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
-        channel = _parse_channel(_require(raw, "channel", "top level"))
-        policy = _parse_policy(_require(raw, "policy", "top level"))
-        rates_sec = _require(raw, "rates", "top level")
-        _check_keys(rates_sec, {"r0", "r1", "r2"}, "rates")
-        sim_sec = _require(raw, "sim", "top level")
-        _check_keys(sim_sec, {"n_list", "epsilon", "trials"}, "sim")
-        n_list = [int(n) for n in _require(sim_sec, "n_list", "sim")]
-        epsilon = float(sim_sec.get("epsilon", 0.05))
-        trials = int(_require(sim_sec, "trials", "sim"))
-        if trials < 1:
-            raise ConfigError("'sim.trials' must be >= 1")
-        if not epsilon > 0:
-            raise ConfigError("'sim.epsilon' must be positive")
-        conf = _parse_conferencing(raw["conferencing"]) if "conferencing" in raw else None
-        r0 = float(rates_sec.get("r0", 0.0))
-        r1 = float(_require(rates_sec, "r1", "rates"))
-        r2 = float(_require(rates_sec, "r2", "rates"))
-        for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
-            if not r >= 0:
-                raise ConfigError(f"'rates.{name}' must be nonnegative")
-        if conf is not None and r0 != 0.0:
-            raise ConfigError("conferencing simulation uses r1/r2 only; set r0 to 0")
-        # the decoder's caps, checked before a run allocates any codebook
-        for n in n_list:
-            try:
-                if conf is None:
-                    counts = tuple(message_count(n, r) for r in (r0, r1, r2))
-                else:
-                    counts = conferencing_counts(n, (r1, r2), conf)
-                check_decoder_caps(n, counts)
-            except ValueError as exc:
-                raise ConfigError(f"'sim.n_list' entry n={n}: {exc}") from exc
-        resolved.update(delays=dres, n_list=n_list, epsilon=epsilon, trials=trials,
-                        rates={"r0": r0, "r1": r1, "r2": r2},
-                        mode="conferencing" if conf is not None else "common")
-        cfg.resolved = resolved
-        cfg.objects = {
-            "chain": chain, "d1": d1, "d2": d2, "channel": channel, "policy": policy,
-            "rates": (r0, r1, r2), "conf": conf, "n_list": n_list, "epsilon": epsilon,
-            "trials": trials,
-        }
-
-    elif kind == "asymptotics":
-        pairs = _require(raw, "pairs", "top level")
-        if not isinstance(pairs, list) or not pairs:
-            raise ConfigError("'pairs' must be a nonempty list of {c12, c21} sections")
-        parsed = []
-        for i, p in enumerate(pairs):
-            _check_keys(p, {"c12", "c21"}, f"pairs[{i}]")
-            parsed.append(
-                (_capacity(_require(p, "c12", f"pairs[{i}]"), "c12"),
-                 _capacity(_require(p, "c21", f"pairs[{i}]"), "c21"))
-            )
-        resolved.update(pairs=[{"c12": a, "c21": b} for a, b in parsed])
-        cfg.resolved = resolved
-        cfg.objects = {"pairs": parsed}
-
-    return cfg
+    resolved, objects = KINDS[kind].parse(raw, seed)
+    return ExperimentConfig(kind=kind, seed=seed, out_dir=out_dir, prefix=prefix,
+                            canonical=canonical, resolved=resolved, objects=objects)

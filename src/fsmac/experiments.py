@@ -1,6 +1,7 @@
-"""Experiment runners: dispatch a validated config to the computation modules,
-persist CSV results (header row, 12-significant-digit floats, provenance
-columns) and render SVG figures."""
+"""Experiment runners: each computes one kind's CSV rows, extra text files,
+figure and notes from a validated config; `run_experiment` persists them (CSV
+with a header row, 12-significant-digit floats and provenance columns, then
+the extra files, then the SVG figure)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import yaml
 
@@ -20,10 +22,12 @@ from .asymptotics import (
     snr_critical_db,
 )
 from .coding import conferencing_error_rate, estimate_error_rate
-from .config import ExperimentConfig
 from .gaussian import maximize_weighted_rate, trace_boundary
 from .regions import inner_bound_search
 from .svgplot import Series, render_plot
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 __all__ = ["RunReport", "run_experiment"]
 
@@ -37,19 +41,22 @@ class RunReport:
     notes: dict = field(default_factory=dict)
 
 
+@dataclass
+class Computed:
+    """A runner's results: CSV columns and rows without the provenance columns,
+    extra text files by name suffix, `render_plot` keywords (None: no figure)."""
+
+    header: list[str]
+    rows: list[list]
+    extras: dict[str, str] = field(default_factory=dict)
+    plot: dict | None = None
+    notes: dict = field(default_factory=dict)
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
-
-
-def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_value(v) for v in row])
-    _atomic_write(path, buf.getvalue())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -68,21 +75,26 @@ def _atomic_write(path: str, text: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig, plots: bool = True) -> RunReport:
     """Execute a parsed experiment and return the written artifact paths."""
-    runner = _RUNNERS[cfg.kind]
-    return runner(cfg, plots)
+    from .config import KINDS  # the kind table imports the runners below
+
+    out = KINDS[cfg.kind].run(cfg)
+    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed, notes=out.notes)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["config_hash", "seed", *out.header])
+    for row in out.rows:
+        writer.writerow([_fmt_value(v) for v in (report.config_hash, cfg.seed, *row)])
+    for suffix, text in {".csv": buf.getvalue(), **out.extras}.items():
+        report.artifacts.append(os.path.join(cfg.out_dir, cfg.prefix + suffix))
+        _atomic_write(report.artifacts[-1], text)
+    if plots and out.plot is not None:
+        report.artifacts.append(os.path.join(cfg.out_dir, cfg.prefix + ".svg"))
+        render_plot(report.artifacts[-1], **out.plot)
+    return report
 
 
-def _out(cfg: ExperimentConfig, suffix: str) -> str:
-    return os.path.join(cfg.out_dir, f"{cfg.prefix}{suffix}")
-
-
-def _run_region_gaussian(cfg: ExperimentConfig, plots: bool) -> RunReport:
+def run_region_gaussian(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
-    header = [
-        "config_hash", "seed", "c12", "c21", "theta", "r1", "r2", "value", "flag",
-        "max_r1", "max_r2", "convention",
-    ]
     rows = []
     polygons = []
     for c12, spec in zip(obj["c12_values"], obj["specs"]):
@@ -91,43 +103,31 @@ def _run_region_gaussian(cfg: ExperimentConfig, plots: bool) -> RunReport:
         max_r2 = maximize_weighted_rate(spec, 0.0, 1.0, obj["solver"]).value
         for tp in trace:
             rows.append([
-                cfg.config_hash, cfg.seed, c12, spec.conf.c21, tp.theta,
-                tp.point.r1, tp.point.r2, tp.value, tp.flag, max_r1, max_r2,
-                spec.convention,
+                c12, spec.conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value,
+                tp.flag, max_r1, max_r2, spec.convention,
             ])
         pts = sorted(((tp.point.r1, tp.point.r2) for tp in trace))
         poly_x = [0.0, 0.0] + [p[0] for p in pts] + [max_r1]
         poly_y = [0.0, max_r2] + [p[1] for p in pts] + [0.0]
         polygons.append(Series(poly_x, poly_y, label=f"c12={_fmt_value(c12)}", closed=True))
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    if plots:
-        svg_path = _out(cfg, ".svg")
-        render_plot(
-            svg_path, polygons, title="Achievable rate region",
-            xlabel="R1 [bits/symbol]", ylabel="R2 [bits/symbol]",
-        )
-        report.artifacts.append(svg_path)
-    return report
+    return Computed(
+        ["c12", "c21", "theta", "r1", "r2", "value", "flag", "max_r1", "max_r2",
+         "convention"],
+        rows,
+        plot=dict(series=polygons, title="Achievable rate region",
+                  xlabel="R1 [bits/symbol]", ylabel="R2 [bits/symbol]"),
+    )
 
 
-def _run_region_discrete(cfg: ExperimentConfig, plots: bool) -> RunReport:
+def run_region_discrete(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
-    header = ["config_hash", "seed", "mu1", "mu2", "r1", "r2", "value"]
     rows = []
     dumps = []
-    points = []
     for search in obj["searches"]:
         res = inner_bound_search(
             obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"], search
         )
-        rows.append([
-            cfg.config_hash, cfg.seed, search.mu1, search.mu2,
-            res.point.r1, res.point.r2, res.value,
-        ])
-        points.append((res.point.r1, res.point.r2))
+        rows.append([search.mu1, search.mu2, res.point.r1, res.point.r2, res.value])
         dumps.append({
             "mu1": search.mu1,
             "mu2": search.mu2,
@@ -138,101 +138,71 @@ def _run_region_discrete(cfg: ExperimentConfig, plots: bool) -> RunReport:
                 "pX2": res.policy.pX2.tolist(),
             },
         })
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    pol_path = _out(cfg, "_policies.yaml")
-    _atomic_write(pol_path, yaml.safe_dump(dumps, sort_keys=True))
-    report.artifacts.append(pol_path)
-    if plots:
-        svg_path = _out(cfg, ".svg")
-        pts = sorted(points)
-        render_plot(
-            svg_path,
-            [Series([p[0] for p in pts], [p[1] for p in pts], label="inner bound", marker=True)],
+    pts = sorted((r1, r2) for _, _, r1, r2, _ in rows)
+    return Computed(
+        ["mu1", "mu2", "r1", "r2", "value"],
+        rows,
+        extras={"_policies.yaml": yaml.safe_dump(dumps, sort_keys=True)},
+        plot=dict(
+            series=[Series([p[0] for p in pts], [p[1] for p in pts], label="inner bound",
+                           marker=True)],
             title="Discrete inner-bound points",
             xlabel="R1 [bits/symbol]", ylabel="R2 [bits/symbol]",
-        )
-        report.artifacts.append(svg_path)
-    return report
+        ),
+    )
 
 
-def _run_sweep_sumrate(cfg: ExperimentConfig, plots: bool) -> RunReport:
+def run_sweep_sumrate(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
-    header = ["config_hash", "seed", "case_d1", "case_d2", "c", "sum_rate", "flag"]
     rows = []
     curves = []
     hlines = []
-    for dres, mk in obj["case_specs"]:
+    for dres, specs in obj["cases"]:
         label = f"d1={dres['d1_raw']}, d2={dres['d2_raw']}"
         values = []
-        for c in obj["c_list"]:
-            res = maximize_weighted_rate(mk(c), 1.0, 1.0, obj["solver"])
+        for spec in specs:  # one per c_list entry, then the unbounded links
+            res = maximize_weighted_rate(spec, 1.0, 1.0, obj["solver"])
             values.append(res.value)
-            rows.append([
-                cfg.config_hash, cfg.seed, dres["d1_raw"], dres["d2_raw"], c,
-                res.value, res.flag,
-            ])
-        sat = maximize_weighted_rate(mk(float("inf")), 1.0, 1.0, obj["solver"])
-        rows.append([
-            cfg.config_hash, cfg.seed, dres["d1_raw"], dres["d2_raw"], "inf",
-            sat.value, sat.flag,
-        ])
-        curves.append(Series(list(obj["c_list"]), values, label=label, marker=True))
-        hlines.append((sat.value, f"unbounded links ({label})"))
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    if plots:
-        svg_path = _out(cfg, ".svg")
-        render_plot(
-            svg_path, curves, title="Sum rate vs conferencing capacity",
-            xlabel="c12 = c21 [bits/symbol]", ylabel="R1 + R2 [bits/symbol]",
-            hlines=hlines,
-        )
-        report.artifacts.append(svg_path)
-    return report
+            rows.append([dres["d1_raw"], dres["d2_raw"], spec.conf.c12, res.value, res.flag])
+        curves.append(Series(list(obj["c_list"]), values[:-1], label=label, marker=True))
+        hlines.append((values[-1], f"unbounded links ({label})"))
+    return Computed(
+        ["case_d1", "case_d2", "c", "sum_rate", "flag"],
+        rows,
+        plot=dict(series=curves, title="Sum rate vs conferencing capacity",
+                  xlabel="c12 = c21 [bits/symbol]", ylabel="R1 + R2 [bits/symbol]",
+                  hlines=hlines),
+    )
 
 
-def _run_sweep_correlation(cfg: ExperimentConfig, plots: bool) -> RunReport:
+def run_sweep_correlation(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
     conf = obj["conf"]
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
     prof = correlation_profile_numeric(conf.c12, conf.c21, obj["snr_db"], obj["solver"])
     crit = snr_critical(conf.c12, conf.c21)
     crit_db = snr_critical_db(conf.c12, conf.c21)
     rho_inf = rho_infinity(conf.c12, conf.c21)
-    header = ["config_hash", "seed", "snr_db", "rho_numeric",
-              "rho_closed_form_if_applicable", "flag"]
     rows = []
     for s_db, rho, flag in zip(prof.snr_db, prof.rho, prof.flags):
         closed = 1.0 if 10.0 ** (s_db / 10.0) <= crit else ""
-        rows.append([cfg.config_hash, cfg.seed, s_db, rho, closed, flag])
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    report.notes.update(snr_critical=crit, snr_critical_db=crit_db, rho_infinity=rho_inf)
-    if plots:
-        svg_path = _out(cfg, ".svg")
-        vlines = [(crit_db, "critical SNR")] if math.isfinite(crit_db) else []
-        render_plot(
-            svg_path,
-            [Series(prof.snr_db, prof.rho, label="numeric", marker=True)],
+        rows.append([s_db, rho, closed, flag])
+    return Computed(
+        ["snr_db", "rho_numeric", "rho_closed_form_if_applicable", "flag"],
+        rows,
+        plot=dict(
+            series=[Series(prof.snr_db, prof.rho, label="numeric", marker=True)],
             title=f"Correlation vs SNR (c12={conf.c12}, c21={conf.c21})",
             xlabel="SNR [dB]", ylabel="correlation",
-            vlines=vlines, hlines=[(rho_inf, "infinite-SNR limit")],
-        )
-        report.artifacts.append(svg_path)
-    return report
+            vlines=[(crit_db, "critical SNR")] if math.isfinite(crit_db) else [],
+            hlines=[(rho_inf, "infinite-SNR limit")],
+        ),
+        notes=dict(snr_critical=crit, snr_critical_db=crit_db, rho_infinity=rho_inf),
+    )
 
 
-def _run_simulate(cfg: ExperimentConfig, plots: bool) -> RunReport:
+def run_simulate(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
     r0, r1, r2 = obj["rates"]
-    header = ["config_hash", "seed", "n", "r0", "r1", "r2", "trials", "errors",
-              "p_e", "ci_low", "ci_high", "mode"]
     rows = []
     pes = []
     for n in obj["n_list"]:
@@ -249,46 +219,26 @@ def _run_simulate(cfg: ExperimentConfig, plots: bool) -> RunReport:
             )
             mode = "conferencing"
         rows.append([
-            cfg.config_hash, cfg.seed, n, r0, r1, r2, est.trials, est.errors,
-            est.p_e, est.ci_low, est.ci_high, mode,
+            n, r0, r1, r2, est.trials, est.errors, est.p_e, est.ci_low, est.ci_high, mode,
         ])
         pes.append(est.p_e)
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    if plots:
-        svg_path = _out(cfg, ".svg")
-        render_plot(
-            svg_path,
-            [Series([float(n) for n in obj["n_list"]], pes, label="empirical", marker=True)],
+    return Computed(
+        ["n", "r0", "r1", "r2", "trials", "errors", "p_e", "ci_low", "ci_high", "mode"],
+        rows,
+        plot=dict(
+            series=[Series([float(n) for n in obj["n_list"]], pes, label="empirical",
+                           marker=True)],
             title="Block error rate vs blocklength",
             xlabel="blocklength n", ylabel="error rate",
-        )
-        report.artifacts.append(svg_path)
-    return report
+        ),
+    )
 
 
-def _run_asymptotics(cfg: ExperimentConfig, plots: bool) -> RunReport:
-    report = RunReport(cfg.kind, cfg.config_hash, cfg.seed)
-    header = ["config_hash", "seed", "c12", "c21", "snr_critical", "snr_critical_db",
-              "rho_infinity"]
-    rows = []
-    for c12, c21 in cfg.objects["pairs"]:
-        rows.append([
-            cfg.config_hash, cfg.seed, c12, c21, snr_critical(c12, c21),
-            snr_critical_db(c12, c21), rho_infinity(c12, c21),
-        ])
-    csv_path = _out(cfg, ".csv")
-    _write_csv_atomic(csv_path, header, rows)
-    report.artifacts.append(csv_path)
-    return report
-
-
-_RUNNERS = {
-    "region-gaussian": _run_region_gaussian,
-    "region-discrete": _run_region_discrete,
-    "sweep-sumrate": _run_sweep_sumrate,
-    "sweep-correlation": _run_sweep_correlation,
-    "simulate": _run_simulate,
-    "asymptotics": _run_asymptotics,
-}
+def run_asymptotics(cfg: ExperimentConfig) -> Computed:
+    rows = [
+        [c12, c21, snr_critical(c12, c21), snr_critical_db(c12, c21), rho_infinity(c12, c21)]
+        for c12, c21 in cfg.objects["pairs"]
+    ]
+    return Computed(
+        ["c12", "c21", "snr_critical", "snr_critical_db", "rho_infinity"], rows
+    )

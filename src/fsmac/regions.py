@@ -178,6 +178,14 @@ class SearchConfig:
     mu2: float = 1.0
     max_passes: int = 30
 
+    def __post_init__(self) -> None:
+        # u_size 0 has no auxiliary letter to search over; the rest are empty budgets
+        for name, least in (("u_size", 1), ("grid_levels", 2), ("restarts", 1), ("max_passes", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"search budget: {name} must be >= {least}, got {getattr(self, name)}")
+        if not (self.mu1 >= 0 and self.mu2 >= 0 and self.mu1 + self.mu2 > 0):
+            raise ValueError(f"weights must be nonnegative, not both 0; got ({self.mu1}, {self.mu2})")
+
 
 @dataclass
 class SearchResult:
@@ -208,10 +216,6 @@ def inner_bound_search(
     `joint_states` overrides the state law computed from (chain, d1, d2),
     for surrogate models such as a decoupled first observation.
     """
-    if config.restarts < 1 or config.max_passes < 1:
-        raise ValueError("search budget must be positive (restarts and passes >= 1)")
-    if config.grid_levels < 2:
-        raise ValueError("grid_levels must be >= 2")
     k = chain.k
     n_u = config.u_size
     cap = channel.n_x1 * channel.n_x2 * k**3 + 2

@@ -1,12 +1,15 @@
 import copy
 import csv
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from fsmac.cli import main
-from fsmac.config import ConfigError, load_config
+from fsmac.config import KINDS, ConfigError, load_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 CHAIN = {"states": ["G", "B"], "transition": [[0.9, 0.1], [0.1, 0.9]]}
@@ -62,6 +65,63 @@ def simulate_payload(out_dir, n_list, r):
         "rates": {"r0": 0.0, "r1": r, "r2": r},
         "sim": {"n_list": n_list, "epsilon": 0.1, "trials": 5},
     }
+
+
+def discrete_payload(out_dir):
+    return {
+        "kind": "region-discrete",
+        "seed": 3,
+        "output": {"dir": out_dir, "prefix": "disc"},
+        "chain": copy.deepcopy(CHAIN),
+        "delays": {"d1": 1, "d2": 1},
+        "channel": {"table": copy.deepcopy(XOR_CHANNEL)},
+        "conferencing": {"c12": 0.2, "c21": 0.0},
+        "search": {"u_size": 1, "grid_levels": 3, "restarts": 2,
+                   "weights": [[1.0, 1.0]]},
+    }
+
+
+def sumrate_payload(out_dir):
+    return {
+        "kind": "sweep-sumrate",
+        "seed": 4,
+        "output": {"dir": out_dir, "prefix": "sum"},
+        "chain": copy.deepcopy(CHAIN),
+        "gaussian": copy.deepcopy(gaussian_payload(out_dir)["gaussian"]),
+        "delay_cases": [{"d1": 2, "d2": 2}, {"d1": "inf", "d2": 2}],
+        "c_list": [0.0, 0.6],
+        "solver": {"iterations": 60, "rounds": 3, "multistarts": 1},
+    }
+
+
+def correlation_payload(out_dir):
+    return {
+        "kind": "sweep-correlation",
+        "seed": 1,
+        "output": {"dir": out_dir, "prefix": "corr"},
+        "conferencing": {"c12": 0.3, "c21": 0.3},
+        "snr_db": [-5.0, 10.0],
+        "solver": {"iterations": 120, "rounds": 4, "multistarts": 0},
+    }
+
+
+def asymptotics_payload(out_dir):
+    return {
+        "kind": "asymptotics",
+        "output": {"dir": out_dir, "prefix": "asym"},
+        "pairs": [{"c12": 0.0, "c21": 0.0}, {"c12": 0.5, "c21": 0.5}],
+    }
+
+
+# a small runnable experiment of every kind
+PAYLOADS = {
+    "region-gaussian": gaussian_payload,
+    "region-discrete": discrete_payload,
+    "sweep-sumrate": sumrate_payload,
+    "sweep-correlation": correlation_payload,
+    "simulate": lambda out_dir: simulate_payload(out_dir, n_list=[64], r=1 / 64),
+    "asymptotics": asymptotics_payload,
+}
 
 
 def read_rows(path):
@@ -138,6 +198,46 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 2
         assert field in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("region-gaussian", "trace.n_directions", 1),
+        ("region-discrete", "search.restarts", 0),
+        ("region-discrete", "search.max_passes", 0),
+        ("region-discrete", "search.grid_levels", 1),
+        ("region-discrete", "search.u_size", 0),
+        ("region-discrete", "search.weights", [[0, 0]]),
+        ("region-discrete", "search.weights", [[1.0, -0.5]]),
+        ("simulate", "sim.n_list", []),
+        ("sweep-sumrate", "c_list", []),
+        # malformed scalars, and bools where integers belong
+        ("region-gaussian", "trace.n_directions", "abc"),
+        ("simulate", "sim.trials", "x"),
+        ("sweep-correlation", "snr_db", ["x"]),
+        ("region-gaussian", "seed", True),
+        ("region-gaussian", "delays.d1", True),
+    ])
+    def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
+        payload = PAYLOADS[kind](str(tmp_path))
+        *path, key = field.split(".")
+        section = payload
+        for name in path:
+            section = section[name]
+        section[key] = value
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert all(part in record["message"] for part in field.split("."))
+
+    def test_sweep_sumrate_echoes_each_delay_case(self, tmp_path, capsys):
+        payload = sumrate_payload(str(tmp_path))
+        payload["delay_cases"] = [{"d1": 2, "d2": 1}, {"d1": "inf", "d2": 0}]
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 0
+        out = capsys.readouterr().out
+        cases = yaml.safe_load(out[: out.rindex("ok")])["delay_cases"]
+        assert [(c["d1_raw"], c["d2_raw"], c["d2"]) for c in cases] == [(2, 1, 1), ("inf", 0, 0)]
+        assert cases[0]["d1"] == 2 and cases[1]["d1"] > 2
+
     def test_validate_never_writes(self, tmp_path):
         out_dir = tmp_path / "results"
         cfgp = write_config(tmp_path, gaussian_payload(str(out_dir)))
@@ -209,14 +309,7 @@ class TestOtherKinds:
         assert all(float(r["rho_numeric"]) == 0.0 for r in rows)
 
     def test_sweep_correlation_svg_overlays(self, tmp_path):
-        payload = {
-            "kind": "sweep-correlation",
-            "seed": 1,
-            "output": {"dir": str(tmp_path), "prefix": "corr"},
-            "conferencing": {"c12": 0.3, "c21": 0.3},
-            "snr_db": [-5.0, 10.0],
-            "solver": {"iterations": 120, "rounds": 4, "multistarts": 0},
-        }
+        payload = correlation_payload(str(tmp_path))
         cfgp = write_config(tmp_path, payload)
         assert main(["sweep-correlation", "--config", cfgp]) == 0
         svg = (tmp_path / "corr.svg").read_text()
@@ -278,11 +371,7 @@ class TestOtherKinds:
             load_config(cfgp)
 
     def test_asymptotics_table(self, tmp_path):
-        payload = {
-            "kind": "asymptotics",
-            "output": {"dir": str(tmp_path), "prefix": "asym"},
-            "pairs": [{"c12": 0.0, "c21": 0.0}, {"c12": 0.5, "c21": 0.5}],
-        }
+        payload = asymptotics_payload(str(tmp_path))
         cfgp = write_config(tmp_path, payload)
         assert main(["asymptotics", "--config", cfgp]) == 0
         rows = read_rows(tmp_path / "asym.csv")
@@ -290,17 +379,7 @@ class TestOtherKinds:
         assert rows[0]["snr_critical_db"] == "-inf"
 
     def test_region_discrete_with_policy_dump(self, tmp_path):
-        payload = {
-            "kind": "region-discrete",
-            "seed": 3,
-            "output": {"dir": str(tmp_path), "prefix": "disc"},
-            "chain": copy.deepcopy(CHAIN),
-            "delays": {"d1": 1, "d2": 1},
-            "channel": {"table": copy.deepcopy(XOR_CHANNEL)},
-            "conferencing": {"c12": 0.2, "c21": 0.0},
-            "search": {"u_size": 1, "grid_levels": 3, "restarts": 2,
-                       "weights": [[1.0, 1.0]]},
-        }
+        payload = discrete_payload(str(tmp_path))
         cfgp = write_config(tmp_path, payload)
         assert main(["region-discrete", "--config", cfgp, "--no-plots"]) == 0
         rows = read_rows(tmp_path / "disc.csv")
@@ -309,23 +388,7 @@ class TestOtherKinds:
         assert "pU" in dump[0]["policy"]
 
     def test_sweep_sumrate_inf_delay_sentinel(self, tmp_path):
-        payload = {
-            "kind": "sweep-sumrate",
-            "seed": 4,
-            "output": {"dir": str(tmp_path), "prefix": "sum"},
-            "chain": copy.deepcopy(CHAIN),
-            "gaussian": {
-                "n_sub": 1,
-                "gains1": [[1.0], [0.1]],
-                "gains2": [[1.0], [0.1]],
-                "pbar1": 10.0,
-                "pbar2": 10.0,
-                "convention": "real",
-            },
-            "delay_cases": [{"d1": 2, "d2": 2}, {"d1": "inf", "d2": 2}],
-            "c_list": [0.0, 0.6],
-            "solver": {"iterations": 60, "rounds": 3, "multistarts": 1},
-        }
+        payload = sumrate_payload(str(tmp_path))
         cfgp = write_config(tmp_path, payload)
         assert main(["sweep-sumrate", "--config", cfgp, "--no-plots"]) == 0
         rows = read_rows(tmp_path / "sum.csv")
@@ -337,6 +400,32 @@ class TestOtherKinds:
                 by_case.setdefault(r["case_d1"], {})[r["c"]] = float(r["sum_rate"])
         for c in ("0", "0.6"):
             assert by_case["inf"][c] <= by_case["2"][c] + 1e-6
+
+
+@pytest.mark.parametrize("kind", list(PAYLOADS))
+def test_every_kind_through_the_cli(tmp_path, capsys, kind):
+    cfgp = write_config(tmp_path, PAYLOADS[kind](str(tmp_path / "out")))
+    prefix = PAYLOADS[kind]("")["output"]["prefix"]
+    unplotted = [".csv"] + ["_policies.yaml"] * (kind == "region-discrete")
+    plotted = unplotted + [".svg"] * (kind != "asymptotics")
+
+    def run(out_dir, *flags):
+        assert main([kind, "--config", cfgp, "--out", str(out_dir), *flags]) == 0
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("# ")]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(Path(p).name for p in printed)
+        return printed, [Path(p).read_bytes() for p in printed]
+
+    printed, first = run(tmp_path / "out")
+    assert printed == [str(tmp_path / "out" / prefix) + s for s in plotted]
+    assert run(tmp_path / "out") == (printed, first)  # a re-run is byte-identical
+    printed, bare = run(tmp_path / "bare", "--no-plots")
+    assert printed == [str(tmp_path / "bare" / prefix) + s for s in unplotted]
+    assert bare == first[: len(unplotted)]
+
+
+def test_kind_table_matches_shipped_configs():
+    # every shipped config loads, and together they exercise every kind once
+    assert sorted(load_config(str(p)).kind for p in CONFIGS) == sorted(KINDS)
 
 
 class TestConfigLoader:
