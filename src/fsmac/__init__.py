@@ -64,13 +64,11 @@ from .coding import (
     SplitMessages,
     conferencing_error_rate,
     decode_joint_typicality,
-    delayed_sequences,
     encode,
     estimate_error_rate,
     generate_codebooks,
     merge_messages,
     message_count,
-    simulate_channel,
     split_messages,
 )
 

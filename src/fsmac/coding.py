@@ -21,10 +21,7 @@ __all__ = [
     "ErrorRateEstimate",
     "message_count",
     "generate_codebooks",
-    "delayed_sequences",
     "encode",
-    "candidate_sequences",
-    "simulate_channel",
     "decode_joint_typicality",
     "estimate_error_rate",
     "split_messages",
@@ -66,8 +63,8 @@ class Codebooks:
     t1[m1, i, u, a]       encoder-1 component for auxiliary symbol u, state a
     t2[m2, i, u, a, b]    encoder-2 component for (u, state a, state b)
 
-    Components are drawn i.i.d. from the policy conditionals; regeneration
-    with the same seed is bit-identical.
+    Components are drawn i.i.d. from the policy conditionals; drawing again
+    from a generator in the same state is bit-identical.
     """
 
     def __init__(self, policy: InputPolicy, t0, t1, t2, n: int) -> None:
@@ -89,9 +86,11 @@ def _sample_rows(rng, probs, shape):
     return np.searchsorted(cum, u, side="right").astype(np.int64).clip(0, len(probs) - 1)
 
 
-def _generate_codebooks_counts(
+def generate_codebooks(
     policy: InputPolicy, n: int, counts: tuple[int, int, int], rng: np.random.Generator
 ) -> Codebooks:
+    """Random codebooks of (M0, M1, M2) messages, each component drawn from
+    its policy conditional: t0, then t1, then t2, state by state."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     k, nu = policy.n_states, policy.n_u
@@ -113,38 +112,19 @@ def _generate_codebooks_counts(
     return Codebooks(policy, t0, t1, t2, n)
 
 
-def generate_codebooks(
-    policy: InputPolicy, n: int, rates: tuple[float, float, float], seed
-) -> Codebooks:
-    """Random codebooks for message counts floor(2^(n*rate)) per book."""
-    counts = tuple(message_count(n, r) for r in rates)
-    return _generate_codebooks_counts(policy, n, counts, np.random.default_rng(seed))
-
-
-def delayed_sequences(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delayed views of a state path; positions before the delay hold 0 and
-    are never consulted by the encoders or the decoder."""
-    n = len(s)
-    sd1 = np.zeros(n, dtype=np.int64)
-    sd2 = np.zeros(n, dtype=np.int64)
-    if d1 < n:
-        sd1[d1:] = s[: n - d1]
-    if d2 < n:
-        sd2[d2:] = s[: n - d2]
-    return sd1, sd2
+def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions i >= d1 at which both encoders observe a state, with
+    the observations there: s[i - d1] (both encoders) and s[i - d2]
+    (encoder 2). Earlier positions carry the fill symbol and are never
+    decoded."""
+    i = np.arange(d1, len(s))
+    return i, s[i - d1], s[i - d2]
 
 
 def encode(
-    books: Codebooks,
-    m0: int,
-    m1: int,
-    m2: int,
-    sd1: np.ndarray,
-    sd2: np.ndarray,
-    d1: int,
-    d2: int,
+    books: Codebooks, m0: int, m1: int, m2: int, s: np.ndarray, d1: int, d2: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Channel inputs for a message triplet given the delayed observations.
+    """Channel inputs for a message triplet along the state path s.
 
     The first d1 positions carry the fixed fill symbol; afterwards the
     common-message symbol selects the auxiliary value from the observed
@@ -155,49 +135,15 @@ def encode(
         if not 0 <= m < M:
             raise ValueError(f"{name}={m} out of range [0, {M})")
     n = books.n
-    if len(sd1) != n or len(sd2) != n:
-        raise ValueError("delayed state sequences must have the block length")
+    if len(s) != n:
+        raise ValueError("the state path must have the block length")
     x1 = np.full(n, FILL_SYMBOL, dtype=np.int64)
     x2 = np.full(n, FILL_SYMBOL, dtype=np.int64)
-    if d1 < n:
-        i = np.arange(d1, n)
-        u = books.t0[m0, i, sd1[i]]
-        x1[i] = books.t1[m1, i, u, sd1[i]]
-        x2[i] = books.t2[m2, i, u, sd1[i], sd2[i]]
-    return x1, x2
-
-
-def candidate_sequences(
-    books: Codebooks, m0: int, m1: int, m2: int, s: np.ndarray, d1: int, d2: int
-):
-    """(u, x1, x2) sequences a decoder reconstructs for one candidate triplet,
-    restricted to positions at and after d1."""
-    n = books.n
-    i = np.arange(d1, n)
-    sd1 = s[i - d1]
-    sd2 = s[i - d2]
+    i, sd1, sd2 = _observed(s, d1, d2)
     u = books.t0[m0, i, sd1]
-    x1 = books.t1[m1, i, u, sd1]
-    x2 = books.t2[m2, i, u, sd1, sd2]
-    return u, x1, x2
-
-
-def simulate_channel(
-    chain: MarkovChain, channel: DmcChannel, x1: np.ndarray, x2: np.ndarray, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a stationary state path and the outputs for given input sequences.
-
-    The state process never depends on the inputs, so in a full pipeline the
-    path is drawn first and the delayed observations feed the encoders; this
-    operation bundles both draws for channels probed with fixed inputs.
-    """
-    if len(x1) != len(x2):
-        raise ValueError("input sequences must have equal length")
-    rng = np.random.default_rng(seed)
-    n = len(x1)
-    s = sample_state_path(chain, n, rng)
-    y = _sample_outputs(channel, x1, x2, s, rng)
-    return s, y
+    x1[i] = books.t1[m1, i, u, sd1]
+    x2[i] = books.t2[m2, i, u, sd1, sd2]
+    return x1, x2
 
 
 def _sample_outputs(channel, x1, x2, s, rng):
@@ -323,9 +269,7 @@ def _typical_matmul(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
     nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
     ny = table.shape[-1]
     m_eff = n - d1
-    i = np.arange(d1, n)
-    sd1 = s[i - d1]
-    sd2 = s[i - d2]
+    i, sd1, sd2 = _observed(s, d1, d2)
     n_ctx = k * k * k * ny
     n_groups = nu * n_ctx
     u = books.t0[:, i, sd1]  # (M0, m_eff)
@@ -390,9 +334,7 @@ def _typical_bincount(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
     nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
     ny = table.shape[-1]
     m_eff = n - d1
-    i = np.arange(d1, n)
-    sd1 = s[i - d1]
-    sd2 = s[i - d2]
+    i, sd1, sd2 = _observed(s, d1, d2)
     n_ctx = k * k * k * ny
     ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
     n_cells = nu * nx1 * nx2 * n_ctx
@@ -477,11 +419,10 @@ def _run_trials(
     none = several = wrong = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
-        books = _generate_codebooks_counts(policy, n, counts, rng)
+        books = generate_codebooks(policy, n, counts, rng)
         sent = draw(rng)
         s = sample_state_path(chain, n, rng)
-        sd1, sd2 = delayed_sequences(s, d1, d2)
-        x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
+        x1, x2 = encode(books, *sent, s, d1, d2)
         yseq = _sample_outputs(channel, x1, x2, s, rng)
         result = decode_joint_typicality(books, yseq, s, d1, d2, epsilon, joint)
         if result.n_typical == 0:
@@ -533,12 +474,20 @@ class SplitMessages:
     m0_prime: tuple[int, int]
     m1_prime: int
     m2_prime: int
-    rt1: float
-    rt2: float
     n_cells1: int
     n_cells2: int
     idx_size1: int
     idx_size2: int
+
+
+def _split_sizes(n: int, rates: tuple[float, float], conf: ConferencingConfig):
+    """The split of each user's messages: their counts M_j, the cells
+    ceil(M_j / idx_j) shared over the link and the in-cell sizes idx_j, the
+    message count of the rate the link cannot carry, r_j - min(r_j, c_j)."""
+    counts = tuple(message_count(n, r) for r in rates)
+    sizes = tuple(message_count(n, r - min(r, c)) for r, c in zip(rates, (conf.c12, conf.c21)))
+    cells = tuple(-(-M // idx) for M, idx in zip(counts, sizes))
+    return counts, cells, sizes
 
 
 def split_messages(
@@ -551,25 +500,14 @@ def split_messages(
     """Split each private message into a cell (shared over the link) and an
     in-cell index; cell j of message m is m // idx_size, the index m % idx_size.
     The map (m1, m2) <-> (cells, indices) is a bijection."""
-    r1, r2 = rates
-    M1 = message_count(n, r1)
-    M2 = message_count(n, r2)
-    if not 0 <= m1 < M1:
-        raise ValueError(f"m1={m1} out of range [0, {M1})")
-    if not 0 <= m2 < M2:
-        raise ValueError(f"m2={m2} out of range [0, {M2})")
-    rt1 = min(r1, conf.c12)
-    rt2 = min(r2, conf.c21)
-    idx1 = message_count(n, r1 - rt1)
-    idx2 = message_count(n, r2 - rt2)
-    cells1 = -(-M1 // idx1)
-    cells2 = -(-M2 // idx2)
+    (M1, M2), (cells1, cells2), (idx1, idx2) = _split_sizes(n, rates, conf)
+    for name, m, M in (("m1", m1, M1), ("m2", m2, M2)):
+        if not 0 <= m < M:
+            raise ValueError(f"{name}={m} out of range [0, {M})")
     return SplitMessages(
         m0_prime=(m1 // idx1, m2 // idx2),
         m1_prime=m1 % idx1,
         m2_prime=m2 % idx2,
-        rt1=rt1,
-        rt2=rt2,
         n_cells1=cells1,
         n_cells2=cells2,
         idx_size1=idx1,
@@ -589,8 +527,8 @@ def conferencing_counts(
     """Codebook sizes of the split-and-share pipeline: the common message
     ranges over pairs of shared cells, each private one over in-cell
     indices."""
-    probe = split_messages(0, 0, rates, conf, n)
-    return probe.n_cells1 * probe.n_cells2, probe.idx_size1, probe.idx_size2
+    _, (cells1, cells2), (idx1, idx2) = _split_sizes(n, rates, conf)
+    return cells1 * cells2, idx1, idx2
 
 
 def conferencing_error_rate(
@@ -611,9 +549,7 @@ def conferencing_error_rate(
     The shared cells form the common message. A decoded triplet maps back to
     the original pair one to one, so errors are counted on the triplet.
     """
-    r1, r2 = rates
-    M1 = message_count(n, r1)
-    M2 = message_count(n, r2)
+    M1, M2 = (message_count(n, r) for r in rates)
     counts = conferencing_counts(n, rates, conf)
 
     def draw(rng):

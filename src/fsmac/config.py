@@ -67,6 +67,13 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _bool(value, where: str) -> bool:
+    # only YAML true/false: the string "false" would be truthy
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{where}' must be true or false, got {value!r}")
+    return value
+
+
 def _float(value, where: str) -> float:
     try:
         out = math.nan if isinstance(value, bool) else float(value)
@@ -113,7 +120,7 @@ class ExperimentConfig:
 
 def _parse_chain(section: dict) -> MarkovChain:
     _check_keys(section, {"states", "transition"}, "chain")
-    states = _require(section, "states", "chain")
+    states = _items(section, "states", "chain")
     matrix = _require(section, "transition", "chain")
     try:
         return MarkovChain([str(s) for s in states], np.asarray(matrix, dtype=float))
@@ -158,9 +165,9 @@ def _parse_solver(raw: dict, seed: int) -> SolverConfig:
         for name, default in (("iterations", 400), ("rounds", 10), ("multistarts", 2))
     }
     tolerance = _float(section.get("tolerance", 1e-9), "solver.tolerance")
+    tie_users = _bool(section.get("tie_users", False), "solver.tie_users")
     try:
-        return SolverConfig(tolerance=tolerance, seed=seed,
-                            tie_users=bool(section.get("tie_users", False)), **budget)
+        return SolverConfig(tolerance=tolerance, seed=seed, tie_users=tie_users, **budget)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -169,19 +176,18 @@ def _parse_gaussian(section: dict, chain, conf, d1, d2) -> GaussianMacSpec:
     _check_keys(
         section, {"n_sub", "gains1", "gains2", "pbar1", "pbar2", "convention"}, "gaussian"
     )
-    raw1 = _require(section, "gains1", "gaussian")
-    raw2 = _require(section, "gains2", "gaussian")
-    try:
-        gains1 = np.asarray(raw1, dtype=float)
-        gains2 = np.asarray(raw2, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gaussian: gains: {exc}") from exc
-    n_sub = _int(section.get("n_sub", gains1.shape[-1] if gains1.ndim == 2 else 1),
-                 "gaussian.n_sub")
-    if gains1.ndim == 1:
-        gains1 = gains1[:, None]
-    if gains2.ndim == 1:
-        gains2 = gains2[:, None]
+    gains = []
+    for name in ("gains1", "gains2"):
+        raw = _require(section, name, "gaussian")
+        try:
+            g = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gaussian.{name}: {exc}") from exc
+        if g.ndim not in (1, 2):
+            raise ConfigError(f"'gaussian.{name}' must be a list of gains per state")
+        gains.append(g[:, None] if g.ndim == 1 else g)
+    gains1, gains2 = gains
+    n_sub = _int(section.get("n_sub", gains1.shape[1]), "gaussian.n_sub")
     if gains1.shape[1] != n_sub:
         raise ConfigError(f"gaussian.gains1 has {gains1.shape[1]} subchannels, n_sub={n_sub}")
     pbar1 = _float(_require(section, "pbar1", "gaussian"), "gaussian.pbar1")

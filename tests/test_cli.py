@@ -214,6 +214,10 @@ class TestValidate:
         ("sweep-correlation", "snr_db", ["x"]),
         ("region-gaussian", "seed", True),
         ("region-gaussian", "delays.d1", True),
+        # sections of the wrong shape, and strings where booleans belong
+        ("region-gaussian", "gaussian.gains1", 1.0),
+        ("region-gaussian", "chain.states", 5),
+        ("region-gaussian", "solver.tie_users", "false"),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))

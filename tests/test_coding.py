@@ -10,18 +10,16 @@ from fsmac import (
     assemble_joint,
     conferencing_error_rate,
     decode_joint_typicality,
-    delayed_sequences,
     delayed_state_joint,
     encode,
     estimate_error_rate,
     generate_codebooks,
     merge_messages,
     message_count,
-    simulate_channel,
+    sample_state_path,
     split_messages,
 )
 from fsmac import coding
-from fsmac.coding import candidate_sequences
 
 
 def two_state(g=0.1, b=0.1):
@@ -97,28 +95,29 @@ class TestMessageCount:
 
 class TestGenerateCodebooks:
     def test_shapes_and_sizes(self):
-        books = generate_codebooks(uniform_policy(2, nu=2), 16, (0.125, 0.25, 0.25), seed=0)
+        policy = uniform_policy(2, nu=2)
+        books = generate_codebooks(policy, 16, (4, 16, 16), np.random.default_rng(0))
         assert books.sizes == (4, 16, 16)
         assert books.t0.shape == (4, 16, 2)
         assert books.t1.shape == (16, 16, 2, 2)
         assert books.t2.shape == (16, 16, 2, 2, 2)
 
     def test_zero_rates_single_codeword(self):
-        books = generate_codebooks(uniform_policy(2), 8, (0.0, 0.0, 0.0), seed=1)
+        books = generate_codebooks(uniform_policy(2), 8, (1, 1, 1), np.random.default_rng(1))
         assert books.sizes == (1, 1, 1)
 
     def test_seed_reproducibility(self):
         p = uniform_policy(2, nu=2)
-        a = generate_codebooks(p, 32, (0.1, 0.2, 0.2), seed=7)
-        b = generate_codebooks(p, 32, (0.1, 0.2, 0.2), seed=7)
+        a = generate_codebooks(p, 32, (9, 84, 84), np.random.default_rng(7))
+        b = generate_codebooks(p, 32, (9, 84, 84), np.random.default_rng(7))
         assert np.array_equal(a.t0, b.t0)
         assert np.array_equal(a.t1, b.t1)
         assert np.array_equal(a.t2, b.t2)
 
     def test_point_mass_policy_constant_books(self):
         p = point_mass_policy(2)
-        a = generate_codebooks(p, 16, (0.0, 0.25, 0.25), seed=3)
-        b = generate_codebooks(p, 16, (0.0, 0.25, 0.25), seed=99)
+        a = generate_codebooks(p, 16, (1, 16, 16), np.random.default_rng(3))
+        b = generate_codebooks(p, 16, (1, 16, 16), np.random.default_rng(99))
         assert np.array_equal(a.t1, b.t1)  # degenerate sampling ignores the seed
         assert np.array_equal(a.t1[:, :, 0, 0], np.zeros_like(a.t1[:, :, 0, 0]))
         assert np.array_equal(a.t1[:, :, 0, 1], np.ones_like(a.t1[:, :, 0, 1]))
@@ -130,7 +129,7 @@ class TestGenerateCodebooks:
         pX2 = np.full((1, 2, 2, 2), 0.5)
         policy = InputPolicy(pU, pX1, pX2)
         n = 10_000
-        books = generate_codebooks(policy, n, (0.0, 0.0, 0.0), seed=5)
+        books = generate_codebooks(policy, n, (1, 1, 1), np.random.default_rng(5))
         for a in range(2):
             freq1 = (books.t1[0, :, 0, a] == 1).mean()
             p = pX1[0, a, 1]
@@ -139,17 +138,14 @@ class TestGenerateCodebooks:
 
 class TestEncode:
     def test_all_fill_when_no_observation(self):
-        books = generate_codebooks(uniform_policy(2), 8, (0.0, 0.125, 0.125), seed=0)
-        sd1, sd2 = delayed_sequences(np.zeros(8, dtype=int), 8, 8)
-        x1, x2 = encode(books, 0, 0, 0, sd1, sd2, 8, 8)
+        books = generate_codebooks(uniform_policy(2), 8, (1, 2, 2), np.random.default_rng(0))
+        x1, x2 = encode(books, 0, 0, 0, np.zeros(8, dtype=int), 8, 8)
         assert np.array_equal(x1, np.zeros(8, dtype=int))
         assert np.array_equal(x2, np.zeros(8, dtype=int))
 
     def test_single_state_collapse(self):
-        books = generate_codebooks(uniform_policy(1), 12, (0.0, 0.25, 0.25), seed=2)
-        s = np.zeros(12, dtype=int)
-        sd1, sd2 = delayed_sequences(s, 0, 0)
-        x1, x2 = encode(books, 0, 2, 1, sd1, sd2, 0, 0)
+        books = generate_codebooks(uniform_policy(1), 12, (1, 8, 8), np.random.default_rng(2))
+        x1, x2 = encode(books, 0, 2, 1, np.zeros(12, dtype=int), 0, 0)
         pos = np.arange(12)
         u = books.t0[0, pos, 0]
         assert np.array_equal(x1, books.t1[2, pos, u, 0])
@@ -166,9 +162,7 @@ class TestEncode:
         t2[0, 1, 1, 1, 0] = 1
         t2[0, 2, 1, 0, 1] = 0
         books = Codebooks(policy, t0, t1, t2, 3)
-        s = np.array([1, 0, 1])
-        sd1, sd2 = delayed_sequences(s, 1, 0)
-        x1, x2 = encode(books, 0, 0, 0, sd1, sd2, 1, 0)
+        x1, x2 = encode(books, 0, 0, 0, np.array([1, 0, 1]), 1, 0)
         # i=0: fill. i=1: observed=s[0]=1, u=t0[0,1,1]=0 -> x1=t1[0,1,0,1]=0,
         # x2=t2[0,1,0,1,0]=0. i=2: observed=s[1]=0, u=t0[0,2,0]=1 ->
         # x1=t1[0,2,1,0]=1, x2=t2[0,2,1,0,1]=0.
@@ -176,10 +170,16 @@ class TestEncode:
         assert np.array_equal(x2, [0, 0, 0])
 
     def test_message_out_of_range(self):
-        books = generate_codebooks(uniform_policy(2), 8, (0.0, 0.125, 0.125), seed=0)
-        sd1, sd2 = delayed_sequences(np.zeros(8, dtype=int), 1, 0)
+        books = generate_codebooks(uniform_policy(2), 8, (1, 2, 2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="m1"):
-            encode(books, 0, 99, 0, sd1, sd2, 1, 0)
+            encode(books, 0, 99, 0, np.zeros(8, dtype=int), 1, 0)
+
+
+def path_and_outputs(chain, channel, x1, x2, seed):
+    """A stationary state path and the outputs for fixed input sequences."""
+    rng = np.random.default_rng(seed)
+    s = sample_state_path(chain, len(x1), rng)
+    return s, coding._sample_outputs(channel, x1, x2, s, rng)
 
 
 class TestSimulateChannel:
@@ -187,14 +187,14 @@ class TestSimulateChannel:
         rng = np.random.default_rng(0)
         x1 = rng.integers(0, 2, 200)
         x2 = rng.integers(0, 2, 200)
-        s, y = simulate_channel(two_state(), copy_pair_channel(2), x1, x2, seed=4)
+        s, y = path_and_outputs(two_state(), copy_pair_channel(2), x1, x2, seed=4)
         assert np.array_equal(y, 2 * x1 + x2)
         assert set(np.unique(s)) <= {0, 1}
 
     def test_state_pair_frequencies(self):
         chain = two_state(0.2, 0.2)
         n = 100_000
-        s, _ = simulate_channel(
+        s, _ = path_and_outputs(
             chain, uniform_noise_channel(2), np.zeros(n, dtype=int), np.zeros(n, dtype=int), seed=8
         )
         pairs = np.zeros((2, 2))
@@ -209,7 +209,7 @@ class TestSimulateChannel:
     def test_fully_noisy_channel_no_information(self):
         rng = np.random.default_rng(1)
         x1 = rng.integers(0, 2, 50_000)
-        _, y = simulate_channel(
+        _, y = path_and_outputs(
             single_state(), uniform_noise_channel(1), x1, np.zeros_like(x1), seed=2
         )
         # plug-in mutual information estimate, bits
@@ -224,22 +224,19 @@ class TestSimulateChannel:
 
     def test_seed_determinism(self):
         x1 = np.zeros(64, dtype=int)
-        a = simulate_channel(two_state(), uniform_noise_channel(2), x1, x1, seed=11)
-        b = simulate_channel(two_state(), uniform_noise_channel(2), x1, x1, seed=11)
+        a = path_and_outputs(two_state(), uniform_noise_channel(2), x1, x1, seed=11)
+        b = path_and_outputs(two_state(), uniform_noise_channel(2), x1, x1, seed=11)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestDecodeJointTypicality:
     def _pipeline(self, chain, channel, policy, rates, n, d1, d2, seed, sent):
         rng = np.random.default_rng(seed)
-        books = generate_codebooks(policy, n, rates, seed=rng)
-        from fsmac.markov import sample_state_path
-        from fsmac.coding import _sample_outputs
-
+        counts = tuple(message_count(n, r) for r in rates)
+        books = generate_codebooks(policy, n, counts, rng)
         s = sample_state_path(chain, n, rng)
-        sd1, sd2 = delayed_sequences(s, d1, d2)
-        x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
-        y = _sample_outputs(channel, x1, x2, s, rng)
+        x1, x2 = encode(books, *sent, s, d1, d2)
+        y = coding._sample_outputs(channel, x1, x2, s, rng)
         joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
         return books, s, y, joint
 
@@ -277,10 +274,12 @@ class TestDecodeJointTypicality:
         for m0 in range(M0):
             for m1 in range(M1):
                 for m2 in range(M2):
-                    u, x1, x2 = candidate_sequences(books, m0, m1, m2, s, d1, d2)
                     emp = {}
-                    for idx, i in enumerate(range(d1, n)):
-                        key = (u[idx], x1[idx], x2[idx], s[i], s[i - d1], s[i - d2], y[i])
+                    for i in range(d1, n):
+                        a, b = s[i - d1], s[i - d2]
+                        u = books.t0[m0, i, a]
+                        x1, x2 = books.t1[m1, i, u, a], books.t2[m2, i, u, a, b]
+                        key = (u, x1, x2, s[i], a, b, y[i])
                         emp[key] = emp.get(key, 0) + 1.0 / m_eff
                     ok = True
                     it = np.nditer(joint.table, flags=["multi_index"])
@@ -300,24 +299,8 @@ class TestDecodeJointTypicality:
         else:
             assert not res.ok and res.n_typical == len(typical)
 
-    def test_reconstruction_matches_transmission(self):
-        chain, channel = two_state(), xor_bsc_channel(2, (0.05, 0.3))
-        policy = uniform_policy(2, nu=2)
-        n, d1, d2 = 32, 3, 1
-        rng = np.random.default_rng(12)
-        books = generate_codebooks(policy, n, (0.0, 0.125, 0.125), seed=rng)
-        from fsmac.markov import sample_state_path
-
-        s = sample_state_path(chain, n, rng)
-        sd1, sd2 = delayed_sequences(s, d1, d2)
-        sent = (0, 3, 2)
-        x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
-        _, rx1, rx2 = candidate_sequences(books, *sent, s, d1, d2)
-        assert np.array_equal(rx1, x1[d1:])
-        assert np.array_equal(rx2, x2[d1:])
-
     def test_epsilon_validated(self):
-        books = generate_codebooks(uniform_policy(1), 8, (0.0, 0.0, 0.0), seed=0)
+        books = generate_codebooks(uniform_policy(1), 8, (1, 1, 1), np.random.default_rng(0))
         joint = assemble_joint(
             delayed_state_joint(single_state(), 0, 0), uniform_policy(1), copy_pair_channel(1)
         )
@@ -326,7 +309,7 @@ class TestDecodeJointTypicality:
             decode_joint_typicality(books, z, z, 0, 0, 0.0, joint)
 
     def test_triplet_cap_enforced(self):
-        books = generate_codebooks(uniform_policy(1), 8, (0.0, 1.1, 1.1), seed=0)
+        books = generate_codebooks(uniform_policy(1), 8, (1, 445, 445), np.random.default_rng(0))
         joint = assemble_joint(
             delayed_state_joint(single_state(), 0, 0), uniform_policy(1), copy_pair_channel(1)
         )
@@ -362,13 +345,10 @@ def _random_instance(rng, counts):
     else:
         table = _sparse_rows(rng, (nx1, nx2, k, ny), 0.3)
     channel = DmcChannel(table)
-    books = coding._generate_codebooks_counts(policy, n, counts, rng)
+    books = generate_codebooks(policy, n, counts, rng)
     sent = tuple(int(rng.integers(M)) for M in counts)
-    from fsmac.markov import sample_state_path
-
     s = sample_state_path(chain, n, rng)
-    sd1, sd2 = delayed_sequences(s, d1, d2)
-    x1, x2 = encode(books, *sent, sd1, sd2, d1, d2)
+    x1, x2 = encode(books, *sent, s, d1, d2)
     y = coding._sample_outputs(channel, x1, x2, s, rng)
     joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
     return books, y, s, d1, d2, joint
@@ -450,7 +430,7 @@ class TestDecoderCaps:
         def fail(*args, **kwargs):
             raise AssertionError("codebooks were allocated")
 
-        monkeypatch.setattr(coding, "_generate_codebooks_counts", fail)
+        monkeypatch.setattr(coding, "generate_codebooks", fail)
         chain, channel, policy = two_state(), xor_bsc_channel(2, (0.1, 0.4)), uniform_policy(2)
         with pytest.raises(ValueError, match="cap"):
             estimate_error_rate(chain, channel, policy, (0.0, 0.5, 0.5), 64, 0.1, 1, seed=0)
