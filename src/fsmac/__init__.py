@@ -16,7 +16,6 @@ from .pmf import (
     InputPolicy,
     JointPmf,
     assemble_joint,
-    check_conditional_independence,
     conditional_mutual_information,
 )
 from .regions import (

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, delayed_state_joint, sample_state_path
+from .markov import MarkovChain, _categorical, delayed_state_joint, sample_state_path
 from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint
 from .regions import ConferencingConfig
 
@@ -79,37 +79,22 @@ class Codebooks:
         return self.t0.shape[0], self.t1.shape[0], self.t2.shape[0]
 
 
-def _sample_rows(rng, probs, shape):
-    """Categorical samples with the given row distribution, vectorized."""
-    cum = np.cumsum(probs)
-    u = rng.random(shape)
-    return np.searchsorted(cum, u, side="right").astype(np.int64).clip(0, len(probs) - 1)
-
-
 def generate_codebooks(
     policy: InputPolicy, n: int, counts: tuple[int, int, int], rng: np.random.Generator
 ) -> Codebooks:
     """Random codebooks of (M0, M1, M2) messages, each component drawn from
-    its policy conditional: t0, then t1, then t2, state by state."""
+    its policy conditional: t0, then t1, then t2, each component in the
+    C order of its observed-state (and auxiliary) indices."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    k, nu = policy.n_states, policy.n_u
-    if policy.n_u < 1 or policy.n_x1 < 1 or policy.n_x2 < 1:
-        raise ValueError("alphabets must be nonempty")
-    m0, m1, m2 = counts
-    t0 = np.empty((m0, n, k), dtype=np.int64)
-    for a in range(k):
-        t0[:, :, a] = _sample_rows(rng, policy.pU[a], (m0, n))
-    t1 = np.empty((m1, n, nu, k), dtype=np.int64)
-    for u in range(nu):
-        for a in range(k):
-            t1[:, :, u, a] = _sample_rows(rng, policy.pX1[u, a], (m1, n))
-    t2 = np.empty((m2, n, nu, k, k), dtype=np.int64)
-    for u in range(nu):
-        for a in range(k):
-            for b in range(k):
-                t2[:, :, u, a, b] = _sample_rows(rng, policy.pX2[u, a, b], (m2, n))
-    return Codebooks(policy, t0, t1, t2, n)
+    books = []
+    for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
+        rows = table.reshape(-1, table.shape[-1])
+        book = np.empty((M, n, len(rows)), dtype=np.int64)
+        for c, probs in enumerate(rows):
+            book[:, :, c] = _categorical(rng.random((M, n)), probs)
+        books.append(book.reshape(M, n, *table.shape[:-1]))
+    return Codebooks(policy, *books, n)
 
 
 def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,11 +132,7 @@ def encode(
 
 
 def _sample_outputs(channel, x1, x2, s, rng):
-    probs = channel.table[x1, x2, s]
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(x1))
-    y = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(y, channel.n_y - 1).astype(np.int64)
+    return _categorical(rng.random(len(x1)), channel.table[x1, x2, s])
 
 
 @dataclass(frozen=True)
@@ -210,9 +191,15 @@ def decode_joint_typicality(
         )
     if n - d1 <= 0:
         return DecodeResult(False, None, 0)
+    # the block view both kernels read: post-delay positions, observed
+    # states, the context index of (s, sd1, sd2, y) and the model law per
+    # (u, x1, x2) and context
+    i, sd1, sd2 = _observed(s, d1, d2)
+    ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
+    p = joint.table.reshape(nu, nx1, nx2, -1)
     M0, M1, M2 = books.sizes
     kernel = _typical_matmul if M1 * M2 >= _MATMUL_MIN_PAIRS else _typical_bincount
-    typical = kernel(books, y, s, d1, d2, epsilon, joint.table)
+    typical = kernel(books, i, sd1, sd2, ctx, p, epsilon)
     ids = np.flatnonzero(typical)
     if len(ids) == 1:
         triplet = tuple(int(m) for m in np.unravel_index(ids[0], typical.shape))
@@ -248,8 +235,9 @@ def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: i
     return onehot.astype(np.float32).reshape(n_rows, -1)
 
 
-def _typical_matmul(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
-    """(M0, M1, M2) mask of the typical candidate triplets.
+def _typical_matmul(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
+    """(M0, M1, M2) mask of the typical candidate triplets, over the block
+    view built by decode_joint_typicality.
 
     For a fixed m0 the auxiliary symbol is fixed at every position, so the
     positions split into groups g = (u, s, sd1, sd2, y). Within group g the
@@ -263,23 +251,19 @@ def _typical_matmul(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
     has no typical candidate. A group whose cells all pass every count from
     0 to its size passes for every pair.
     """
-    n = books.n
     M0, M1, M2 = books.sizes
-    pol = books.policy
-    nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
-    ny = table.shape[-1]
-    m_eff = n - d1
-    i, sd1, sd2 = _observed(s, d1, d2)
-    n_ctx = k * k * k * ny
+    nu, nx1, nx2, n_ctx = p.shape
+    k = books.policy.n_states
+    m_eff = len(i)
     n_groups = nu * n_ctx
     u = books.t0[:, i, sd1]  # (M0, m_eff)
-    group = u * n_ctx + (((s[i] * k + sd1) * k + sd2) * ny + y[i])
+    group = u * n_ctx + ctx
     size = np.bincount(
         (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
     ).reshape(M0, n_groups)
 
     # pass bounds per (group, a, b) and what they imply for whole groups
-    p = table.reshape(nu, nx1, nx2, n_ctx).transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2)
+    p = p.transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2)
     lo, hi = _pass_bounds(p, m_eff, epsilon, int(size.max()))
     rejects_empty = (lo > 0).any(axis=(1, 2))
     live = ~(rejects_empty & (size == 0)).any(axis=1)
@@ -325,20 +309,14 @@ def _typical_matmul(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
     return typical
 
 
-def _typical_bincount(books, y, s, d1, d2, epsilon, table) -> np.ndarray:
+def _typical_bincount(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
     """(M0, M1, M2) mask of the typical candidate triplets, from a bincount
     table of every pair's cell counts."""
-    n = books.n
     M0, M1, M2 = books.sizes
-    pol = books.policy
-    nu, nx1, nx2, k = pol.n_u, pol.n_x1, pol.n_x2, pol.n_states
-    ny = table.shape[-1]
-    m_eff = n - d1
-    i, sd1, sd2 = _observed(s, d1, d2)
-    n_ctx = k * k * k * ny
-    ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
-    n_cells = nu * nx1 * nx2 * n_ctx
-    p = table.ravel()
+    _, nx1, nx2, n_ctx = p.shape
+    m_eff = len(i)
+    n_cells = p.size
+    p = p.ravel()
     pos_mask = p > 0
     typical = np.zeros((M0, M1, M2), dtype=bool)
     # bound both the candidate-cell array (chunk * M2 * m) and the histogram

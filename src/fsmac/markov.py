@@ -175,16 +175,29 @@ def mixing_horizon(chain: MarkovChain, tol: float = 1e-9, max_steps: int = 100_0
     raise RuntimeError(f"chain did not mix to {tol} within {max_steps} steps")
 
 
+def _categorical(u, probs) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform in u, the number of cumulative
+    masses of probs (over its last axis) that are <= u, not counting the
+    last one, so the last symbol also takes the rounding residue of the
+    cumulative sum. u and the leading axes of probs broadcast."""
+    cum = np.cumsum(probs, axis=-1)
+    sym = np.zeros(np.broadcast_shapes(np.shape(u), cum.shape[:-1]), dtype=np.int64)
+    for j in range(cum.shape[-1] - 1):
+        sym += u >= cum[..., j]
+    return sym
+
+
 def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample a length-n state-index path started from the stationary law."""
-    pi = chain.pi
-    cum_rows = np.cumsum(chain.K, axis=1)
-    path = np.empty(n, dtype=np.int64)
+    """Sample a length-n state-index path started from the stationary law.
+
+    One uniform per position: the first picks the start from pi, and the
+    i-th picks the next state from row K[s[i-1]]. Every row's next state is
+    drawn for every step at once, then the path follows its own row."""
     if n == 0:
-        return path
+        return np.empty(0, dtype=np.int64)
     u = rng.random(n)
-    path[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
-    for i in range(1, n):
-        path[i] = np.searchsorted(cum_rows[path[i - 1]], u[i], side="right")
-    np.clip(path, 0, chain.k - 1, out=path)
-    return path
+    nxt = _categorical(u[1:, None], chain.K).tolist()
+    path = [int(_categorical(u[0], chain.pi))]
+    for row in nxt:
+        path.append(row[path[-1]])
+    return np.array(path, dtype=np.int64)

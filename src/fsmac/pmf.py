@@ -1,6 +1,5 @@
 """Dense joint-PMF arithmetic: assembling the full seven-variable law from its
-conditional factors, conditional mutual information, and conditional
-independence tests."""
+conditional factors, and conditional mutual information."""
 
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ __all__ = [
     "JOINT_VARIABLES",
     "assemble_joint",
     "conditional_mutual_information",
-    "check_conditional_independence",
 ]
 
 _PMF_TOL = 1e-10
@@ -202,10 +200,3 @@ def conditional_mutual_information(
     h_abc = _entropy_of_marginal(joint, A + B + C)
     h_c = _entropy_of_marginal(joint, C)
     return max(h_ac + h_bc - h_abc - h_c, 0.0)
-
-
-def check_conditional_independence(
-    joint: JointPmf, A: Sequence[str], B: Sequence[str], C: Sequence[str], tol: float
-) -> bool:
-    """True iff I(A; B | C) <= tol."""
-    return conditional_mutual_information(joint, A, B, C) <= tol

@@ -4,7 +4,7 @@ No plotting dependency so outputs are self-contained and diffable."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Series", "render_plot"]
 
@@ -19,10 +19,8 @@ class Series:
     x: list
     y: list
     label: str = ""
-    dashed: bool = False
     closed: bool = False
     marker: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -154,10 +152,9 @@ def render_plot(
             for x, y in zip(s.x, s.y)
             if math.isfinite(float(x)) and math.isfinite(float(y))
         )
-        dash = ' stroke-dasharray="5 4"' if s.dashed else ""
         tag = "polygon" if s.closed else "polyline"
         parts.append(
-            f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
+            f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         if s.marker:
             for x, y in zip(s.x, s.y):
@@ -171,7 +168,7 @@ def render_plot(
             parts.append(
                 f'<line x1="{_MARGIN_L + plot_w - 110}" y1="{ly - 4}" '
                 f'x2="{_MARGIN_L + plot_w - 90}" y2="{ly - 4}" stroke="{color}" '
-                f'stroke-width="1.6"{dash}/>'
+                'stroke-width="1.6"/>'
             )
             parts.append(
                 f'<text x="{_MARGIN_L + plot_w - 84}" y="{ly}" font-family="sans-serif" '

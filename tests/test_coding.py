@@ -354,6 +354,16 @@ def _random_instance(rng, counts):
     return books, y, s, d1, d2, joint
 
 
+def _block_view(books, y, s, d1, d2, joint):
+    """The kernels' arguments (i, sd1, sd2, ctx, p), built as
+    decode_joint_typicality builds them."""
+    pol = books.policy
+    k, ny = pol.n_states, joint.table.shape[-1]
+    i, sd1, sd2 = coding._observed(s, d1, d2)
+    ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
+    return i, sd1, sd2, ctx, joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1)
+
+
 class TestDecoderKernels:
     """The matmul decoder kernel against the bincount kernel it replaces for
     large books; test_exhaustive_oracle_agreement checks the bincount one."""
@@ -380,8 +390,9 @@ class TestDecoderKernels:
             fast, ref = self._decode_both(monkeypatch, books, y, s, d1, d2, eps, joint)
             assert fast == ref, (trial, counts, d1, d2, eps)
             if d1 < books.n:
+                view = _block_view(books, y, s, d1, d2, joint)
                 masks = [
-                    kern(books, y, s, d1, d2, eps, joint.table)
+                    kern(books, *view, eps)
                     for kern in (coding._typical_matmul, coding._typical_bincount)
                 ]
                 assert np.array_equal(*masks), (trial, counts, d1, d2, eps)
@@ -423,6 +434,108 @@ class TestDecoderKernels:
             for pj, lj, hj in zip(p, lo, hi):
                 ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
                 assert np.array_equal(ok, (counts >= lj) & (counts <= hj))
+
+
+# The per-step samplers the trial used before it drew everything through
+# markov._categorical; they are the oracles for the vectorized ones.
+
+
+def _oracle_rows(rng, probs, shape):
+    cum = np.cumsum(probs)
+    u = rng.random(shape)
+    return np.searchsorted(cum, u, side="right").astype(np.int64).clip(0, len(probs) - 1)
+
+
+def _oracle_books(policy, n, counts, rng):
+    k, nu = policy.n_states, policy.n_u
+    m0, m1, m2 = counts
+    t0 = np.empty((m0, n, k), dtype=np.int64)
+    for a in range(k):
+        t0[:, :, a] = _oracle_rows(rng, policy.pU[a], (m0, n))
+    t1 = np.empty((m1, n, nu, k), dtype=np.int64)
+    for u in range(nu):
+        for a in range(k):
+            t1[:, :, u, a] = _oracle_rows(rng, policy.pX1[u, a], (m1, n))
+    t2 = np.empty((m2, n, nu, k, k), dtype=np.int64)
+    for u in range(nu):
+        for a in range(k):
+            for b in range(k):
+                t2[:, :, u, a, b] = _oracle_rows(rng, policy.pX2[u, a, b], (m2, n))
+    return t0, t1, t2
+
+
+def _oracle_path(chain, n, rng):
+    pi = chain.pi
+    cum_rows = np.cumsum(chain.K, axis=1)
+    path = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return path
+    u = rng.random(n)
+    path[0] = np.searchsorted(np.cumsum(pi), u[0], side="right")
+    for i in range(1, n):
+        path[i] = np.searchsorted(cum_rows[path[i - 1]], u[i], side="right")
+    np.clip(path, 0, chain.k - 1, out=path)
+    return path
+
+
+def _oracle_outputs(channel, x1, x2, s, rng):
+    probs = channel.table[x1, x2, s]
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random(len(x1))
+    y = (u[:, None] > cum).sum(axis=1)
+    return np.minimum(y, channel.n_y - 1).astype(np.int64)
+
+
+def _rows(rng, shape, quarter):
+    """Random distributions along the last axis: multiples of 1/4 (exact
+    cumulative sums, zeros in most rows) or sparse reals."""
+    if quarter:
+        return rng.multinomial(4, np.full(shape[-1], 1 / shape[-1]), size=shape[:-1]) / 4
+    return _sparse_rows(rng, shape, 0.3)
+
+
+class TestSamplersAgainstOracles:
+    def test_trial_draws_match_per_step_samplers(self):
+        rng = np.random.default_rng(77)
+        for trial in range(240):
+            quarter = trial % 3 == 0
+            k = int(rng.integers(1, 5))
+            nu = int(rng.integers(1, 3))
+            nx1, nx2, ny = (int(v) for v in rng.integers(1, 4, size=3))
+            n = int(rng.integers(1, 301))
+            counts = tuple(int(v) for v in rng.integers(1, 21, size=3))
+            while True:  # the chain must be irreducible and aperiodic
+                try:
+                    chain = MarkovChain([f"s{a}" for a in range(k)], _rows(rng, (k, k), quarter))
+                    break
+                except ValueError:
+                    pass
+            policy = InputPolicy(
+                _rows(rng, (k, nu), quarter),
+                _rows(rng, (nu, k, nx1), quarter),
+                _rows(rng, (nu, k, k, nx2), quarter),
+            )
+            channel = DmcChannel(_rows(rng, (nx1, nx2, k, ny), quarter))
+            d2 = int(rng.integers(0, 3))
+            d1 = d2 + int(rng.integers(0, 3))
+            seed = int(rng.integers(1 << 31))
+            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+
+            # the trial's order: codebooks, sent triplet, state path, outputs
+            books = generate_codebooks(policy, n, counts, ra)
+            sent = tuple(int(ra.integers(M)) for M in counts)
+            s = sample_state_path(chain, n, ra)
+            x1, x2 = encode(books, *sent, s, d1, d2)
+            y = coding._sample_outputs(channel, x1, x2, s, ra)
+
+            t0, t1, t2 = _oracle_books(policy, n, counts, rb)
+            assert tuple(int(rb.integers(M)) for M in counts) == sent
+            s_ref = _oracle_path(chain, n, rb)
+            y_ref = _oracle_outputs(channel, x1, x2, s_ref, rb)
+            for got, ref in zip((books.t0, books.t1, books.t2, s, y), (t0, t1, t2, s_ref, y_ref)):
+                assert got.dtype == ref.dtype == np.int64, trial
+                assert np.array_equal(got, ref), trial
+            assert ra.random() == rb.random(), trial
 
 
 class TestDecoderCaps:
