@@ -196,6 +196,50 @@ class SearchResult:
     visited: int = field(repr=False, default=0)
 
 
+def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
+    """Common-message caps (b1, b2, b12, bsum) of a stack of policies, shape (4, n).
+
+    `states` is the P(Sd1, Sd2, S) table and `w` the channel table; pU, pX1
+    and pX2 carry a leading batch axis (length n, or 1 for a factor shared by
+    the whole batch). Y depends on the rest only through (X1, X2, S), so
+    with C = (S, Sd1, Sd2) each cap is a conditional entropy of Y less
+    h0 = H(Y | X1, X2, U, C) = sum P(x1, x2, s) H(W(.|x1, x2, s)):
+    b1 = H(Y|X2,U,C) - h0, b2 = H(Y|X1,U,C) - h0, b12 = H(Y|U,C) - h0 and
+    bsum = H(Y|C) - h0, each clamped at 0. `common_message_bounds` is the
+    reference it matches.
+    """
+    # indices: a,b,c = delayed1, delayed2, state; u; i,j = x1,x2; y
+    q = np.einsum("abc,nau,nuai,nuabj,ijcy->nuijabcy", states, pU, pX1, pX2, w)
+    n, ny = q.shape[0], q.shape[-1]
+    q_i = q.sum(axis=3)
+    q_u = q_i.sum(axis=2)
+    # Y jointly with (X1,X2,U,C), (X2,U,C), (X1,U,C), (U,C) and C
+    joints = [t.reshape(n, -1, ny) for t in (q, q.sum(axis=2), q_i, q_u, q_u.sum(axis=1))]
+    p_yz = np.concatenate(joints, axis=1)
+    p_z = p_yz.sum(axis=-1)
+    # -H(Y|Z) per context z: sum_y p(y,z) log p(y,z) - p(z) log p(z)
+    neg_h = (p_yz * np.log2(p_yz, out=np.zeros_like(p_yz), where=p_yz > 0)).sum(axis=-1)
+    neg_h -= p_z * np.log2(p_z, out=np.zeros_like(p_z), where=p_z > 0)
+    starts = np.cumsum([0] + [t.shape[1] for t in joints[:-1]])
+    h = -np.add.reduceat(neg_h, starts, axis=1)
+    return np.maximum(h[:, 1:] - h[:, :1], 0.0).T
+
+
+def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2: float) -> np.ndarray:
+    """best_weighted_point's value for each column of common-message `caps`,
+    shifted by the link capacities of `conf`.
+
+    The region is a box cut by the sum cap, so the optimum fills the rate of
+    the heavier weight first and gives the other what the cap leaves.
+    """
+    b1 = caps[0] + conf.c12
+    b2 = caps[1] + conf.c21
+    cap = np.minimum(caps[2] + conf.c12 + conf.c21, caps[3])
+    (m_hi, b_hi), (m_lo, b_lo) = ((mu1, b1), (mu2, b2)) if mu1 >= mu2 else ((mu2, b2), (mu1, b1))
+    r_hi = np.minimum(b_hi, cap)
+    return m_hi * r_hi + m_lo * np.minimum(b_lo, cap - r_hi)
+
+
 def inner_bound_search(
     chain: MarkovChain,
     d1: int,
@@ -210,8 +254,13 @@ def inner_bound_search(
     Coordinate ascent over the conditional rows of the policy on a simplex
     grid, restarted from seeded random rows; every restart derives its own
     random stream from (seed, restart index), so results do not depend on
-    execution order. The returned value is an inner bound: it is the exact
-    weighted rate of the returned policy, never an extrapolation.
+    execution order. All grid candidates of one row are scored as one batch
+    from factor-level entropies (`_common_caps`), then accepted in grid order
+    when they beat the current value by more than 1e-12; a restart replaces
+    the best one only by the same margin, so the earliest wins ties. The
+    returned value is an inner bound: it is the exact weighted rate of the
+    returned policy, evaluated once more through `conferencing_bounds`,
+    never an extrapolation.
 
     `joint_states` overrides the state law computed from (chain, d1, d2),
     for surrogate models such as a decoupled first observation.
@@ -222,65 +271,51 @@ def inner_bound_search(
     if n_u > cap:
         raise ValueError(f"u_size {n_u} exceeds the ceiling {cap}")
     dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
+    if channel.n_states != k or dsj.k != k:
+        raise ValueError(f"channel and state law must have the chain's {k} states")
 
     # one flat list of conditional rows; each row is a simplex of its own size
-    row_specs: list[tuple[str, tuple[int, ...], int]] = []
-    for a in range(k):
-        row_specs.append(("pU", (a,), n_u))
-    for u in range(n_u):
-        for a in range(k):
-            row_specs.append(("pX1", (u, a), channel.n_x1))
-    for u in range(n_u):
-        for a in range(k):
-            for b in range(k):
-                row_specs.append(("pX2", (u, a, b), channel.n_x2))
+    shapes = {"pU": (k, n_u), "pX1": (n_u, k, channel.n_x1), "pX2": (n_u, k, k, channel.n_x2)}
+    row_specs = [(name, idx) for name, shape in shapes.items() for idx in np.ndindex(shape[:-1])]
+    grids = {shape[-1]: _simplex_grid(shape[-1], config.grid_levels) for shape in shapes.values()}
 
-    def make_policy(rows: list[np.ndarray]) -> InputPolicy:
-        pU = np.empty((k, n_u))
-        pX1 = np.empty((n_u, k, channel.n_x1))
-        pX2 = np.empty((n_u, k, k, channel.n_x2))
-        arrays = {"pU": pU, "pX1": pX1, "pX2": pX2}
-        for (name, idx, _size), row in zip(row_specs, rows):
-            arrays[name][idx] = row
-        return InputPolicy(pU, pX1, pX2)
+    def values(batch: dict[str, np.ndarray]) -> np.ndarray:
+        caps = _common_caps(dsj.table, channel.table, **batch)
+        return _weighted_values(caps, conf, config.mu1, config.mu2)
 
-    def evaluate(rows: list[np.ndarray]) -> float:
-        policy = make_policy(rows)
-        bounds = conferencing_bounds(assemble_joint(dsj, policy, channel), conf)
-        return best_weighted_point(bounds, config.mu1, config.mu2)[0]
-
-    grids = {size: _simplex_grid(size, config.grid_levels) for _, _, size in row_specs}
     visited = 0
     best_val = -np.inf
-    best_rows: list[np.ndarray] | None = None
+    best: dict[str, np.ndarray] | None = None
     for restart in range(config.restarts):
         if restart == 0:
-            rows = [np.full(size, 1.0 / size) for _, _, size in row_specs]
+            policy = {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, restart)))
-            rows = [rng.dirichlet(np.ones(size)) for _, _, size in row_specs]
-        cur_val = evaluate(rows)
+            policy = {name: np.empty(shape) for name, shape in shapes.items()}
+            for name, idx in row_specs:
+                policy[name][idx] = rng.dirichlet(np.ones(shapes[name][-1]))
+        cur_val = values({name: arr[None] for name, arr in policy.items()})[0]
         visited += 1
         for _ in range(config.max_passes):
             improved = False
-            for row_i in range(len(rows)):
-                keep = rows[row_i]
-                for cand in grids[row_specs[row_i][2]]:
-                    rows[row_i] = cand
-                    val = evaluate(rows)
-                    visited += 1
+            for name, idx in row_specs:
+                grid = grids[shapes[name][-1]]
+                batch = {other: arr[None] for other, arr in policy.items()}
+                batch[name] = np.repeat(batch[name], len(grid), axis=0)
+                batch[name][(slice(None),) + idx] = grid
+                visited += len(grid)
+                for cand, val in zip(grid, values(batch)):
                     if val > cur_val + 1e-12:
                         cur_val = val
-                        keep = cand
+                        policy[name][idx] = cand
                         improved = True
-                rows[row_i] = keep
             if not improved:
                 break
-        if cur_val > best_val:
+        if cur_val > best_val + 1e-12:
             best_val = cur_val
-            best_rows = [np.array(r) for r in rows]
-    assert best_rows is not None
-    policy = make_policy(best_rows)
-    bounds = conferencing_bounds(assemble_joint(dsj, policy, channel), conf)
+            best = {name: arr.copy() for name, arr in policy.items()}
+    assert best is not None
+    result_policy = InputPolicy(best["pU"], best["pX1"], best["pX2"])
+    bounds = conferencing_bounds(assemble_joint(dsj, result_policy, channel), conf)
     value, point = best_weighted_point(bounds, config.mu1, config.mu2)
-    return SearchResult(value=value, policy=policy, point=point, bounds=bounds, visited=visited)
+    return SearchResult(value=value, policy=result_policy, point=point, bounds=bounds, visited=visited)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from fsmac import (
     inner_bound_search,
     polytope_vertices,
 )
+from fsmac.config import load_config
+from fsmac.markov import DelayedStateJoint
+from fsmac.regions import SearchResult, _common_caps, _simplex_grid, _weighted_values
+
+SHIPPED_DISCRETE = Path(__file__).resolve().parent.parent / "configs" / "region_discrete.yaml"
 
 
 def two_state(g=0.1, b=0.1):
@@ -320,6 +327,13 @@ class TestInnerBoundSearch:
             )
         assert values[1] >= values[0] - 1e-12
 
+    def test_state_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="states"):
+            inner_bound_search(
+                two_state(), 1, 0, pair_channel(1), ConferencingConfig(),
+                SearchConfig(u_size=1, grid_levels=2, restarts=1),
+            )
+
 
 def test_rate_bounds_validation():
     with pytest.raises(ValueError, match="nonnegative"):
@@ -332,3 +346,165 @@ def test_conferencing_config_validation():
     with pytest.raises(ValueError):
         ConferencingConfig(-1.0, 0.0)
     assert ConferencingConfig(float("inf"), 0.0).c12 == float("inf")
+
+
+# -- the batched evaluator and search against their per-candidate references --
+
+
+def random_instance(rng, max_k=3, max_u=3):
+    """(state law, channel, u_size) with k states, 1-3 inputs and 2-3 outputs
+    per alphabet, and d1 >= d2; a quarter of the state laws are the decoupled
+    surrogate and half the channels are deterministic (W entries 0 or 1)."""
+    k = int(rng.integers(1, max_k + 1))
+    n_u = int(rng.integers(1, max_u + 1))
+    nx1, nx2 = (int(v) for v in rng.integers(1, 4, size=2))
+    ny = int(rng.integers(2, 4))
+    # a floor on every transition keeps the chain primitive
+    chain = MarkovChain([f"s{i}" for i in range(k)], 0.9 * rng.dirichlet(np.ones(k), size=k) + 0.1 / k)
+    d2 = int(rng.integers(0, 3))
+    dsj = delayed_state_joint(chain, d2 + int(rng.integers(0, 3)), d2)
+    if rng.random() < 0.25:
+        pair = dsj.table.sum(axis=0)
+        dsj = DelayedStateJoint(chain, dsj.d1, d2, chain.pi[:, None, None] * pair[None])
+    if rng.random() < 0.5:
+        table = np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))]
+    else:
+        table = rng.dirichlet(np.ones(ny), size=(nx1, nx2, k))
+    return dsj, DmcChannel(table), n_u
+
+
+def random_rows(rng, shape, quarter):
+    """Conditional rows over the last axis; quarter-rounded rows often hold zeros."""
+    if quarter:
+        return rng.multinomial(4, np.full(shape[-1], 1.0 / shape[-1]), size=shape[:-1]) / 4.0
+    return rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+
+
+WEIGHTS = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0), (0.0, 1.0), (1.0, 0.0)]
+
+
+class TestBatchedEvaluator:
+    def test_caps_and_values_match_reference(self):
+        rng = np.random.default_rng(20)
+        inf = float("inf")
+        for _ in range(200):
+            dsj, chan, n_u = random_instance(rng)
+            k = dsj.k
+            shapes = [(k, n_u), (n_u, k, chan.n_x1), (n_u, k, k, chan.n_x2)]
+            factors = [np.stack([random_rows(rng, s, quarter=i % 2 == 1) for i in range(4)])
+                       for s in shapes]
+            # the search passes a factor it does not vary with a batch axis of 1
+            shared = int(rng.integers(0, 4))
+            if shared < 3:
+                factors[shared] = factors[shared][:1]
+            caps = _common_caps(dsj.table, chan.table, *factors)
+            assert caps.shape == (4, 4)
+            conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.3, inf], size=2)))
+            mu1, mu2 = WEIGHTS[rng.integers(0, len(WEIGHTS))]
+            for i in range(4):
+                policy = InputPolicy(*(f[min(i, len(f) - 1)] for f in factors))
+                joint = assemble_joint(dsj, policy, chan)
+                ref = common_message_bounds(joint)
+                assert np.abs(caps[:, i] - [ref.b1, ref.b2, ref.b12, ref.bsum]).max() <= 1e-12
+                for c in (conf, ConferencingConfig(inf, inf)):
+                    want = best_weighted_point(conferencing_bounds(joint, c), mu1, mu2)[0]
+                    got = _weighted_values(caps[:, i:i + 1], c, mu1, mu2)[0]
+                    assert abs(got - want) <= 1e-12
+
+
+def reference_search(chain, d1, d2, channel, conf, config, joint_states=None):
+    """The per-candidate search: every candidate policy is built, assembled into
+    its full joint law and scored through four conditional mutual informations."""
+    k = chain.k
+    n_u = config.u_size
+    dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
+    row_specs = [("pU", (a,), n_u) for a in range(k)]
+    row_specs += [("pX1", (u, a), channel.n_x1) for u in range(n_u) for a in range(k)]
+    row_specs += [("pX2", (u, a, b), channel.n_x2)
+                  for u in range(n_u) for a in range(k) for b in range(k)]
+
+    def make_policy(rows):
+        arrays = {"pU": np.empty((k, n_u)), "pX1": np.empty((n_u, k, channel.n_x1)),
+                  "pX2": np.empty((n_u, k, k, channel.n_x2))}
+        for (name, idx, _size), row in zip(row_specs, rows):
+            arrays[name][idx] = row
+        return InputPolicy(arrays["pU"], arrays["pX1"], arrays["pX2"])
+
+    def evaluate(rows):
+        bounds = conferencing_bounds(assemble_joint(dsj, make_policy(rows), channel), conf)
+        return best_weighted_point(bounds, config.mu1, config.mu2)[0]
+
+    grids = {size: _simplex_grid(size, config.grid_levels) for _, _, size in row_specs}
+    visited = 0
+    best_val = -np.inf
+    best_rows = None
+    for restart in range(config.restarts):
+        if restart == 0:
+            rows = [np.full(size, 1.0 / size) for _, _, size in row_specs]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, restart)))
+            rows = [rng.dirichlet(np.ones(size)) for _, _, size in row_specs]
+        cur_val = evaluate(rows)
+        visited += 1
+        for _ in range(config.max_passes):
+            improved = False
+            for row_i in range(len(rows)):
+                keep = rows[row_i]
+                for cand in grids[row_specs[row_i][2]]:
+                    rows[row_i] = cand
+                    val = evaluate(rows)
+                    visited += 1
+                    if val > cur_val + 1e-12:
+                        cur_val = val
+                        keep = cand
+                        improved = True
+                rows[row_i] = keep
+            if not improved:
+                break
+        if cur_val > best_val + 1e-12:
+            best_val = cur_val
+            best_rows = [np.array(r) for r in rows]
+    policy = make_policy(best_rows)
+    bounds = conferencing_bounds(assemble_joint(dsj, policy, channel), conf)
+    value, point = best_weighted_point(bounds, config.mu1, config.mu2)
+    return SearchResult(value=value, policy=policy, point=point, bounds=bounds, visited=visited)
+
+
+def assert_same_search(got, want):
+    assert got.visited == want.visited
+    assert got.value == want.value
+    for name in ("pU", "pX1", "pX2"):
+        assert np.array_equal(getattr(got.policy, name), getattr(want.policy, name))
+
+
+class TestSearchAgainstReference:
+    def test_random_instances(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            dsj, chan, n_u = random_instance(rng, max_k=2, max_u=2)
+            conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.2, float("inf")], size=2)))
+            mu1, mu2 = WEIGHTS[rng.integers(0, len(WEIGHTS))]
+            cfg = SearchConfig(u_size=n_u, grid_levels=int(rng.integers(2, 5)), restarts=3,
+                               seed=int(rng.integers(0, 100)), mu1=mu1, mu2=mu2, max_passes=2)
+            args = (dsj.chain, dsj.d1, dsj.d2, chan, conf, cfg)
+            assert_same_search(inner_bound_search(*args, joint_states=dsj),
+                               reference_search(*args, joint_states=dsj))
+
+    def test_restart_ties_keep_the_earliest(self):
+        # region_discrete.yaml's instance at a finer grid: restarts 0, 1 and 3
+        # end at one value up to the last bits, so without the restart margin
+        # rounding noise would pick the policy returned
+        chain = MarkovChain(["G", "B"], [[0.9, 0.1], [0.1, 0.9]])
+        chan = DmcChannel([
+            [[[1.0, 0.0], [0.65, 0.35]], [[0.0, 1.0], [0.35, 0.65]]],
+            [[[0.0, 1.0], [0.35, 0.65]], [[1.0, 0.0], [0.65, 0.35]]],
+        ])
+        cfg = SearchConfig(u_size=2, grid_levels=5, restarts=4, seed=10, max_passes=2)
+        args = (chain, 2, 1, chan, ConferencingConfig(0.2, 0.1), cfg)
+        assert_same_search(inner_bound_search(*args), reference_search(*args))
+
+    def test_shipped_region_discrete(self):
+        obj = load_config(str(SHIPPED_DISCRETE)).objects
+        for cfg in obj["searches"]:
+            args = (obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"], cfg)
+            assert_same_search(inner_bound_search(*args), reference_search(*args))
