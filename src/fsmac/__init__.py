@@ -45,6 +45,7 @@ from .gaussian import (
     feasible,
     maximize_weighted_rate,
     rate_bounds_gaussian,
+    solve_weighted,
     trace_boundary,
 )
 from .asymptotics import (

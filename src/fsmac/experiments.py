@@ -22,7 +22,8 @@ from .asymptotics import (
     snr_critical_db,
 )
 from .coding import conferencing_error_rate, estimate_error_rate
-from .gaussian import maximize_weighted_rate, trace_boundary
+from .gaussian import _non_dominated, _thetas, solve_weighted
+from .gaussian import maximize_weighted_rate, trace_boundary  # noqa: F401 (perfbench wraps)
 from .regions import inner_bound_search
 from .svgplot import Series, render_plot
 
@@ -95,12 +96,19 @@ def run_experiment(cfg: ExperimentConfig, plots: bool = True) -> RunReport:
 
 def run_region_gaussian(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
+    thetas = _thetas(obj["n_directions"])
+    # each spec's trace directions, then its two axis maxima; the specs
+    # differ only in their links, so one batched solve takes them all
+    mus = [(math.cos(t), math.sin(t)) for t in thetas] + [(1.0, 0.0), (0.0, 1.0)]
+    results = solve_weighted(obj["specs"][0], [
+        (*mu, spec.conf.c12, spec.conf.c21, 0.0) for spec in obj["specs"] for mu in mus
+    ], obj["solver"])
+    per_spec = [results[i: i + len(mus)] for i in range(0, len(results), len(mus))]
     rows = []
     polygons = []
-    for c12, spec in zip(obj["c12_values"], obj["specs"]):
-        trace = trace_boundary(spec, obj["n_directions"], obj["solver"])
-        max_r1 = maximize_weighted_rate(spec, 1.0, 0.0, obj["solver"]).value
-        max_r2 = maximize_weighted_rate(spec, 0.0, 1.0, obj["solver"]).value
+    for c12, spec, res in zip(obj["c12_values"], obj["specs"], per_spec):
+        trace = _non_dominated(thetas, res[:-2])
+        max_r1, max_r2 = res[-2].value, res[-1].value
         for tp in trace:
             rows.append([
                 c12, spec.conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value,
@@ -159,10 +167,13 @@ def run_sweep_sumrate(cfg: ExperimentConfig) -> Computed:
     hlines = []
     for dres, specs in obj["cases"]:
         label = f"d1={dres['d1_raw']}, d2={dres['d2_raw']}"
-        values = []
-        for spec in specs:  # one per c_list entry, then the unbounded links
-            res = maximize_weighted_rate(spec, 1.0, 1.0, obj["solver"])
-            values.append(res.value)
+        # one spec per c_list entry, then the unbounded links; they differ
+        # only in their links, so one batched solve takes the whole case
+        results = solve_weighted(specs[0], [
+            (1.0, 1.0, spec.conf.c12, spec.conf.c21, 0.0) for spec in specs
+        ], obj["solver"])
+        values = [res.value for res in results]
+        for spec, res in zip(specs, results):
             rows.append([dres["d1_raw"], dres["d2_raw"], spec.conf.c12, res.value, res.flag])
         curves.append(Series(list(obj["c_list"]), values[:-1], label=label, marker=True))
         hlines.append((values[-1], f"unbounded links ({label})"))

@@ -24,6 +24,7 @@ __all__ = [
     "common_message_bounds_gaussian",
     "feasible",
     "maximize_weighted_rate",
+    "solve_weighted",
     "trace_boundary",
     "common_message_region_gaussian",
     "GaussianTripleCovariance",
@@ -66,10 +67,10 @@ class GaussianMacSpec:
             raise ValueError(f"gain arrays must have one row per state ({k})")
         if gains1.shape != gains2.shape:
             raise ValueError("gain arrays of the two encoders must have equal shape")
-        if np.any(gains1 < 0) or np.any(gains2 < 0):
-            raise ValueError("gain magnitudes must be nonnegative")
-        if pbar1 < 0 or pbar2 < 0:
-            raise ValueError("power budgets must be nonnegative")
+        for name, v in (("gains1", gains1), ("gains2", gains2),
+                        ("pbar1", pbar1), ("pbar2", pbar2)):
+            if not np.all((v >= 0) & np.isfinite(v)):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if d2 < 0 or d2 > d1:
             raise ValueError(f"delay ordering violated: d1 >= d2 >= 0 required, got ({d1}, {d2})")
         if convention not in ("real", "complex"):
@@ -173,8 +174,8 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
 
 
 class _Kernel:
-    """Constants of the bounds kernel for one spec and one pair of link
-    offsets, hoisted out of the solver step.
+    """Constants of the bounds kernel for one spec and its link offsets
+    (scalars, or one per batch row), hoisted out of the solver step.
 
     A batch of T allocations is an array of shape (T, 2, 2m), m = k*k*n_sub.
     Row 0 holds encoder 1's gamma cells [a1, n], zero-padded from k*n_sub to
@@ -201,7 +202,7 @@ class _Kernel:
         self.Lw = spec.log_factor * w
         self.Cwgsq = C * w * self.gsq[:2]
         self.Cwgg = C * w * g1 * g2
-        self.off = np.array([c12, c21, c12 + c21, 0.0])[:, None]
+        self.off = np.array(np.broadcast_arrays(c12, c21, np.add(c12, c21), 0.0)).reshape(4, -1)
         # budget weight of each cell of a batch row
         cells1 = np.concatenate([np.repeat(spec.chain.pi, N), np.zeros(m - self.m1)])
         cells2 = np.repeat(w2.ravel(), N)
@@ -323,8 +324,8 @@ def _lp_value_duals(b, Y, r0=0.0):
     """Value and duals of max mu.r over {r >= 0, r1 <= b1, r2 <= b2,
     r1 + r2 <= b12, r1 + r2 <= bsum - r0} for a batch.
 
-    b is (4, T) as from _bounds_and_grads and Y (4, 5, T) from
-    _dual_vertices. Returns the values (T,) and the minimizing vertices
+    b is (4, T) as from _bounds_and_grads, Y (4, 5, T) from _dual_vertices
+    and r0 a scalar or (T,). Returns the values (T,) and the minimizing vertices
     (4, T), first on ties; a vertex weighs each cap by its slope in the value.
     """
     B = b.copy()
@@ -428,13 +429,12 @@ def _starts(spec: GaussianMacSpec, config: SolverConfig):
     return starts
 
 
-def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
-           c12: float, c21: float, r0: float = 0.0) -> list[GaussianSolveResult]:
-    """Solve every weight pair in `mus` with one batched ascent.
+def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[GaussianSolveResult]:
+    """Solve every (mu1, mu2, c12, c21, r0) problem with one batched ascent.
 
-    Trajectory t = d * S + s runs start s for direction d. Each advances as
+    Trajectory t = d * S + s runs start s for problem d. Each advances as
     the scalar method would: a trajectory whose supergradient vanishes is
-    frozen for the rest of its round, and each direction keeps its first
+    frozen for the rest of its round, and each problem keeps its first
     best start.
     """
     if config.tie_users:
@@ -442,6 +442,9 @@ def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
             raise ValueError("tie_users requires a single-state spec")
         if spec.pbar1 != spec.pbar2:
             raise ValueError("tie_users requires equal power budgets")
+    starts = _starts(spec, config)
+    S, D = len(starts), len(problems)
+    _, _, c12, c21, r0s = np.repeat(np.array(problems, dtype=float).T, S, axis=1)
     kern = _Kernel(spec, c12, c21)
 
     def project(X):
@@ -450,11 +453,9 @@ def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
             X[:, :] = 0.5 * (X[:, 0] + X[:, 1])[:, None]
         return X
 
-    X0 = project(kern.pack(_starts(spec, config)))
-    S, D = len(X0), len(mus)
-    X = np.tile(X0, (D, 1, 1))
-    Y = np.repeat(_dual_vertices(mus), S, axis=2)
-    loc_v, _ = _lp_value_duals(_bounds_and_grads(kern, X, grads=False)[0], Y, r0)
+    X = np.tile(project(kern.pack(starts)), (D, 1, 1))
+    Y = np.repeat(_dual_vertices([p[:2] for p in problems]), S, axis=2)
+    loc_v, _ = _lp_value_duals(_bounds_and_grads(kern, X, grads=False)[0], Y, r0s)
     loc_x = X
     gap = np.maximum(0.05 * np.maximum(np.abs(loc_v), 1e-6), 1e-3)
     exhausted = np.zeros(len(X), dtype=bool)
@@ -463,7 +464,7 @@ def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
         live = np.ones(len(X), dtype=bool)
         for _ in range(config.iterations):
             b, grad = _bounds_and_grads(kern, X)
-            v, c = _lp_value_duals(b, Y, r0)
+            v, c = _lp_value_duals(b, Y, r0s)
             better = v > loc_v
             loc_v = np.where(better, v, loc_v)
             loc_x = np.where(better[:, None, None], X, loc_x)
@@ -476,26 +477,41 @@ def _solve(spec: GaussianMacSpec, mus, config: SolverConfig,
         gap = gap * 0.4
         exhausted = loc_v - round_start > config.tolerance
     best = np.arange(D) * S + loc_v.reshape(D, S).argmax(axis=1)
-    Xb = loc_x[best]
     flags = exhausted.reshape(D, S).any(axis=1)
     # projected-ascent residual: feasible displacement per unit supergradient step
-    b, grad = _bounds_and_grads(kern, Xb)
-    _, c = _lp_value_duals(b, Y[:, :, best], r0)
-    G = grad(c)
+    b, grad = _bounds_and_grads(kern, loc_x)
+    G = grad(_lp_value_duals(b, Y, r0s)[1])
     tau = 1e-6 * max(spec.pbar1, spec.pbar2, 1.0)
-    residual = np.abs(_budget_project_pair(kern, Xb + tau * G) - Xb).max(axis=(1, 2)) / tau
+    residual = np.abs(_budget_project_pair(kern, loc_x + tau * G) - loc_x).max(axis=(1, 2)) / tau
     results = []
-    for d, (mu1, mu2) in enumerate(mus):
-        b1, b2, b12, bsum = (float(x) for x in b[:, d])
+    for t, flag, (mu1, mu2, _, _, r0) in zip(best, flags, problems):
+        b1, b2, b12, bsum = (float(x) for x in b[:, t])
         value, point = best_weighted_point(RateBounds(b1, b2, b12, max(bsum - r0, 0.0)), mu1, mu2)
         results.append(GaussianSolveResult(
             value=value,
             point=RatePoint(r0, point.r1, point.r2),
-            alloc=kern.allocation(Xb[d]),
-            flag="budget-exhausted" if flags[d] else "converged",
-            kkt_residual=float(residual[d]),
+            alloc=kern.allocation(loc_x[t]),
+            flag="budget-exhausted" if flag else "converged",
+            kkt_residual=float(residual[t]),
         ))
     return results
+
+
+def solve_weighted(
+    spec: GaussianMacSpec, problems, config: SolverConfig | None = None
+) -> list[GaussianSolveResult]:
+    """Solve a list of (mu1, mu2, c12, c21, r0) problems in one batched ascent.
+
+    Problem d maximizes mu1*r1 + mu2*r2 with link capacities (c12, c21) in
+    place of spec.conf and the total cap reduced by the common rate r0.
+    Trajectories never mix, so each result equals the problem's own solve.
+    """
+    for mu1, mu2, c12, c21, r0 in problems:
+        if not (mu1 >= 0 and mu2 >= 0 and mu1 + mu2 > 0):
+            raise ValueError("weights must be nonnegative with mu1 + mu2 > 0")
+        if not (r0 >= 0 and c12 >= 0 and c21 >= 0):
+            raise ValueError("r0 and the link capacities must be nonnegative")
+    return _solve(spec, problems, config or SolverConfig()) if problems else []
 
 
 def maximize_weighted_rate(
@@ -508,10 +524,7 @@ def maximize_weighted_rate(
     the multistart supergradient ascent reports a global value up to the step
     schedule. Deterministic for a fixed seed.
     """
-    if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
-        raise ValueError("weights must be nonnegative with mu1 + mu2 > 0")
-    config = config or SolverConfig()
-    return _solve(spec, [(mu1, mu2)], config, spec.conf.c12, spec.conf.c21)[0]
+    return solve_weighted(spec, [(mu1, mu2, spec.conf.c12, spec.conf.c21, 0.0)], config)[0]
 
 
 def trace_boundary(
@@ -533,24 +546,26 @@ def common_message_region_gaussian(
     Same machinery as the conferencing trace with the link offsets removed
     and the total cap reduced by r0.
     """
-    if r0 < 0:
-        raise ValueError("r0 must be nonnegative")
     return _trace(spec, n_directions, config, 0.0, 0.0, r0)
+
+
+def _thetas(n_directions: int) -> list[float]:
+    """The weight angles of a trace, evenly inside the open quarter circle."""
+    if n_directions < 2:
+        raise ValueError("n_directions must be >= 2")
+    return [(j + 1) * (math.pi / 2) / (n_directions + 1) for j in range(n_directions)]
 
 
 def _trace(spec, n_directions, config, c12, c21, r0) -> list[TracePoint]:
     """All directions of a trace as one batched solve."""
-    if n_directions < 2:
-        raise ValueError("n_directions must be >= 2")
-    config = config or SolverConfig()
-    thetas = [(j + 1) * (math.pi / 2) / (n_directions + 1) for j in range(n_directions)]
-    results = _solve(spec, [(math.cos(t), math.sin(t)) for t in thetas], config, c12, c21, r0)
-    return _non_dominated([
-        TracePoint(t, res.point, res.value, res.flag) for t, res in zip(thetas, results)
-    ])
+    thetas = _thetas(n_directions)
+    problems = [(math.cos(t), math.sin(t), c12, c21, r0) for t in thetas]
+    return _non_dominated(thetas, solve_weighted(spec, problems, config))
 
 
-def _non_dominated(points: list[TracePoint]) -> list[TracePoint]:
+def _non_dominated(thetas, results) -> list[TracePoint]:
+    """The mutually non-dominated points of a trace's solves, one per theta."""
+    points = [TracePoint(t, res.point, res.value, res.flag) for t, res in zip(thetas, results)]
     eps = 1e-12
 
     def dominates(q: TracePoint, p: TracePoint) -> bool:

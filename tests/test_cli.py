@@ -218,6 +218,9 @@ class TestValidate:
         ("region-gaussian", "gaussian.gains1", 1.0),
         ("region-gaussian", "chain.states", 5),
         ("region-gaussian", "solver.tie_users", "false"),
+        # non-finite budgets and gains
+        ("region-gaussian", "gaussian.pbar1", float("inf")),
+        ("region-gaussian", "gaussian.gains1", [[float("nan")], [0.1]]),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))

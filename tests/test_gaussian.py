@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from fsmac import (
     feasible,
     maximize_weighted_rate,
     rate_bounds_gaussian,
+    solve_weighted,
     trace_boundary,
 )
+from fsmac import gaussian
+from fsmac.experiments import run_region_gaussian, run_sweep_sumrate
 from fsmac.gaussian import (
     _bounds_and_grads,
     _dual_vertices,
     _Kernel,
     _lp_value_duals,
-    _solve,
 )
 
 
@@ -77,6 +80,19 @@ def lp_value(spec, alloc, mu1, mu2):
         np.array([[b.b1], [b.b2], [b.b12], [b.bsum]]), _dual_vertices([(mu1, mu2)])
     )
     return value[0]
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("gains1", [[float("nan")], [0.1]]), ("gains2", [[1.0], [float("inf")]]),
+        ("gains1", [[-1.0], [0.1]]), ("pbar1", float("inf")), ("pbar2", float("nan")),
+        ("pbar2", -1.0),
+    ])
+    def test_nonfinite_or_negative_input_rejected(self, field, value):
+        args = dict(gains1=[[1.0], [0.1]], gains2=[[1.0], [0.1]], pbar1=10.0, pbar2=10.0)
+        args[field] = value
+        with pytest.raises(ValueError, match=field):
+            GaussianMacSpec(two_state(), conf=ConferencingConfig(), d1=1, d2=0, **args)
 
 
 class TestRateBounds:
@@ -374,8 +390,51 @@ class TestBatchedSolver:
         spec = reference_spec(0.0, 0.0)
         points = common_message_region_gaussian(spec, 4, self.CFG, r0=0.3)
         for p in points:
-            solo = _solve(spec, [(math.cos(p.theta), math.sin(p.theta))], self.CFG, 0.0, 0.0, 0.3)
-            assert (solo[0].value, solo[0].point, solo[0].flag) == (p.value, p.point, p.flag)
+            solo, = solve_weighted(
+                spec, [(math.cos(p.theta), math.sin(p.theta), 0.0, 0.0, 0.3)], self.CFG
+            )
+            assert (solo.value, solo.point, solo.flag) == (p.value, p.point, p.flag)
+
+    @pytest.mark.parametrize("spec,config", [
+        (reference_spec(0.3, 0.1), CFG),
+        (three_state_spec(), CFG),
+        (scalar_spec(p1=0.0, p2=10.0, c12=0.2, c21=0.1), CFG),
+        (scalar_spec(), SolverConfig(seed=4, iterations=60, rounds=3, tie_users=True)),
+    ])
+    def test_mixed_batch_equals_solo_solves(self, spec, config):
+        # problems differing in weights, links and common rate share one
+        # ascent; every result must be exactly the problem's own solve
+        inf = float("inf")
+        problems = [
+            (*mu, c12, c21, r0)
+            for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (math.cos(1.2), math.sin(1.2)))
+            for c12, c21 in ((0.0, 0.0), (0.3, 0.1), (inf, inf), (0.9, 0.0))
+            for r0 in (0.0, 0.3)
+        ]
+        batch = solve_weighted(spec, problems, config)
+        assert len(batch) == len(problems)
+        for problem, got in zip(problems, batch):
+            solo, = solve_weighted(spec, [problem], config)
+            assert (got.value, got.point, got.flag, got.kkt_residual) == (
+                solo.value, solo.point, solo.flag, solo.kkt_residual
+            )
+            for name in ("P1", "gamma1", "P2", "gamma2"):
+                assert np.array_equal(getattr(got.alloc, name), getattr(solo.alloc, name))
+
+    @pytest.mark.parametrize("bad", [
+        (0.0, 0.0, 0.0, 0.0, 0.0), (-0.1, 1.0, 0.0, 0.0, 0.0), (float("nan"), 1.0, 0.0, 0.0, 0.0),
+        (1.0, 1.0, 0.0, 0.0, -0.1), (1.0, 1.0, -0.2, 0.0, 0.0),
+    ])
+    def test_bad_problem_rejected_before_solving(self, monkeypatch, bad):
+        def unreachable(*args):
+            raise AssertionError("the ascent ran before the problems were checked")
+
+        monkeypatch.setattr(gaussian, "_solve", unreachable)
+        with pytest.raises(ValueError):
+            solve_weighted(reference_spec(0, 0), [(1.0, 0.0, 0.0, 0.0, 0.0), bad], self.CFG)
+
+    def test_empty_problem_list(self):
+        assert solve_weighted(reference_spec(0, 0), [], self.CFG) == []
 
     def test_unbounded_links(self):
         spec = reference_spec(float("inf"), float("inf"))
@@ -427,6 +486,49 @@ class TestBatchedSolver:
         assert abs(tied.value - free.value) <= 1e-6
         with pytest.raises(ValueError, match="single-state"):
             maximize_weighted_rate(reference_spec(0, 0), 1.0, 1.0, SolverConfig(tie_users=True))
+
+
+class TestBatchedRunners:
+    """The runners' one-call rows against the loop they replaced: a trace
+    and two axis solves per c12, one solve per (delay case, c)."""
+
+    CFG = SolverConfig(seed=2, iterations=40, rounds=2, multistarts=1)
+
+    def test_region_gaussian_rows_equal_per_spec_loop(self):
+        c12s = [0.0, 0.5, float("inf")]
+        specs = [reference_spec(c12, 0.1) for c12 in c12s]
+        cfg = SimpleNamespace(objects={
+            "specs": specs, "n_directions": 3, "solver": self.CFG, "c12_values": c12s,
+        })
+        oracle = []
+        for c12, spec in zip(c12s, specs):
+            trace = trace_boundary(spec, 3, self.CFG)
+            max_r1 = maximize_weighted_rate(spec, 1.0, 0.0, self.CFG).value
+            max_r2 = maximize_weighted_rate(spec, 0.0, 1.0, self.CFG).value
+            oracle += [
+                [c12, spec.conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value, tp.flag,
+                 max_r1, max_r2, spec.convention]
+                for tp in trace
+            ]
+        assert run_region_gaussian(cfg).rows == oracle
+
+    def test_sweep_sumrate_rows_equal_per_c_loop(self):
+        c_list = [0.0, 0.2]
+        cases = [
+            ({"d1_raw": d1, "d2_raw": d2}, [
+                GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0,
+                                ConferencingConfig(c, c), d1, d2, "real")
+                for c in [*c_list, float("inf")]
+            ])
+            for d1, d2 in ((2, 1), (0, 0))
+        ]
+        cfg = SimpleNamespace(objects={"cases": cases, "c_list": c_list, "solver": self.CFG})
+        oracle = []
+        for dres, specs in cases:
+            for spec in specs:
+                res = maximize_weighted_rate(spec, 1.0, 1.0, self.CFG)
+                oracle.append([dres["d1_raw"], dres["d2_raw"], spec.conf.c12, res.value, res.flag])
+        assert run_sweep_sumrate(cfg).rows == oracle
 
 
 class TestCommonMessageRegion:

@@ -179,14 +179,18 @@ class TestPolytopeVertices:
             verts = polytope_vertices(bounds)
             # oracle: feasibility of all grid points, hull extent along rays
             g = np.linspace(0, max(b1, b2), 2000)
-            X, Y = np.meshgrid(g, g, indexing="ij")
+            X, Y = g[:, None], g[None, :]
             feas = (X <= b1 + 1e-12) & (Y <= b2 + 1e-12) & (X + Y <= bounds.sum_cap() + 1e-12)
+            # the feasible y of each x are a prefix of the grid and the
+            # weights are >= 0, so each row's maximum sits at its last one
+            rows = feas.any(axis=1)
+            x_best, y_best = g[rows], g[feas.sum(axis=1)[rows] - 1]
             for p in verts:
                 assert p.r1 <= b1 + 1e-9 and p.r2 <= b2 + 1e-9
                 assert p.r1 + p.r2 <= bounds.sum_cap() + 1e-9
             # every feasible grid point is inside the vertex hull: compare supports
             for mu in ([1, 0], [0, 1], [1, 1], [0.3, 0.9], [2, 0.5]):
-                grid_best = (mu[0] * X + mu[1] * Y)[feas].max()
+                grid_best = (mu[0] * x_best + mu[1] * y_best).max()
                 vert_best = max(mu[0] * p.r1 + mu[1] * p.r2 for p in verts)
                 assert vert_best >= grid_best - 1e-3
                 assert vert_best <= grid_best + 1e-3 + 2 * max(mu) * g[1]
