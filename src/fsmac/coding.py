@@ -34,10 +34,12 @@ __all__ = [
 MAX_BLOCKLENGTH = 512
 MAX_TRIPLETS = 1 << 16
 _CHUNK_CELL_LIMIT = 8_000_000
+# int64 entries of the bincount kernel's cell array and histogram per chunk
+_BINCOUNT_ELEMENTS = 1 << 18
 # candidate pairs (m1, m2) per m0 from which the decoder counts cells with
-# matrix products: below it the bincount kernel is faster, the matmul
-# kernel's fixed cost being about 0.3 ms per m0. Measured crossover between
-# 64 and 144 pairs at n = 128..512 on a 2-core x86 box (numpy 2.4, OpenBLAS).
+# matrix products (fixed cost about 0.3 ms per m0) instead of a bincount.
+# Measured crossover at n = 128..512 on a 2-core x86 box (numpy 2.4,
+# OpenBLAS): 64-144 pairs for a per-m0 bincount, 144-256 for one per chunk.
 _MATMUL_MIN_PAIRS = 128
 FILL_SYMBOL = 0
 
@@ -90,20 +92,19 @@ def generate_codebooks(
     books = []
     for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
         rows = table.reshape(-1, table.shape[-1])
-        book = np.empty((M, n, len(rows)), dtype=np.int64)
-        for c, probs in enumerate(rows):
-            book[:, :, c] = _categorical(rng.random((M, n)), probs)
-        books.append(book.reshape(M, n, *table.shape[:-1]))
+        # one (M, n) block of uniforms per row, drawn as one array per table
+        u = rng.random((len(rows), M, n)).transpose(1, 2, 0)
+        books.append(_categorical(u, rows).reshape(M, n, *table.shape[:-1]))
     return Codebooks(policy, *books, n)
 
 
 def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The positions i >= d1 at which both encoders observe a state, with
     the observations there: s[i - d1] (both encoders) and s[i - d2]
-    (encoder 2). Earlier positions carry the fill symbol and are never
-    decoded."""
-    i = np.arange(d1, len(s))
-    return i, s[i - d1], s[i - d2]
+    (encoder 2), as views of s. Earlier positions carry the fill symbol and
+    are never decoded."""
+    m = max(len(s) - d1, 0)
+    return np.arange(d1, d1 + m), s[:m], s[d1 - d2:d1 - d2 + m]
 
 
 def encode(
@@ -174,7 +175,7 @@ def decode_joint_typicality(
     on every positive-probability cell and puts no mass on null cells. A
     unique typical candidate is decoded; none or several is an error.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     n = books.n
     check_decoder_caps(n, books.sizes)
@@ -195,7 +196,7 @@ def decode_joint_typicality(
     # states, the context index of (s, sd1, sd2, y) and the model law per
     # (u, x1, x2) and context
     i, sd1, sd2 = _observed(s, d1, d2)
-    ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
+    ctx = ((s[d1:] * k + sd1) * k + sd2) * ny + y[d1:]
     p = joint.table.reshape(nu, nx1, nx2, -1)
     M0, M1, M2 = books.sizes
     kernel = _typical_matmul if M1 * M2 >= _MATMUL_MIN_PAIRS else _typical_bincount
@@ -207,22 +208,22 @@ def decode_joint_typicality(
     return DecodeResult(False, None, len(ids))
 
 
-def _pass_bounds(
-    p: np.ndarray, m_eff: int, epsilon: float, top: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each model probability in p, the counts in 0..top that pass the
-    typicality test, as an interval [lo, hi] (lo > hi when none does).
-
-    The test is evaluated as stated, emp = count / m_eff, then
-    |emp - p| <= epsilon where p > 0 and emp == 0 where p == 0, at every
-    count. Rounded division and subtraction are monotone in the count, so
-    the passing counts are one interval.
+def _pass_bounds(p, m_eff: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each model probability in p, bounds [lo, hi] such that a count in
+    0..m_eff passes the stated typicality test, |count / m_eff - p| <=
+    epsilon where p > 0 and count / m_eff == 0 where p == 0, exactly when
+    lo <= count <= hi. The passing counts are one interval (rounded division
+    and subtraction are monotone) whose ends lie within about 1e-13 counts
+    of the analytic edges m_eff * (p -+ epsilon), clamped to 0..m_eff (both
+    0 for a null cell). So lo is a = ceil(lower edge - 1e-6) or a + 1,
+    hi is b = floor(upper edge + 1e-6) or b - 1, and the test at a and at b
+    decides which: O(1) per cell. If no count passes, lo > hi.
     """
-    emp = np.arange(top + 1) / m_eff
-    p = p[..., None]
-    ok = np.where(p > 0, np.abs(emp - p) <= epsilon, emp == 0.0)
-    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), top + 1)
-    hi = top - ok[..., ::-1].argmax(axis=-1)
+    s = np.array([-1, 1]).reshape((2,) + (1,) * np.ndim(p))  # lower, upper edge
+    w = np.where(p > 0, (s * p + epsilon) * m_eff, 0.0)
+    e = s * np.floor(np.minimum(w, np.array([0, m_eff]).reshape(s.shape)) + 1e-6)
+    ok = np.abs(e / m_eff - p) <= epsilon
+    lo, hi = (e - s * ~ok).astype(np.int64)
     return lo, hi
 
 
@@ -264,7 +265,7 @@ def _typical_matmul(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
 
     # pass bounds per (group, a, b) and what they imply for whole groups
     p = p.transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2)
-    lo, hi = _pass_bounds(p, m_eff, epsilon, int(size.max()))
+    lo, hi = _pass_bounds(p, m_eff, epsilon)
     rejects_empty = (lo > 0).any(axis=(1, 2))
     live = ~(rejects_empty & (size == 0)).any(axis=1)
     active = (size > 0) & (rejects_empty | (hi.min(axis=(1, 2)) < size))
@@ -310,40 +311,35 @@ def _typical_matmul(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
 
 
 def _typical_bincount(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
-    """(M0, M1, M2) mask of the typical candidate triplets, from a bincount
-    table of every pair's cell counts."""
+    """(M0, M1, M2) mask of the typical candidate triplets, over the block
+    view built by decode_joint_typicality: each candidate's cells ((u * nx1
+    + x1) * nx2 + x2) * n_ctx + ctx, offset by its rank times the number of
+    cells, so that one bincount counts every candidate of a chunk of common
+    messages, and the counts are compared with their cells' pass bounds."""
     M0, M1, M2 = books.sizes
-    _, nx1, nx2, n_ctx = p.shape
-    m_eff = len(i)
-    n_cells = p.size
-    p = p.ravel()
-    pos_mask = p > 0
-    typical = np.zeros((M0, M1, M2), dtype=bool)
-    # bound both the candidate-cell array (chunk * M2 * m) and the histogram
-    # table (chunk * M2 * n_cells) built per chunk of first-user messages
-    per_pair = m_eff * max(M2, 1)
-    per_hist = n_cells * max(M2, 1)
-    pairs_per_chunk = max(1, _CHUNK_CELL_LIMIT // max(per_pair, per_hist))
-    m1_ids = np.arange(M1)
-    for i0 in range(M0):
-        u0 = books.t0[i0, i, sd1]  # (m,)
-        x2_i0 = books.t2[
-            np.arange(M2)[:, None], i[None, :], u0[None, :], sd1[None, :], sd2[None, :]
-        ]  # (M2, m)
-        for m1_lo in range(0, M1, pairs_per_chunk):
-            m1_hi = min(m1_lo + pairs_per_chunk, M1)
-            c1 = m1_hi - m1_lo
-            x1_chunk = books.t1[
-                m1_ids[m1_lo:m1_hi, None], i[None, :], u0[None, :], sd1[None, :]
-            ]  # (c1, m)
-            a = (u0[None, None, :] * nx1 + x1_chunk[:, None, :]) * nx2 + x2_i0[None, :, :]
-            cells = a * n_ctx + ctx[None, None, :]
-            local = np.arange(c1 * M2).reshape(c1, M2, 1)
-            flat = (local * n_cells + cells).ravel()
-            counts = np.bincount(flat, minlength=c1 * M2 * n_cells).reshape(c1 * M2, n_cells)
-            emp = counts / m_eff
-            cond = np.where(pos_mask[None, :], np.abs(emp - p[None, :]) <= epsilon, emp == 0.0)
-            typical[i0, m1_lo:m1_hi] = cond.all(axis=1).reshape(c1, M2)
+    nu, nx1, nx2, n_ctx = p.shape
+    k = books.policy.n_states
+    m_eff, n_cells, pairs = len(i), p.size, M1 * M2
+    lo, hi = _pass_bounds(p.ravel(), m_eff, epsilon)
+    t0, t1, t2 = (t.reshape(len(t), -1) for t in (books.t0, books.t1, books.t2))
+    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) and t2
+    # (M2, n, nu, k, k) less the auxiliary symbol's term
+    off0 = i * k + sd1
+    base1 = i * (nu * k) + sd1
+    base2 = base1 * k + sd2
+    rank1 = (np.arange(M1) * (M2 * n_cells))[:, None, None, None]
+    rank2 = (np.arange(M2) * n_cells)[:, None, None]
+    typical = np.empty((M0, M1, M2), dtype=bool)
+    step = max(1, _BINCOUNT_ELEMENTS // (pairs * max(m_eff, n_cells)))
+    for m0 in range(0, M0, step):
+        u = np.take(t0[m0:m0 + step], off0, axis=1)  # (chunk, m_eff)
+        x1 = np.take(t1, u * k + base1, axis=1)[:, None] * (nx2 * n_ctx) + rank1
+        x2 = np.take(t2, u * (k * k) + base2, axis=1) * n_ctx + rank2
+        own = u * (nx1 * nx2 * n_ctx) + ctx
+        own += (np.arange(len(u)) * (pairs * n_cells))[:, None]
+        cells = (x1 + own) + x2  # (M1, M2, chunk, m_eff)
+        counts = np.bincount(cells.ravel(), minlength=len(u) * pairs * n_cells).reshape(-1, n_cells)
+        typical[m0:m0 + step] = ((counts >= lo) & (counts <= hi)).all(axis=1).reshape(-1, M1, M2)
     return typical
 
 

@@ -333,6 +333,8 @@ def _parse_simulate(raw: dict, seed: int) -> tuple[dict, dict]:
         raise ConfigError("conferencing simulation uses r1/r2 only; set r0 to 0")
     # the decoder's caps, checked before a run allocates any codebook
     for n in n_list:
+        if n <= d1:  # every trial would count as an error
+            raise ConfigError(f"'sim.n_list' entry n={n}: no position after delays.d1={d1}")
         try:
             if conf is None:
                 counts = tuple(message_count(n, r) for r in (r0, r1, r2))

@@ -179,12 +179,13 @@ def _categorical(u, probs) -> np.ndarray:
     """Inverse-CDF draws: for each uniform in u, the number of cumulative
     masses of probs (over its last axis) that are <= u, not counting the
     last one, so the last symbol also takes the rounding residue of the
-    cumulative sum. u and the leading axes of probs broadcast."""
-    cum = np.cumsum(probs, axis=-1)
-    sym = np.zeros(np.broadcast_shapes(np.shape(u), cum.shape[:-1]), dtype=np.int64)
-    for j in range(cum.shape[-1] - 1):
+    cumulative sum. u and the leading axes of probs broadcast; the draws
+    are counted in the smallest integer type and returned as C-order int64."""
+    cum = np.cumsum(probs, axis=-1)[..., :-1]
+    sym = np.zeros(np.broadcast(u, probs[..., 0]).shape, np.min_scalar_type(cum.shape[-1]))
+    for j in range(cum.shape[-1]):
         sym += u >= cum[..., j]
-    return sym
+    return sym.astype(np.int64)
 
 
 def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,9 +196,10 @@ def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> n
     drawn for every step at once, then the path follows its own row."""
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    k = chain.k
     u = rng.random(n)
-    nxt = _categorical(u[1:, None], chain.K).tolist()
-    path = [int(_categorical(u[0], chain.pi))]
-    for row in nxt:
-        path.append(row[path[-1]])
-    return np.array(path, dtype=np.int64)
+    # node i * k + s (state s at position i) points to the node that follows it
+    nxt = (_categorical(u[1:, None], chain.K) + np.arange(k, n * k, k)[:, None]).ravel().tolist()
+    node = int(_categorical(u[0], chain.pi))
+    nodes = [node] + [node := nxt[node] for _ in range(n - 1)]
+    return np.array(nodes, dtype=np.int64) % k

@@ -178,6 +178,21 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 2
         assert "cap" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("d1,n", [(2, 2), (3, 2), ("inf", 64)])
+    def test_block_within_delay_rejected(self, tmp_path, capsys, d1, n):
+        # no position of a block of n <= d1 is decoded, so every trial would
+        # count as an error; "inf" resolves to this chain's mixing horizon, 90
+        payload = simulate_payload(str(tmp_path), n_list=[128, n], r=0.0)
+        payload["delays"] = {"d1": d1, "d2": 0}
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        resolved = 90 if d1 == "inf" else d1
+        assert f"n={n}" in record["message"] and f"delays.d1={resolved}" in record["message"]
+        payload["sim"]["n_list"] = [resolved + 1]  # one decoded position
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 0
+
     @pytest.mark.parametrize("section,field,value", [
         ("sim", "trials", 0), ("sim", "epsilon", 0.0), ("rates", "r1", -0.1),
     ])

@@ -229,6 +229,38 @@ class TestSimulateChannel:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def _brute_force_typical(books, y, s, d1, d2, eps, joint):
+    """(M0, M1, M2) mask of the candidates that pass the stated typicality
+    test, recomputed one triplet, one position and one cell at a time:
+    emp = count / m over the positions at and after d1, |emp - p| <= eps
+    on positive cells and emp == 0 on null cells."""
+    n = len(s)
+    m_eff = n - d1
+    cells = [(idx, float(p)) for idx, p in np.ndenumerate(joint.table)]
+    typical = np.zeros(books.sizes, dtype=bool)
+    for m0, m1, m2 in np.ndindex(*books.sizes):
+        counts = {}
+        for i in range(d1, n):
+            a, b = s[i - d1], s[i - d2]
+            u = books.t0[m0, i, a]
+            x1, x2 = books.t1[m1, i, u, a], books.t2[m2, i, u, a, b]
+            key = (u, x1, x2, s[i], a, b, y[i])
+            counts[key] = counts.get(key, 0) + 1
+        typical[m0, m1, m2] = all(
+            abs(counts.get(idx, 0) / m_eff - p) <= eps if p > 0 else counts.get(idx, 0) == 0
+            for idx, p in cells
+        )
+    return typical
+
+
+def _decode_result(typical):
+    """The DecodeResult a typicality mask decodes to."""
+    ids = np.argwhere(typical)
+    if len(ids) == 1:
+        return coding.DecodeResult(True, tuple(int(m) for m in ids[0]), 1)
+    return coding.DecodeResult(False, None, len(ids))
+
+
 class TestDecodeJointTypicality:
     def _pipeline(self, chain, channel, policy, rates, n, d1, d2, seed, sent):
         rng = np.random.default_rng(seed)
@@ -260,7 +292,6 @@ class TestDecodeJointTypicality:
         assert res.ok and res.triplet == (0, 0, 0)
 
     def test_exhaustive_oracle_agreement(self):
-        # brute-force recomputation of the typicality test for all triplets
         chain, channel = two_state(), xor_bsc_channel(2, (0.1, 0.4))
         policy = uniform_policy(2, nu=2)
         n, d1, d2, eps = 8, 1, 0, 0.21
@@ -268,36 +299,7 @@ class TestDecodeJointTypicality:
             chain, channel, policy, (0.125, 0.125, 0.125), n, d1, d2, 9, (1, 0, 1)
         )
         res = decode_joint_typicality(books, y, s, d1, d2, eps, joint)
-        M0, M1, M2 = books.sizes
-        typical = []
-        m_eff = n - d1
-        for m0 in range(M0):
-            for m1 in range(M1):
-                for m2 in range(M2):
-                    emp = {}
-                    for i in range(d1, n):
-                        a, b = s[i - d1], s[i - d2]
-                        u = books.t0[m0, i, a]
-                        x1, x2 = books.t1[m1, i, u, a], books.t2[m2, i, u, a, b]
-                        key = (u, x1, x2, s[i], a, b, y[i])
-                        emp[key] = emp.get(key, 0) + 1.0 / m_eff
-                    ok = True
-                    it = np.nditer(joint.table, flags=["multi_index"])
-                    for val in it:
-                        p = float(val)
-                        e = emp.get(it.multi_index, 0.0)
-                        if p > 0 and abs(e - p) > eps:
-                            ok = False
-                            break
-                        if p == 0 and e > 0:
-                            ok = False
-                            break
-                    if ok:
-                        typical.append((m0, m1, m2))
-        if len(typical) == 1:
-            assert res.ok and res.triplet == typical[0]
-        else:
-            assert not res.ok and res.n_typical == len(typical)
+        assert res == _decode_result(_brute_force_typical(books, y, s, d1, d2, eps, joint))
 
     def test_epsilon_validated(self):
         books = generate_codebooks(uniform_policy(1), 8, (1, 1, 1), np.random.default_rng(0))
@@ -325,15 +327,19 @@ def _sparse_rows(rng, shape, zero_share):
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _random_instance(rng, counts):
+def _random_instance(rng, counts, nu=None, m_eff=None):
     """A random pipeline run: codebooks of the given sizes, a sent triplet,
-    the state path and outputs, and the model joint law."""
+    the state path and outputs, and the model joint law. nu fixes the
+    auxiliary alphabet and m_eff the number of positions after d1."""
     k = int(rng.integers(1, 4))
-    nu = int(rng.integers(1, 3))
+    nu = int(rng.integers(1, 3)) if nu is None else nu
     nx1, nx2, ny = (int(v) for v in rng.integers(2, 4, size=3))
     d1 = int(rng.choice([0, 1, 3]))
     d2 = int(rng.integers(0, d1 + 1))
     n = int(rng.integers(2, 65))
+    if m_eff is not None:
+        d1 = n - m_eff
+        d2 = int(rng.integers(0, d1 + 1))
     chain = MarkovChain([f"s{a}" for a in range(k)], _sparse_rows(rng, (k, k), 0.0))
     policy = InputPolicy(
         _sparse_rows(rng, (k, nu), 0.3),
@@ -365,8 +371,8 @@ def _block_view(books, y, s, d1, d2, joint):
 
 
 class TestDecoderKernels:
-    """The matmul decoder kernel against the bincount kernel it replaces for
-    large books; test_exhaustive_oracle_agreement checks the bincount one."""
+    """The bincount kernel against the brute-force test, and the matmul
+    kernel, which serves large books, against the bincount one."""
 
     @staticmethod
     def _decode_both(monkeypatch, books, y, s, d1, d2, eps, joint):
@@ -417,23 +423,46 @@ class TestDecoderKernels:
             fast, ref = self._decode_both(monkeypatch, books, y, s, d1, d2, 0.25, joint)
             assert default == fast == ref
 
+    def test_bincount_mask_matches_brute_force(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        default = coding._BINCOUNT_ELEMENTS
+        mixed = 0
+        for trial in range(36):
+            counts = (int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            m_eff = 1 if trial % 4 == 0 else None  # d1 = n - 1: one decoded position
+            books, y, s, d1, d2, joint = _random_instance(rng, counts, nu=2, m_eff=m_eff)
+            eps = float(rng.choice([0.05, 0.15, 0.3, 0.6]))
+            view = _block_view(books, y, s, d1, d2, joint)
+            # one chunk of common messages, then chunks of one, then of two
+            n_cells = joint.table.size
+            per_m0 = counts[1] * counts[2] * max(len(view[0]), n_cells)
+            for budget in (default, 1, 2 * per_m0):
+                monkeypatch.setattr(coding, "_BINCOUNT_ELEMENTS", budget)
+                mask = coding._typical_bincount(books, *view, eps)
+                ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+                assert np.array_equal(mask, ref), (trial, counts, d1, d2, eps, budget)
+            mixed += 0 < ref.sum() < ref.size
+        assert mixed >= 8
+
     def test_pass_bounds_match_the_stated_test(self):
         rng = np.random.default_rng(3)
-        for m_eff in (1, 7, 64, 255, 512):
-            eps = float(rng.choice([0.01, 0.07, 0.2]))
-            c = rng.integers(0, m_eff + 1, size=40)
-            # probabilities at, just off and far from the band edges c/m +- eps
-            p = np.concatenate([
-                c / m_eff + eps, c / m_eff - eps, np.nextafter(c / m_eff + eps, 2.0),
-                rng.random(40), [0.0, 1.0, eps, 2 * eps],
-            ])
-            p = p[(p >= 0) & (p <= 1)]
-            lo, hi = coding._pass_bounds(p, m_eff, eps, m_eff)
-            counts = np.arange(m_eff + 1)
-            emp = counts / m_eff
-            for pj, lj, hj in zip(p, lo, hi):
-                ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
-                assert np.array_equal(ok, (counts >= lj) & (counts <= hj))
+        for m_eff in (1, 2, 7, 64, 255, 512):
+            for eps in (1e-4, 0.49 / m_eff, 0.5 / m_eff, 1 / m_eff, 0.01, 0.07, 0.2, 1.5, 1e300):
+                c = rng.integers(0, m_eff + 1, size=40)
+                # probabilities at, just off and far from the band edges c/m +- eps
+                edges = np.concatenate([c / m_eff + eps, c / m_eff - eps])
+                p = np.concatenate([
+                    edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0),
+                    (c + 0.5) / m_eff, rng.random(40), [0.0, 1.0, eps, 2 * eps, 1e-300],
+                ])
+                p = p[(p >= 0) & (p <= 1)]
+                lo, hi = coding._pass_bounds(p.reshape(-1, 1), m_eff, eps)
+                assert lo.shape == hi.shape == (len(p), 1)
+                counts = np.arange(m_eff + 1)
+                emp = counts / m_eff
+                for pj, lj, hj in zip(p, lo[:, 0], hi[:, 0]):
+                    ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
+                    assert np.array_equal(ok, (counts >= lj) & (counts <= hj)), (m_eff, eps, pj)
 
 
 # The per-step samplers the trial used before it drew everything through
@@ -536,6 +565,89 @@ class TestSamplersAgainstOracles:
                 assert got.dtype == ref.dtype == np.int64, trial
                 assert np.array_equal(got, ref), trial
             assert ra.random() == rb.random(), trial
+
+
+def _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, seed, draw):
+    """The Monte Carlo trial loop rebuilt from the per-step samplers and the
+    brute-force decoder: (errors, none, several, wrong)."""
+    joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
+    none = several = wrong = 0
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
+        books = Codebooks(policy, *_oracle_books(policy, n, counts, rng), n)
+        sent = draw(rng)
+        s = _oracle_path(chain, n, rng)
+        x1, x2 = encode(books, *sent, s, d1, d2)
+        y = _oracle_outputs(channel, x1, x2, s, rng)
+        res = _decode_result(_brute_force_typical(books, y, s, d1, d2, eps, joint))
+        none += res.n_typical == 0
+        several += res.n_typical > 1
+        wrong += res.ok and res.triplet != sent
+    return none + several + wrong, none, several, wrong
+
+
+def _uniform_index(rng, size):
+    return int(rng.integers(size)) if size > 1 else 0
+
+
+class TestTrialReplay:
+    """Both error-rate pipelines against a replay of every trial from the
+    per-step samplers and the brute-force decoder, outcome by outcome."""
+
+    @staticmethod
+    def _taxonomy(est):
+        return est.errors, est.none, est.several, est.wrong
+
+    @pytest.mark.parametrize("case", ["two-state", "three-state"])
+    def test_common_message_pipeline(self, case):
+        if case == "two-state":
+            chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
+            policy, rates = uniform_policy(2, nu=2), (1 / 16, 1 / 16, 1 / 16)
+            d1, d2 = 1, 0
+        else:  # sparse policy rows and a noiseless channel: null cells
+            chain = MarkovChain(
+                ["a", "b", "c"], [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]
+            )
+            rng = np.random.default_rng(6)
+            policy = InputPolicy(
+                _sparse_rows(rng, (3, 2), 0.3), _sparse_rows(rng, (2, 3, 2), 0.3),
+                _sparse_rows(rng, (2, 3, 3, 2), 0.3),
+            )
+            channel = DmcChannel(np.eye(2)[rng.integers(0, 2, size=(2, 2, 3))])
+            rates, d1, d2 = (0.1, 0.1, 0.0), 2, 1
+        n, eps, trials = 16, 0.15, 12
+        counts = tuple(message_count(n, r) for r in rates)
+        est = estimate_error_rate(
+            chain, channel, policy, rates, n, eps, trials, seed=5, d1=d1, d2=d2
+        )
+
+        def draw(rng):
+            return tuple(_uniform_index(rng, M) for M in counts)
+
+        ref = _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, 5, draw)
+        assert self._taxonomy(est) == ref
+        assert 0 < ref[0] < trials and ref[1] > 0 and ref[2] > 0
+
+    def test_conferencing_pipeline(self):
+        chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
+        policy, rates = uniform_policy(2, nu=2), (0.125, 0.125)
+        conf = ConferencingConfig(0.0625, 0.0)
+        n, d1, d2, eps, trials = 16, 1, 1, 0.15, 12
+        est = conferencing_error_rate(
+            chain, channel, policy, rates, conf, n, eps, trials, seed=8, d1=d1, d2=d2
+        )
+        M1, M2 = (message_count(n, r) for r in rates)
+
+        def draw(rng):
+            sm = split_messages(_uniform_index(rng, M1), _uniform_index(rng, M2), rates, conf, n)
+            c1, c2 = sm.m0_prime
+            return (c1 * sm.n_cells2 + c2, sm.m1_prime, sm.m2_prime)
+
+        counts = coding.conferencing_counts(n, rates, conf)
+        assert counts == (2, 2, 4)  # user 1 shares one bit of its message
+        ref = _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, 8, draw)
+        assert self._taxonomy(est) == ref
+        assert 0 < ref[0] < trials and min(ref[1:]) > 0
 
 
 class TestDecoderCaps:
