@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, _categorical, delayed_state_joint, sample_state_path
+from .markov import MarkovChain, _categorical, _inverse_cdf, delayed_state_joint, sample_state_path
 from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint
 from .regions import ConferencingConfig
 
@@ -41,6 +41,14 @@ _BINCOUNT_ELEMENTS = 1 << 18
 # Measured crossover at n = 128..512 on a 2-core x86 box (numpy 2.4,
 # OpenBLAS): 64-144 pairs for a per-m0 bincount, 144-256 for one per chunk.
 _MATMUL_MIN_PAIRS = 128
+# bytes of gathered bit sets per position chunk in the matmul kernel's screen
+_SCREEN_BYTES = 1 << 21
+# survivors x positions up to which the pairs that pass the screen are
+# counted as a list rather than all pairs with matrix products.
+# Measured crossover at n = 128..512 with 253 x 253 gated-parity books on a
+# 2-core x86 box (numpy 2.4, OpenBLAS): 0.33M-0.65M entries (about 12.5 ns
+# per entry against 4.5-8 ms of products over every pair)
+_PAIR_LIST_MAX_ENTRIES = 1 << 19
 FILL_SYMBOL = 0
 
 
@@ -93,8 +101,11 @@ def generate_codebooks(
     for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
         rows = table.reshape(-1, table.shape[-1])
         # one (M, n) block of uniforms per row, drawn as one array per table
-        u = rng.random((len(rows), M, n)).transpose(1, 2, 0)
-        books.append(_categorical(u, rows).reshape(M, n, *table.shape[:-1]))
+        # and counted in that layout into small integers; the uniforms are
+        # freed before the one contiguous cast to the (M, n, rows) book
+        sym = _inverse_cdf(rng.random((len(rows), M, n)), rows[:, None, None])
+        book = np.ascontiguousarray(sym.transpose(1, 2, 0), dtype=np.int64)
+        books.append(book.reshape(M, n, *table.shape[:-1]))
     return Codebooks(policy, *books, n)
 
 
@@ -193,14 +204,14 @@ def decode_joint_typicality(
     if n - d1 <= 0:
         return DecodeResult(False, None, 0)
     # the block view both kernels read: post-delay positions, observed
-    # states, the context index of (s, sd1, sd2, y) and the model law per
+    # states, the context index of (s, sd1, sd2, y) and the pass bounds per
     # (u, x1, x2) and context
     i, sd1, sd2 = _observed(s, d1, d2)
     ctx = ((s[d1:] * k + sd1) * k + sd2) * ny + y[d1:]
-    p = joint.table.reshape(nu, nx1, nx2, -1)
+    lo, hi = _pass_bounds(joint.table.reshape(nu, nx1, nx2, -1), n - d1, epsilon)
     M0, M1, M2 = books.sizes
     kernel = _typical_matmul if M1 * M2 >= _MATMUL_MIN_PAIRS else _typical_bincount
-    typical = kernel(books, i, sd1, sd2, ctx, p, epsilon)
+    typical = kernel(books, i, sd1, sd2, ctx, lo, hi)
     ids = np.flatnonzero(typical)
     if len(ids) == 1:
         triplet = tuple(int(m) for m in np.unravel_index(ids[0], typical.shape))
@@ -227,6 +238,121 @@ def _pass_bounds(p, m_eff: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
+def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
+    """(M0, M1, M2) mask of the typical candidate triplets, over the block
+    view and the (nu, nx1, nx2, contexts) pass bounds built by
+    decode_joint_typicality.
+
+    For a fixed m0 the auxiliary symbol is fixed at every position, so the
+    positions split into groups g = (u, s, sd1, sd2, y), and each pair's
+    counts are taken per group cell (g, x1, x2). Two cases need no count.
+    Cells of an empty group count 0 for every pair, so an m0 that leaves a
+    group empty whose cells reject a count of 0 has no typical candidate. A
+    group whose cells all pass every count from 0 to its size passes for
+    every pair. The positions of the other (active) groups are screened,
+    then counted exactly for the pairs the screen keeps.
+
+    A cell whose pass bounds have hi <= 0 (every null cell, and a positive
+    one with m_eff * (p + epsilon) < 1) rejects any pair that puts one
+    position into it, so `_screen` drops such pairs without counting. It
+    drops only pairs the test rejects, so the mask is the same as counting
+    every pair. Few survivors are counted as a list (`_count_pairs`); when
+    they are many, or no cell is forbidden, every pair is counted with
+    group matrix products (`_count_groups`).
+    """
+    M0, M1, M2 = books.sizes
+    nu, nx1, nx2, n_ctx = lo.shape
+    k = books.policy.n_states
+    n_groups = nu * n_ctx
+    u = books.t0[:, i, sd1]  # (M0, m_eff)
+    group = u * n_ctx + ctx
+    size = np.bincount(
+        (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
+    ).reshape(M0, n_groups)
+
+    # pass bounds per (group, a, b) and what they imply for whole groups
+    lo, hi = (b.transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2) for b in (lo, hi))
+    rejects_empty = (lo > 0).any(axis=(1, 2))
+    live = ~(rejects_empty & (size == 0)).any(axis=1)
+    active = (size > 0) & (rejects_empty | (hi.min(axis=(1, 2)) < size))
+    typical = np.zeros((M0, M1, M2), dtype=bool)
+    typical[live] = True
+
+    t1 = books.t1.reshape(M1, -1)
+    t2 = books.t2.reshape(M2, -1)
+    off1 = (i * nu + u) * k + sd1  # flat offsets into t1 (M1, n, nu, k)
+    off2 = off1 * k + sd2  # and into t2 (M2, n, nu, k, k)
+    for m0 in np.flatnonzero(live & active.any(axis=1)):
+        groups = np.flatnonzero(active[m0])
+        # positions of the active groups, ordered by group, with each one's
+        # rank e among those groups; the order within a group does not
+        # change its counts
+        entry = np.full(n_groups, -1)
+        entry[groups] = np.arange(groups.size)
+        e = entry[group[m0]]
+        order = np.argsort(e, kind="stable")[np.count_nonzero(e < 0):]
+        e = e[order]
+        pos1, pos2 = off1[m0, order], off2[m0, order]
+        lo_g, hi_g = lo[groups], hi[groups]
+        forbidden = hi_g[e] <= 0  # (positions, nx1, nx2)
+        screened = np.flatnonzero(forbidden.any(axis=(1, 2)))
+        if screened.size:
+            keep = _screen(forbidden[screened], t1, t2, pos1[screened], pos2[screened])
+            m1s, m2s = np.divmod(np.flatnonzero(keep), M2)  # 2-D nonzero is 10x slower
+            if len(m1s) * len(e) <= _PAIR_LIST_MAX_ENTRIES:
+                typical[m0] = False
+                typical[m0, m1s, m2s] = _count_pairs(t1, t2, m1s, m2s, pos1, pos2, e, lo_g, hi_g)
+                continue
+        typical[m0] = _count_groups(t1, t2, pos1, pos2, e, lo_g, hi_g)
+    return typical
+
+
+def _screen(forbidden, t1, t2, pos1, pos2) -> np.ndarray:
+    """(M1, M2) mask of the pairs that put no position into a forbidden
+    cell. forbidden is (positions, nx1, nx2), t1 and t2 are the books as
+    (M, flat) arrays and pos1, pos2 the flat offsets of the positions.
+
+    For each position j and x1 symbol a, the m2 whose x2 symbol makes
+    (a, x2) forbidden at j are one bit set over m2; the sets that each m1's
+    symbols select are or-ed over the positions. Bit operations only, no
+    BLAS: the sets take M1 * M2 / 8 bytes, 1/32 of float32 hit counts,
+    and the time does not depend on a BLAS build or its threads."""
+    (n_pos, nx1, _), M1, M2 = forbidden.shape, len(t1), len(t2)
+    rejected = np.zeros((M1, -(-M2 // 8)), dtype=np.uint8)
+    # bytes per position: gathered bit sets, symbols and forbidden flags
+    step = max(1, _SCREEN_BYTES // (rejected.size + 8 * (M1 + M2) + nx1 * M2))
+    for j0 in range(0, n_pos, step):
+        j = np.arange(j0, min(j0 + step, n_pos))
+        x2 = t2[:, pos2[j]].T  # (positions, M2)
+        # bits[j, a] holds the set over m2 of position j and symbol a
+        hits = forbidden[j[:, None, None], np.arange(nx1)[:, None], x2[:, None]]
+        bits = np.packbits(hits, axis=-1)
+        picked = bits[j - j0, t1[:, pos1[j]]]  # (M1, positions, bytes)
+        np.bitwise_or(rejected, np.bitwise_or.reduce(picked, axis=1), out=rejected)
+    return np.unpackbits(rejected, axis=1, count=M2) == 0
+
+
+def _count_pairs(t1, t2, m1s, m2s, pos1, pos2, e, lo, hi) -> np.ndarray:
+    """Whether each pair (m1s[r], m2s[r]) passes the test on its group
+    cells: the bincount kernel's cell indexing, applied to a pair list.
+    t1 and t2 are the books as (M, flat) arrays, pos1 and pos2 the flat
+    offsets of the positions, e their group ranks and lo, hi the (groups,
+    nx1, nx2) pass bounds."""
+    _, nx1, nx2 = lo.shape
+    n_cells = lo.size
+    lo, hi = lo.ravel(), hi.ravel()
+    base = e * (nx1 * nx2)
+    passed = np.empty(len(m1s), dtype=bool)
+    step = max(1, _BINCOUNT_ELEMENTS // max(len(e), n_cells))
+    for r in range(0, len(m1s), step):
+        sl = slice(r, r + step)
+        cells = t1[m1s[sl, None], pos1] * nx2 + t2[m2s[sl, None], pos2] + base
+        cells += (np.arange(len(cells)) * n_cells)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(cells) * n_cells).reshape(-1, n_cells)
+        passed[sl] = ((counts >= lo) & (counts <= hi)).all(axis=1)
+    return passed
+
+
 def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: int) -> np.ndarray:
     """(n_rows, nx * M) float32 one-hot of the codebook symbols t[:, off],
     the symbols of position off[j] in row rows[j]; other rows are zero."""
@@ -236,91 +362,55 @@ def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: i
     return onehot.astype(np.float32).reshape(n_rows, -1)
 
 
-def _typical_matmul(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
-    """(M0, M1, M2) mask of the typical candidate triplets, over the block
-    view built by decode_joint_typicality.
+def _count_groups(t1, t2, pos1, pos2, e, lo, hi) -> np.ndarray:
+    """(M1, M2) mask of the pairs of rows of the (M, flat) books t1 and t2
+    that pass the test on their group cells, pos1 and pos2 being the flat
+    offsets of the positions, e their group ranks (sorted) and lo, hi the
+    (groups, nx1, nx2) pass bounds.
 
-    For a fixed m0 the auxiliary symbol is fixed at every position, so the
-    positions split into groups g = (u, s, sd1, sd2, y). Within group g the
-    count of cell (a, b) for every pair (m1, m2) is the product
+    Within group g the count of cell (a, b) for every pair is the product
     onehot(x1 == a)[:, g] @ onehot(x2 == b)[:, g].T; the products of all
-    groups of one m0, zero-padded to the longest one, are one batched
-    matmul. float32 counts are exact: they are integers at most n <= 512.
-
-    Two cases need no product. Cells of an empty group count 0 for every
-    pair, so an m0 that leaves a group empty whose cells reject a count of 0
-    has no typical candidate. A group whose cells all pass every count from
-    0 to its size passes for every pair.
-    """
-    M0, M1, M2 = books.sizes
-    nu, nx1, nx2, n_ctx = p.shape
-    k = books.policy.n_states
-    m_eff = len(i)
-    n_groups = nu * n_ctx
-    u = books.t0[:, i, sd1]  # (M0, m_eff)
-    group = u * n_ctx + ctx
-    size = np.bincount(
-        (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
-    ).reshape(M0, n_groups)
-
-    # pass bounds per (group, a, b) and what they imply for whole groups
-    p = p.transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2)
-    lo, hi = _pass_bounds(p, m_eff, epsilon)
-    rejects_empty = (lo > 0).any(axis=(1, 2))
-    live = ~(rejects_empty & (size == 0)).any(axis=1)
-    active = (size > 0) & (rejects_empty | (hi.min(axis=(1, 2)) < size))
-    typical = np.zeros((M0, M1, M2), dtype=bool)
-    typical[live] = True
+    groups, zero-padded to the longest one, are one batched matmul. float32
+    counts are exact: they are integers at most n <= 512."""
+    M1, M2 = len(t1), len(t2)
+    n_groups, nx1, nx2 = lo.shape
     # |count - mid| <= half, exact in float32, is lo <= count <= hi
     mid = ((lo + hi) / 2).astype(np.float32)[:, :, None, :, None]
     half = ((hi - lo) / 2).astype(np.float32)[:, :, None, :, None]
-
-    t1 = books.t1.reshape(M1, -1)
-    t2 = books.t2.reshape(M2, -1)
-    off1 = (i * nu + u) * k + sd1  # flat offsets into t1 (M1, n, nu, k)
-    off2 = off1 * k + sd2  # and into t2 (M2, n, nu, k, k)
-    for m0 in np.flatnonzero(live & active.any(axis=1)):
-        groups = np.flatnonzero(active[m0])
-        width = int(size[m0, groups].max())
-        # float32 entries per group: the counts and the two one-hot operands
-        per_group = nx1 * M1 * nx2 * M2 + width * (nx1 * M1 + nx2 * M2)
-        step = max(1, _CHUNK_CELL_LIMIT // per_group)
-        # positions of the active groups, ordered by group; the order within
-        # a group does not change its counts
-        entry = np.full(n_groups, -1)
-        entry[groups] = np.arange(groups.size)
-        e = entry[group[m0]]
-        order = np.argsort(e, kind="stable")[np.count_nonzero(e < 0):]
-        e = e[order]
-        starts = np.searchsorted(e, np.arange(groups.size + 1))
-        row = e * width + np.arange(e.size) - starts[e]
-        for e_lo in range(0, groups.size, step):
-            e_hi = min(e_lo + step, groups.size)
-            el = slice(starts[e_lo], starts[e_hi])
-            n_rows = (e_hi - e_lo) * width
-            r = row[el] - e_lo * width
-            a = _onehot(t1, off1[m0, order[el]], r, n_rows, nx1).reshape(-1, width, nx1 * M1)
-            b = _onehot(t2, off2[m0, order[el]], r, n_rows, nx2).reshape(-1, width, nx2 * M2)
-            counts = np.matmul(a.transpose(0, 2, 1), b).reshape(-1, nx1, M1, nx2, M2)
-            g = groups[e_lo:e_hi]
-            counts -= mid[g]
-            np.abs(counts, out=counts)
-            counts -= half[g]
-            typical[m0] &= counts.max(axis=(0, 1, 3)) <= 0
-    return typical
+    starts = np.searchsorted(e, np.arange(n_groups + 1))
+    width = int(np.diff(starts).max())
+    row = e * width + np.arange(e.size) - starts[e]
+    # float32 entries per group: the counts and the two one-hot operands
+    per_group = nx1 * M1 * nx2 * M2 + width * (nx1 * M1 + nx2 * M2)
+    step = max(1, _CHUNK_CELL_LIMIT // per_group)
+    passed = np.ones((M1, M2), dtype=bool)
+    for g_lo in range(0, n_groups, step):
+        g = slice(g_lo, min(g_lo + step, n_groups))
+        el = slice(starts[g.start], starts[g.stop])
+        n_rows = (g.stop - g.start) * width
+        r = row[el] - g.start * width
+        a = _onehot(t1, pos1[el], r, n_rows, nx1).reshape(-1, width, nx1 * M1)
+        b = _onehot(t2, pos2[el], r, n_rows, nx2).reshape(-1, width, nx2 * M2)
+        counts = np.matmul(a.transpose(0, 2, 1), b).reshape(-1, nx1, M1, nx2, M2)
+        counts -= mid[g]
+        np.abs(counts, out=counts)
+        counts -= half[g]
+        passed &= counts.max(axis=(0, 1, 3)) <= 0
+    return passed
 
 
-def _typical_bincount(books, i, sd1, sd2, ctx, p, epsilon) -> np.ndarray:
+def _typical_bincount(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     """(M0, M1, M2) mask of the typical candidate triplets, over the block
-    view built by decode_joint_typicality: each candidate's cells ((u * nx1
-    + x1) * nx2 + x2) * n_ctx + ctx, offset by its rank times the number of
-    cells, so that one bincount counts every candidate of a chunk of common
-    messages, and the counts are compared with their cells' pass bounds."""
+    view and the (nu, nx1, nx2, contexts) pass bounds built by
+    decode_joint_typicality: each candidate's cells ((u * nx1 + x1) * nx2
+    + x2) * n_ctx + ctx, offset by its rank times the number of cells, so
+    that one bincount counts every candidate of a chunk of common messages,
+    and the counts are compared with their cells' pass bounds."""
     M0, M1, M2 = books.sizes
-    nu, nx1, nx2, n_ctx = p.shape
+    nu, nx1, nx2, n_ctx = lo.shape
     k = books.policy.n_states
-    m_eff, n_cells, pairs = len(i), p.size, M1 * M2
-    lo, hi = _pass_bounds(p.ravel(), m_eff, epsilon)
+    m_eff, n_cells, pairs = len(i), lo.size, M1 * M2
+    lo, hi = lo.ravel(), hi.ravel()
     t0, t1, t2 = (t.reshape(len(t), -1) for t in (books.t0, books.t1, books.t2))
     # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) and t2
     # (M2, n, nu, k, k) less the auxiliary symbol's term
@@ -474,10 +564,16 @@ def split_messages(
     """Split each private message into a cell (shared over the link) and an
     in-cell index; cell j of message m is m // idx_size, the index m % idx_size.
     The map (m1, m2) <-> (cells, indices) is a bijection."""
-    (M1, M2), (cells1, cells2), (idx1, idx2) = _split_sizes(n, rates, conf)
-    for name, m, M in (("m1", m1, M1), ("m2", m2, M2)):
+    sizes = _split_sizes(n, rates, conf)
+    for name, m, M in (("m1", m1, sizes[0][0]), ("m2", m2, sizes[0][1])):
         if not 0 <= m < M:
             raise ValueError(f"{name}={m} out of range [0, {M})")
+    return _split(m1, m2, sizes)
+
+
+def _split(m1: int, m2: int, sizes) -> SplitMessages:
+    """split_messages for in-range messages and their `_split_sizes`."""
+    _, (cells1, cells2), (idx1, idx2) = sizes
     return SplitMessages(
         m0_prime=(m1 // idx1, m2 // idx2),
         m1_prime=m1 % idx1,
@@ -523,11 +619,12 @@ def conferencing_error_rate(
     The shared cells form the common message. A decoded triplet maps back to
     the original pair one to one, so errors are counted on the triplet.
     """
-    M1, M2 = (message_count(n, r) for r in rates)
+    sizes = _split_sizes(n, rates, conf)  # once per run, not per trial
+    M1, M2 = sizes[0]
     counts = conferencing_counts(n, rates, conf)
 
     def draw(rng):
-        sm = split_messages(_draw_index(rng, M1), _draw_index(rng, M2), rates, conf, n)
+        sm = _split(_draw_index(rng, M1), _draw_index(rng, M2), sizes)
         c1, c2 = sm.m0_prime
         return (c1 * sm.n_cells2 + c2, sm.m1_prime, sm.m2_prime)
 

@@ -175,17 +175,22 @@ def mixing_horizon(chain: MarkovChain, tol: float = 1e-9, max_steps: int = 100_0
     raise RuntimeError(f"chain did not mix to {tol} within {max_steps} steps")
 
 
-def _categorical(u, probs) -> np.ndarray:
+def _inverse_cdf(u, probs) -> np.ndarray:
     """Inverse-CDF draws: for each uniform in u, the number of cumulative
     masses of probs (over its last axis) that are <= u, not counting the
     last one, so the last symbol also takes the rounding residue of the
     cumulative sum. u and the leading axes of probs broadcast; the draws
-    are counted in the smallest integer type and returned as C-order int64."""
+    are counted in the smallest integer type, in the broadcast C order."""
     cum = np.cumsum(probs, axis=-1)[..., :-1]
     sym = np.zeros(np.broadcast(u, probs[..., 0]).shape, np.min_scalar_type(cum.shape[-1]))
     for j in range(cum.shape[-1]):
         sym += u >= cum[..., j]
-    return sym.astype(np.int64)
+    return sym
+
+
+def _categorical(u, probs) -> np.ndarray:
+    """The inverse-CDF draws of `_inverse_cdf` as C-order int64."""
+    return _inverse_cdf(u, probs).astype(np.int64)
 
 
 def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -72,6 +72,16 @@ def xor_bsc_channel(k, crossovers):
     return DmcChannel(t)
 
 
+def gated_parity_channel():
+    # state 0 passes x1 xor x2, state 1 outputs a fair coin
+    t = np.zeros((2, 2, 2, 2))
+    for x1 in range(2):
+        for x2 in range(2):
+            t[x1, x2, 0, (x1 + x2) % 2] = 1.0
+    t[:, :, 1, :] = 0.5
+    return DmcChannel(t)
+
+
 class TestMessageCount:
     def test_floor_with_minimum_one(self):
         assert message_count(8, 0.0) == 1
@@ -360,14 +370,15 @@ def _random_instance(rng, counts, nu=None, m_eff=None):
     return books, y, s, d1, d2, joint
 
 
-def _block_view(books, y, s, d1, d2, joint):
-    """The kernels' arguments (i, sd1, sd2, ctx, p), built as
+def _block_view(books, y, s, d1, d2, joint, eps):
+    """The kernels' arguments (i, sd1, sd2, ctx, lo, hi), built as
     decode_joint_typicality builds them."""
     pol = books.policy
     k, ny = pol.n_states, joint.table.shape[-1]
     i, sd1, sd2 = coding._observed(s, d1, d2)
     ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
-    return i, sd1, sd2, ctx, joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1)
+    p = joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1)
+    return (i, sd1, sd2, ctx, *coding._pass_bounds(p, len(i), eps))
 
 
 class TestDecoderKernels:
@@ -396,9 +407,9 @@ class TestDecoderKernels:
             fast, ref = self._decode_both(monkeypatch, books, y, s, d1, d2, eps, joint)
             assert fast == ref, (trial, counts, d1, d2, eps)
             if d1 < books.n:
-                view = _block_view(books, y, s, d1, d2, joint)
+                view = _block_view(books, y, s, d1, d2, joint, eps)
                 masks = [
-                    kern(books, *view, eps)
+                    kern(books, *view)
                     for kern in (coding._typical_matmul, coding._typical_bincount)
                 ]
                 assert np.array_equal(*masks), (trial, counts, d1, d2, eps)
@@ -432,13 +443,13 @@ class TestDecoderKernels:
             m_eff = 1 if trial % 4 == 0 else None  # d1 = n - 1: one decoded position
             books, y, s, d1, d2, joint = _random_instance(rng, counts, nu=2, m_eff=m_eff)
             eps = float(rng.choice([0.05, 0.15, 0.3, 0.6]))
-            view = _block_view(books, y, s, d1, d2, joint)
+            view = _block_view(books, y, s, d1, d2, joint, eps)
             # one chunk of common messages, then chunks of one, then of two
             n_cells = joint.table.size
             per_m0 = counts[1] * counts[2] * max(len(view[0]), n_cells)
             for budget in (default, 1, 2 * per_m0):
                 monkeypatch.setattr(coding, "_BINCOUNT_ELEMENTS", budget)
-                mask = coding._typical_bincount(books, *view, eps)
+                mask = coding._typical_bincount(books, *view)
                 ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
                 assert np.array_equal(mask, ref), (trial, counts, d1, d2, eps, budget)
             mixed += 0 < ref.sum() < ref.size
@@ -463,6 +474,119 @@ class TestDecoderKernels:
                 for pj, lj, hj in zip(p, lo[:, 0], hi[:, 0]):
                     ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
                     assert np.array_equal(ok, (counts >= lj) & (counts <= hj)), (m_eff, eps, pj)
+
+    # instances for the matmul kernel's screen, M1 * M2 >= 128, with
+    # uniform inputs: (chain, channel, nu, counts, n, d1, d2, epsilon)
+    PARITY, BSC = gated_parity_channel(), xor_bsc_channel(2, (0.1, 0.4))
+    SCREENED = {
+        # mostly state 0: every pair but the sent one, or none, is screened out
+        "parity-few": (two_state(g=0.8, b=0.5), PARITY, 1, (1, 12, 12), 48, 1, 1, 0.07),
+        # mostly state 1: a few parity positions, many survivors
+        "parity-many": (two_state(g=0.02, b=0.3), PARITY, 1, (1, 16, 16), 40, 2, 1, 0.1),
+        # nu = 2 and M0 > 1: a wrong common message changes every group
+        "parity-nu2": (two_state(g=0.5, b=0.1), PARITY, 2, (3, 12, 12), 32, 1, 0, 0.15),
+        # m_eff = 1: every positive cell with p + epsilon < 1 has hi == 0
+        "single-position": (two_state(0.5, 0.5), BSC, 1, (2, 12, 12), 24, 23, 1, 0.975),
+        # d1 = d2 = 0 and state 1 rare: its cells have p > epsilon but
+        # m_eff * (p + epsilon) < 1, so no count passes (hi < 0): every pair
+        # is screened out, the sent one too, which avoids every null cell
+        "p-above-epsilon": (two_state(g=0.9, b=0.1), PARITY, 1, (1, 12, 12), 40, 0, 0, 0.005),
+        # full support and m_eff * epsilon >= 1: no forbidden cell
+        "no-forbidden": (two_state(), BSC, 1, (1, 12, 12), 40, 1, 1, 0.1),
+    }
+
+    @staticmethod
+    def _screened_run(chain, channel, policy, counts, n, d1, d2, seed):
+        rng = np.random.default_rng(seed)
+        books = generate_codebooks(policy, n, counts, rng)
+        sent = tuple(int(rng.integers(M)) for M in counts)
+        s = sample_state_path(chain, n, rng)
+        x1, x2 = encode(books, *sent, s, d1, d2)
+        y = coding._sample_outputs(channel, x1, x2, s, rng)
+        joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
+        return books, y, s, joint
+
+    @staticmethod
+    def _screen_per_m0(monkeypatch, books, y, s, d1, d2, joint, eps):
+        """For each m0, the screen on all post-delay positions, its forbidden
+        cells taken from the pass bounds (hi <= 0) of each position's group,
+        and the symbols from encode, against a position-by-position check;
+        in one chunk of positions and in chunks of one."""
+        view = _block_view(books, y, s, d1, d2, joint, eps)
+        i, sd1, _, ctx, _, hi = view
+        M0, M1, M2 = books.sizes
+        pos = np.arange(len(i))  # the symbol arrays below are their own books
+        keeps = []
+        for m0 in range(M0):
+            u = books.t0[m0, i, sd1]
+            forbidden = hi[u, :, :, ctx] <= 0  # (positions, nx1, nx2)
+            x1 = np.array([encode(books, m0, m1, 0, s, d1, d2)[0][d1:] for m1 in range(M1)])
+            x2 = np.array([encode(books, m0, 0, m2, s, d1, d2)[1][d1:] for m2 in range(M2)])
+            hit = forbidden[np.arange(len(i)), x1[:, None, :], x2[None, :, :]].any(axis=-1)
+            for budget in (coding._SCREEN_BYTES, 1):
+                monkeypatch.setattr(coding, "_SCREEN_BYTES", budget)
+                keep = coding._screen(forbidden, x1, x2, pos, pos)
+                monkeypatch.undo()
+                assert np.array_equal(keep, ~hit)
+            keeps.append(~hit)
+        return np.array(keeps), view
+
+    @pytest.mark.parametrize("case", list(SCREENED))
+    def test_screened_matmul_matches_brute_force(self, monkeypatch, case):
+        chain, channel, nu, counts, n, d1, d2, eps = self.SCREENED[case]
+        policy = uniform_policy(2, nu=nu)
+        calls = {"pairs": 0, "groups": 0}
+        count_pairs, count_groups = coding._count_pairs, coding._count_groups
+
+        def pairs(t1, t2, m1s, *args):
+            calls["pairs"] += len(m1s) > 0
+            return count_pairs(t1, t2, m1s, *args)
+
+        def groups(t1, t2, *args):
+            calls["groups"] += 1
+            return count_groups(t1, t2, *args)
+
+        survivors = []
+        for seed in range(4):
+            books, y, s, joint = self._screened_run(chain, channel, policy, counts, n, d1, d2, seed)
+            ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+            keeps, view = self._screen_per_m0(monkeypatch, books, y, s, d1, d2, joint, eps)
+            # the screen never drops a pair the stated test accepts
+            assert not (ref & ~keeps).any(), (case, seed)
+            assert np.array_equal(coding._typical_bincount(books, *view), ref), (case, seed)
+            # the survivors counted as a list, then every pair with
+            # products, then in chunks of one pair and one position
+            for entries, budget in ((1 << 30, None), (0, None), (1 << 30, 1)):
+                monkeypatch.setattr(coding, "_count_pairs", pairs)
+                monkeypatch.setattr(coding, "_count_groups", groups)
+                monkeypatch.setattr(coding, "_PAIR_LIST_MAX_ENTRIES", entries)
+                if budget:
+                    monkeypatch.setattr(coding, "_BINCOUNT_ELEMENTS", budget)
+                    monkeypatch.setattr(coding, "_SCREEN_BYTES", budget)
+                mask = coding._typical_matmul(books, *view)
+                monkeypatch.undo()
+                assert np.array_equal(mask, ref), (case, seed, entries, budget)
+            assert decode_joint_typicality(books, y, s, d1, d2, eps, joint) == _decode_result(ref)
+            survivors += [int(k.sum()) for k in keeps]
+        # each case reaches the regimes it was built for: no survivor, a
+        # few, many, and no screen at all
+        pairs_per_m0 = counts[1] * counts[2]
+        if case == "no-forbidden":
+            assert set(survivors) == {pairs_per_m0}
+            assert calls["pairs"] == 0 < calls["groups"], calls
+            return
+        if case == "p-above-epsilon":
+            # nothing is left to count: the cells with hi < 0 are screened
+            assert set(survivors) == {0}
+            assert calls == {"pairs": 0, "groups": 0}, calls
+            return
+        assert calls["pairs"] > 0 and calls["groups"] > 0, calls
+        if case == "parity-few":
+            assert 0 < min(survivors) and max(survivors) <= 4, survivors
+        elif case == "parity-many":
+            assert any(pairs_per_m0 // 8 <= v < pairs_per_m0 for v in survivors), survivors
+        else:
+            assert 0 in survivors and max(survivors) < pairs_per_m0, survivors
 
 
 # The per-step samplers the trial used before it drew everything through
