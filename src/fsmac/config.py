@@ -26,7 +26,7 @@ from .experiments import (
 from .gaussian import GaussianMacSpec, SolverConfig
 from .markov import MarkovChain, mixing_horizon
 from .pmf import DmcChannel, InputPolicy
-from .regions import ConferencingConfig, SearchConfig
+from .regions import ConferencingConfig, SearchConfig, check_search_size
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "KINDS"]
 
@@ -272,6 +272,7 @@ def _parse_region_discrete(raw: dict, seed: int) -> tuple[dict, dict]:
     mus = [[_float(mu, "search.weights") for mu in w] for w in weights]
     try:
         searches = [SearchConfig(seed=seed, mu1=mu1, mu2=mu2, **budget) for mu1, mu2 in mus]
+        check_search_size(searches[0], chain.k, channel)
     except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
     return dict(delays=dres, weights=weights), {

@@ -22,10 +22,18 @@ __all__ = [
     "best_weighted_point",
     "SearchConfig",
     "SearchResult",
+    "check_search_size",
     "inner_bound_search",
 ]
 
 _GEOM_TOL = 1e-12
+
+# q entries (policies × |U|·|X1|·|X2|·k³·|Y|) that one `_common_caps` batch
+# may hold. A batch's temporaries peak at about 65 bytes per entry, so a full
+# batch peaks near 70 MB. The search runs its restarts in groups that fit,
+# and rejects a search whose single-restart row batch does not
+# (`check_search_size`).
+_CAPS_BATCH_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -197,32 +205,48 @@ class SearchResult:
 
 
 def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
-    """Common-message caps (b1, b2, b12, bsum) of a stack of policies, shape (4, n).
+    """Common-message caps (b1, b2, b12, bsum) of a stack of policies, shape
+    (4, *batch).
 
     `states` is the P(Sd1, Sd2, S) table and `w` the channel table; pU, pX1
-    and pX2 carry a leading batch axis (length n, or 1 for a factor shared by
-    the whole batch). Y depends on the rest only through (X1, X2, S), so
+    and pX2 carry leading batch axes that broadcast against each other (a
+    factor shared along a batch axis has length 1 there), and `batch` is
+    their broadcast shape. Y depends on the rest only through (X1, X2, S), so
     with C = (S, Sd1, Sd2) each cap is a conditional entropy of Y less
     h0 = H(Y | X1, X2, U, C) = sum P(x1, x2, s) H(W(.|x1, x2, s)):
     b1 = H(Y|X2,U,C) - h0, b2 = H(Y|X1,U,C) - h0, b12 = H(Y|U,C) - h0 and
     bsum = H(Y|C) - h0, each clamped at 0. `common_message_bounds` is the
     reference it matches.
     """
-    # indices: a,b,c = delayed1, delayed2, state; u; i,j = x1,x2; y
-    q = np.einsum("abc,nau,nuai,nuabj,ijcy->nuijabcy", states, pU, pX1, pX2, w)
-    n, ny = q.shape[0], q.shape[-1]
+    # q over the batch axes, then u; i,j = x1,x2; a,b,c = delayed1, delayed2,
+    # state; y. Each factor is broadcast onto those axes and multiplied in
+    # one fixed order, so a policy's q does not depend on its batch; factors
+    # made contiguous in that axis order give a C-ordered q to reshape.
+    pU, pX1, pX2 = (np.ascontiguousarray(f) for f in
+                    (np.swapaxes(pU, -1, -2), np.swapaxes(pX1, -1, -2), np.moveaxis(pX2, -1, -3)))
+    q = (states[:, :, :, None]
+         * pU[..., :, None, None, :, None, None, None]
+         * pX1[..., :, :, None, :, None, None, None]
+         * pX2[..., :, None, :, :, :, None, None]
+         * w[:, :, None, None, :, :])
+    batch, ny = q.shape[:-7], q.shape[-1]
+    q = q.reshape(-1, *q.shape[-7:])
+    n = q.shape[0]
     q_i = q.sum(axis=3)
     q_u = q_i.sum(axis=2)
     # Y jointly with (X1,X2,U,C), (X2,U,C), (X1,U,C), (U,C) and C
     joints = [t.reshape(n, -1, ny) for t in (q, q.sum(axis=2), q_i, q_u, q_u.sum(axis=1))]
     p_yz = np.concatenate(joints, axis=1)
+    starts = np.cumsum([0] + [t.shape[1] for t in joints[:-1]])
+    del q, q_i, q_u, joints  # p_yz holds them all; free them before the logs
     p_z = p_yz.sum(axis=-1)
     # -H(Y|Z) per context z: sum_y p(y,z) log p(y,z) - p(z) log p(z)
-    neg_h = (p_yz * np.log2(p_yz, out=np.zeros_like(p_yz), where=p_yz > 0)).sum(axis=-1)
+    plogp = np.log2(p_yz, out=np.zeros_like(p_yz), where=p_yz > 0)
+    plogp *= p_yz
+    neg_h = plogp.sum(axis=-1)
     neg_h -= p_z * np.log2(p_z, out=np.zeros_like(p_z), where=p_z > 0)
-    starts = np.cumsum([0] + [t.shape[1] for t in joints[:-1]])
     h = -np.add.reduceat(neg_h, starts, axis=1)
-    return np.maximum(h[:, 1:] - h[:, :1], 0.0).T
+    return np.maximum(h[:, 1:] - h[:, :1], 0.0).T.reshape(4, *batch)
 
 
 def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2: float) -> np.ndarray:
@@ -240,6 +264,29 @@ def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2
     return m_hi * r_hi + m_lo * np.minimum(b_lo, cap - r_hi)
 
 
+def check_search_size(config: SearchConfig, k: int, channel: DmcChannel) -> int:
+    """Raise ValueError, naming the field, unless a search with `config` fits
+    a channel with k states: u_size within `InputPolicy`'s ceiling
+    |X1|·|X2|·k³ + 2, and one restart's largest row batch, grid points times
+    q entries per policy, within `_CAPS_BATCH_ELEMENTS`. Returns the q
+    entries of that batch."""
+    n_u = config.u_size
+    cap = channel.n_x1 * channel.n_x2 * k**3 + 2
+    if n_u > cap:
+        raise ValueError(f"u_size {n_u} exceeds the ceiling {cap}")
+    # the widest row has the most points of _simplex_grid(size, grid_levels)
+    size = max(n_u, channel.n_x1, channel.n_x2)
+    rows = math.comb(config.grid_levels - 2 + size, size - 1)
+    entries = n_u * channel.n_x1 * channel.n_x2 * k**3 * channel.n_y
+    if rows * entries > _CAPS_BATCH_ELEMENTS:
+        raise ValueError(
+            f"grid_levels {config.grid_levels}: a row over {size} symbols has {rows:,} grid "
+            f"points of {entries:,} q entries each, above the batch budget of "
+            f"{_CAPS_BATCH_ELEMENTS:,} q entries"
+        )
+    return rows * entries
+
+
 def inner_bound_search(
     chain: MarkovChain,
     d1: int,
@@ -254,27 +301,29 @@ def inner_bound_search(
     Coordinate ascent over the conditional rows of the policy on a simplex
     grid, restarted from seeded random rows; every restart derives its own
     random stream from (seed, restart index), so results do not depend on
-    execution order. All grid candidates of one row are scored as one batch
-    from factor-level entropies (`_common_caps`), then accepted in grid order
-    when they beat the current value by more than 1e-12; a restart replaces
-    the best one only by the same margin, so the earliest wins ties. The
-    returned value is an inner bound: it is the exact weighted rate of the
-    returned policy, evaluated once more through `conferencing_bounds`,
-    never an extrapolation.
+    execution order. The restarts run in lockstep: at each row step, all grid
+    candidates of that row for every restart still running are scored as one
+    batch from factor-level entropies (`_common_caps`); each restart then
+    accepts its own candidates in grid order when they beat its current value
+    by more than 1e-12, and leaves the lockstep after a pass without
+    improvement. Restarts run in groups whose batch stays within
+    `_CAPS_BATCH_ELEMENTS`. A restart replaces the best one only by the same
+    margin, so the earliest wins ties. The returned value is an inner bound:
+    it is the exact weighted rate of the returned policy, evaluated once more
+    through `conferencing_bounds`, never an extrapolation.
 
     `joint_states` overrides the state law computed from (chain, d1, d2),
     for surrogate models such as a decoupled first observation.
     """
     k = chain.k
-    n_u = config.u_size
-    cap = channel.n_x1 * channel.n_x2 * k**3 + 2
-    if n_u > cap:
-        raise ValueError(f"u_size {n_u} exceeds the ceiling {cap}")
+    # restarts per group, so that a row step's batch fits the budget
+    group = _CAPS_BATCH_ELEMENTS // check_search_size(config, k, channel)
     dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
     if channel.n_states != k or dsj.k != k:
         raise ValueError(f"channel and state law must have the chain's {k} states")
 
     # one flat list of conditional rows; each row is a simplex of its own size
+    n_u = config.u_size
     shapes = {"pU": (k, n_u), "pX1": (n_u, k, channel.n_x1), "pX2": (n_u, k, k, channel.n_x2)}
     row_specs = [(name, idx) for name, shape in shapes.items() for idx in np.ndindex(shape[:-1])]
     grids = {shape[-1]: _simplex_grid(shape[-1], config.grid_levels) for shape in shapes.values()}
@@ -283,37 +332,50 @@ def inner_bound_search(
         caps = _common_caps(dsj.table, channel.table, **batch)
         return _weighted_values(caps, conf, config.mu1, config.mu2)
 
+    def start(restart: int) -> dict[str, np.ndarray]:
+        if restart == 0:
+            return {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, restart)))
+        policy = {name: np.empty(shape) for name, shape in shapes.items()}
+        for name, idx in row_specs:
+            policy[name][idx] = rng.dirichlet(np.ones(shapes[name][-1]))
+        return policy
+
     visited = 0
     best_val = -np.inf
     best: dict[str, np.ndarray] | None = None
-    for restart in range(config.restarts):
-        if restart == 0:
-            policy = {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, restart)))
-            policy = {name: np.empty(shape) for name, shape in shapes.items()}
-            for name, idx in row_specs:
-                policy[name][idx] = rng.dirichlet(np.ones(shapes[name][-1]))
-        cur_val = values({name: arr[None] for name, arr in policy.items()})[0]
-        visited += 1
+    for first in range(0, config.restarts, group):
+        starts = [start(r) for r in range(first, min(first + group, config.restarts))]
+        # policies[name][r] is restart first + r's factor; live lists the running ones
+        policies = {name: np.stack([p[name] for p in starts]) for name in shapes}
+        cur = values(policies).tolist()
+        visited += len(cur)
+        live = np.arange(len(cur))
         for _ in range(config.max_passes):
-            improved = False
+            improved = np.zeros(len(live), dtype=bool)
             for name, idx in row_specs:
                 grid = grids[shapes[name][-1]]
-                batch = {other: arr[None] for other, arr in policy.items()}
-                batch[name] = np.repeat(batch[name], len(grid), axis=0)
-                batch[name][(slice(None),) + idx] = grid
-                visited += len(grid)
-                for cand, val in zip(grid, values(batch)):
-                    if val > cur_val + 1e-12:
-                        cur_val = val
-                        policy[name][idx] = cand
-                        improved = True
-            if not improved:
+                # axes (live restart, candidate); only the varied row has candidates
+                batch = {other: arr[live, None] for other, arr in policies.items()}
+                batch[name] = np.repeat(batch[name], len(grid), axis=1)
+                batch[name][(slice(None), slice(None)) + idx] = grid
+                visited += len(live) * len(grid)
+                for pos, (r, vals) in enumerate(zip(live.tolist(), values(batch).tolist())):
+                    pick = None
+                    for j, val in enumerate(vals):
+                        if val > cur[r] + 1e-12:
+                            cur[r] = val
+                            pick = j
+                    if pick is not None:
+                        policies[name][(r,) + idx] = grid[pick]
+                        improved[pos] = True
+            live = live[improved]
+            if not len(live):
                 break
-        if cur_val > best_val + 1e-12:
-            best_val = cur_val
-            best = {name: arr.copy() for name, arr in policy.items()}
+        for r, val in enumerate(cur):
+            if val > best_val + 1e-12:
+                best_val = val
+                best = {name: arr[r].copy() for name, arr in policies.items()}
     assert best is not None
     result_policy = InputPolicy(best["pU"], best["pX1"], best["pX2"])
     bounds = conferencing_bounds(assemble_joint(dsj, result_policy, channel), conf)

@@ -213,6 +213,22 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 2
         assert field in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("search,field", [
+        ({"u_size": 35}, "u_size"),  # the ceiling |X1|·|X2|·k³ + 2 is 34
+        ({"u_size": 100}, "u_size"),
+        # a pU row of 501,942 grid points of 2,176 q entries each
+        ({"u_size": 34, "grid_levels": 6}, "grid_levels"),
+    ])
+    def test_search_too_large_for_the_channel_rejected(self, tmp_path, capsys, search, field):
+        payload = discrete_payload(str(tmp_path))
+        payload["search"].update(search)
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"search: {field}" in record["message"]
+        payload["search"].update(u_size=34, grid_levels=2)  # the ceiling itself runs
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 0
+
     @pytest.mark.parametrize("kind,field,value", [
         ("region-gaussian", "trace.n_directions", 1),
         ("region-discrete", "search.restarts", 0),

@@ -237,17 +237,23 @@ class TestInnerBoundSearch:
             single_state(), 0, 0, chan, conf,
             SearchConfig(u_size=1, grid_levels=5, restarts=3, seed=1, mu1=1.0, mu2=1.0),
         )
-        # oracle: exhaustive fine grid over the two input rows
+        # oracle: exhaustive fine grid over the two input rows, scored as one
+        # (a, b) batch; the argmax and a sample of points are checked on the
+        # assembled joint law
         dsj = delayed_state_joint(single_state(), 0, 0)
-        best = 0.0
         grid = np.linspace(0.0, 1.0, 101)
-        for a in grid:
-            pX1 = np.array([[[a, 1 - a]]])
-            for b in grid:
-                pX2 = np.array([[[[b, 1 - b]]]])
-                policy = InputPolicy(np.array([[1.0]]), pX1, pX2)
-                bounds = conferencing_bounds(assemble_joint(dsj, policy, chan), conf)
-                best = max(best, best_weighted_point(bounds, 1.0, 1.0)[0])
+        rows = np.stack([grid, 1 - grid], axis=-1)
+        pX1 = rows[:, None, None, None, :]  # axes (a, b, u, s, x1)
+        pX2 = rows[None, :, None, None, None, :]  # axes (a, b, u, s, s, x2)
+        caps = _common_caps(dsj.table, chan.table, np.ones((1, 1, 1, 1)), pX1, pX2)
+        values = _weighted_values(caps, conf, 1.0, 1.0)
+        best = values.max()
+        picks = [np.unravel_index(values.argmax(), values.shape)]
+        picks += [tuple(ab) for ab in np.random.default_rng(0).integers(0, 101, size=(20, 2))]
+        for a, b in picks:
+            policy = InputPolicy(np.array([[1.0]]), pX1[a, 0], pX2[0, b])
+            bounds = conferencing_bounds(assemble_joint(dsj, policy, chan), conf)
+            assert abs(best_weighted_point(bounds, 1.0, 1.0)[0] - values[a, b]) <= 1e-12
         assert res.value <= best + 1e-12
         assert res.value >= best - 0.02
 
@@ -403,6 +409,9 @@ class TestBatchedEvaluator:
                 factors[shared] = factors[shared][:1]
             caps = _common_caps(dsj.table, chan.table, *factors)
             assert caps.shape == (4, 4)
+            # the lockstep search's (restart, candidate) axes: same caps, bit for bit
+            square = [f.reshape(((2, 2) if len(f) == 4 else (1, 1)) + f.shape[1:]) for f in factors]
+            assert np.array_equal(_common_caps(dsj.table, chan.table, *square).reshape(4, 4), caps)
             conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.3, inf], size=2)))
             mu1, mu2 = WEIGHTS[rng.integers(0, len(WEIGHTS))]
             for i in range(4):
@@ -512,3 +521,51 @@ class TestSearchAgainstReference:
         for cfg in obj["searches"]:
             args = (obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"], cfg)
             assert_same_search(inner_bound_search(*args), reference_search(*args))
+
+    def test_restarts_stop_at_different_passes(self):
+        chain, chan, conf = two_state(), state_bsc_channel(), ConferencingConfig(0.2, 0.1)
+        budget = dict(u_size=2, grid_levels=3, seed=2, mu1=1.0, mu2=0.5, max_passes=3)
+        # restart r's evaluations: 1 for its start, 42 per pass over its rows
+        visited = [inner_bound_search(chain, 1, 0, chan, conf, SearchConfig(restarts=r, **budget)).visited
+                   for r in range(1, 5)]
+        passes = (np.diff([0] + visited) - 1) // 42
+        assert list(passes) == [1, 2, 3, 2]
+        args = (chain, 1, 0, chan, conf, SearchConfig(restarts=4, **budget))
+        assert_same_search(inner_bound_search(*args), reference_search(*args))
+
+    def test_smallest_budget(self):
+        cfg = SearchConfig(u_size=2, grid_levels=2, restarts=1, seed=4, max_passes=1)
+        args = (two_state(), 1, 1, state_bsc_channel(), ConferencingConfig(0.1, 0.0), cfg)
+        assert_same_search(inner_bound_search(*args), reference_search(*args))
+
+    def test_single_state_deterministic_channel_infinite_links(self):
+        # Y = X1 + X2 over {0, 1, 2}, one state, d1 = d2, unbounded links
+        t = np.zeros((2, 2, 1, 3))
+        for x1 in range(2):
+            for x2 in range(2):
+                t[x1, x2, 0, x1 + x2] = 1.0
+        inf = float("inf")
+        for mu1, mu2 in WEIGHTS:
+            cfg = SearchConfig(u_size=2, grid_levels=3, restarts=3, seed=7, mu1=mu1, mu2=mu2)
+            args = (single_state(), 1, 1, DmcChannel(t), ConferencingConfig(inf, inf), cfg)
+            assert_same_search(inner_bound_search(*args), reference_search(*args))
+
+    def test_restart_groups_split_by_the_batch_budget(self, monkeypatch):
+        import fsmac.regions as regions
+
+        # one restart's largest row batch: 5 grid points of 2·2·2·2³·2 q entries
+        monkeypatch.setattr(regions, "_CAPS_BATCH_ELEMENTS", 2 * 5 * 128)
+        cfg = SearchConfig(u_size=2, grid_levels=5, restarts=5, seed=3, mu1=1.0, mu2=0.25, max_passes=2)
+        args = (two_state(), 2, 1, state_bsc_channel(), ConferencingConfig(0.2, 0.1), cfg)
+        calls = []
+        caps = regions._common_caps
+
+        def counted(states, w, pU, pX1, pX2):
+            calls.append(len(pU))  # restarts in the batch
+            return caps(states, w, pU, pX1, pX2)
+
+        monkeypatch.setattr(regions, "_common_caps", counted)
+        got = inner_bound_search(*args)
+        # groups of 2, 2 and 1 restarts, each starting with one batch of its starts
+        assert max(calls) == 2 and 1 in calls
+        assert_same_search(got, reference_search(*args))
