@@ -49,6 +49,10 @@ _SCREEN_BYTES = 1 << 21
 # 2-core x86 box (numpy 2.4, OpenBLAS): 0.33M-0.65M entries (about 12.5 ns
 # per entry against 4.5-8 ms of products over every pair)
 _PAIR_LIST_MAX_ENTRIES = 1 << 19
+# float64 uniforms per draw of a codebook table (512 KB): a larger table is
+# drawn and counted in chunks, which give the same stream because
+# Generator.random fills in C order
+_DRAW_CHUNK = 1 << 16
 FILL_SYMBOL = 0
 
 
@@ -74,7 +78,9 @@ class Codebooks:
     t2[m2, i, u, a, b]    encoder-2 component for (u, state a, state b)
 
     Components are drawn i.i.d. from the policy conditionals; drawing again
-    from a generator in the same state is bit-identical.
+    from a generator in the same state is bit-identical. Drawn books hold
+    each symbol in the smallest unsigned type of its alphabet (one byte up
+    to 256 symbols); hand-built ones may use any integer type.
     """
 
     def __init__(self, policy: InputPolicy, t0, t1, t2, n: int) -> None:
@@ -94,19 +100,33 @@ def generate_codebooks(
 ) -> Codebooks:
     """Random codebooks of (M0, M1, M2) messages, each component drawn from
     its policy conditional: t0, then t1, then t2, each component in the
-    C order of its observed-state (and auxiliary) indices."""
+    C order of its observed-state (and auxiliary) indices. Each book holds
+    its symbols in the smallest unsigned type of its alphabet: uint8 up to
+    256 symbols, uint16 above."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     books = []
     for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
         rows = table.reshape(-1, table.shape[-1])
-        # one (M, n) block of uniforms per row, drawn as one array per table
-        # and counted in that layout into small integers; the uniforms are
-        # freed before the one contiguous cast to the (M, n, rows) book
-        sym = _inverse_cdf(rng.random((len(rows), M, n)), rows[:, None, None])
-        book = np.ascontiguousarray(sym.transpose(1, 2, 0), dtype=np.int64)
-        books.append(book.reshape(M, n, *table.shape[:-1]))
+        books.append(_draw_book(rows, M * n, rng).reshape(M, n, *table.shape[:-1]))
     return Codebooks(policy, *books, n)
+
+
+def _draw_book(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, len(rows)) symbols: one block of `size` uniforms per row of
+    probabilities, drawn in row order and counted by `_inverse_cdf` in the
+    type it returns. A table of at most _DRAW_CHUNK uniforms is one draw and
+    one pass; a larger one is drawn as whole rows per chunk, or each row in
+    chunks when one row is larger."""
+    book = np.empty((size, len(rows)), np.min_scalar_type(rows.shape[-1] - 1))
+    per_draw = max(1, _DRAW_CHUNK // size)  # rows
+    span = min(size, _DRAW_CHUNK)  # uniforms per row
+    for r in range(0, len(rows), per_draw):
+        probs = rows[r:r + per_draw, None]
+        for j in range(0, size, span):
+            u = rng.random((len(probs), min(span, size - j)))
+            book[j:j + span, r:r + per_draw] = _inverse_cdf(u, probs).T
+    return book
 
 
 def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,7 +284,8 @@ def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     nu, nx1, nx2, n_ctx = lo.shape
     k = books.policy.n_states
     n_groups = nu * n_ctx
-    u = books.t0[:, i, sd1]  # (M0, m_eff)
+    # the books' symbols may be bytes: index arithmetic on them is in intp
+    u = books.t0[:, i, sd1].astype(np.intp)  # (M0, m_eff)
     group = u * n_ctx + ctx
     size = np.bincount(
         (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
@@ -346,7 +367,7 @@ def _count_pairs(t1, t2, m1s, m2s, pos1, pos2, e, lo, hi) -> np.ndarray:
     step = max(1, _BINCOUNT_ELEMENTS // max(len(e), n_cells))
     for r in range(0, len(m1s), step):
         sl = slice(r, r + step)
-        cells = t1[m1s[sl, None], pos1] * nx2 + t2[m2s[sl, None], pos2] + base
+        cells = t1[m1s[sl, None], pos1].astype(np.intp) * nx2 + t2[m2s[sl, None], pos2] + base
         cells += (np.arange(len(cells)) * n_cells)[:, None]
         counts = np.bincount(cells.ravel(), minlength=len(cells) * n_cells).reshape(-1, n_cells)
         passed[sl] = ((counts >= lo) & (counts <= hi)).all(axis=1)
@@ -422,9 +443,10 @@ def _typical_bincount(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     typical = np.empty((M0, M1, M2), dtype=bool)
     step = max(1, _BINCOUNT_ELEMENTS // (pairs * max(m_eff, n_cells)))
     for m0 in range(0, M0, step):
-        u = np.take(t0[m0:m0 + step], off0, axis=1)  # (chunk, m_eff)
-        x1 = np.take(t1, u * k + base1, axis=1)[:, None] * (nx2 * n_ctx) + rank1
-        x2 = np.take(t2, u * (k * k) + base2, axis=1) * n_ctx + rank2
+        # the books' symbols may be bytes: index arithmetic on them is in intp
+        u = np.take(t0[m0:m0 + step], off0, axis=1).astype(np.intp)  # (chunk, m_eff)
+        x1 = np.take(t1, u * k + base1, axis=1).astype(np.intp)[:, None] * (nx2 * n_ctx) + rank1
+        x2 = np.take(t2, u * (k * k) + base2, axis=1).astype(np.intp) * n_ctx + rank2
         own = u * (nx1 * nx2 * n_ctx) + ctx
         own += (np.arange(len(u)) * (pairs * n_cells))[:, None]
         cells = (x1 + own) + x2  # (M1, M2, chunk, m_eff)
@@ -480,15 +502,20 @@ def _run_trials(
         raise ValueError("trials must be >= 1")
     check_decoder_caps(n, counts)
     joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
-    none = several = wrong = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
+
+    def trial(rng):
+        # one trial per call, so that its books, path, inputs and outputs
+        # are freed before the next trial draws
         books = generate_codebooks(policy, n, counts, rng)
         sent = draw(rng)
         s = sample_state_path(chain, n, rng)
         x1, x2 = encode(books, *sent, s, d1, d2)
         yseq = _sample_outputs(channel, x1, x2, s, rng)
-        result = decode_joint_typicality(books, yseq, s, d1, d2, epsilon, joint)
+        return decode_joint_typicality(books, yseq, s, d1, d2, epsilon, joint), sent
+
+    none = several = wrong = 0
+    for t in range(trials):
+        result, sent = trial(np.random.default_rng(np.random.SeedSequence(entropy=(seed, t))))
         if result.n_typical == 0:
             none += 1
         elif result.n_typical > 1:

@@ -475,6 +475,43 @@ class TestDecoderKernels:
                     ok = np.abs(emp - pj) <= eps if pj > 0 else emp == 0.0
                     assert np.array_equal(ok, (counts >= lj) & (counts <= hj)), (m_eff, eps, pj)
 
+    @pytest.mark.parametrize("counts", [(2, 3, 4), (2, 12, 12)])
+    def test_symbol_arithmetic_past_one_byte(self, monkeypatch, counts):
+        # |U| = k = 3 and |Y| = 5: 135 contexts, so the group and cell
+        # indices (u * 135 + ctx, ...) exceed 255 while the books hold bytes;
+        # 12 pairs take the bincount kernel, 144 the matmul one, whose pairs
+        # are counted as a list and then with products
+        k, nu, nx1, nx2, ny = 3, 3, 2, 2, 5
+        n, d1, d2, eps = 24, 1, 0, 0.15
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            chain = MarkovChain(["a", "b", "c"], _sparse_rows(rng, (k, k), 0.0))
+            policy = InputPolicy(
+                np.full((k, nu), 1 / nu),
+                _sparse_rows(rng, (nu, k, nx1), 0.3),
+                _sparse_rows(rng, (nu, k, k, nx2), 0.3),
+            )
+            channel = DmcChannel(np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))])
+            books = generate_codebooks(policy, n, counts, rng)
+            assert books.t0.dtype == books.t1.dtype == books.t2.dtype == np.uint8
+            sent = tuple(int(rng.integers(M)) for M in counts)
+            s = sample_state_path(chain, n, rng)
+            x1, x2 = encode(books, *sent, s, d1, d2)
+            y = coding._sample_outputs(channel, x1, x2, s, rng)
+            joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
+            view = _block_view(books, y, s, d1, d2, joint, eps)
+            assert (books.t0[:, view[0], view[1]] == nu - 1).any()  # u * 135 > 255
+            ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+            assert ref[sent], seed  # noiseless: the sent triplet is typical
+            if counts[1] * counts[2] < coding._MATMUL_MIN_PAIRS:
+                assert np.array_equal(coding._typical_bincount(books, *view), ref), seed
+            else:
+                for entries in (1 << 30, 0):  # a pair list, then products
+                    monkeypatch.setattr(coding, "_PAIR_LIST_MAX_ENTRIES", entries)
+                    assert np.array_equal(coding._typical_matmul(books, *view), ref), seed
+                monkeypatch.undo()
+            assert decode_joint_typicality(books, y, s, d1, d2, eps, joint) == _decode_result(ref)
+
     # instances for the matmul kernel's screen, M1 * M2 >= 128, with
     # uniform inputs: (chain, channel, nu, counts, n, d1, d2, epsilon)
     PARITY, BSC = gated_parity_channel(), xor_bsc_channel(2, (0.1, 0.4))
@@ -685,10 +722,70 @@ class TestSamplersAgainstOracles:
             assert tuple(int(rb.integers(M)) for M in counts) == sent
             s_ref = _oracle_path(chain, n, rb)
             y_ref = _oracle_outputs(channel, x1, x2, s_ref, rb)
-            for got, ref in zip((books.t0, books.t1, books.t2, s, y), (t0, t1, t2, s_ref, y_ref)):
+            # the books hold one byte per symbol, the path and outputs int64
+            for got, ref in zip((books.t0, books.t1, books.t2), (t0, t1, t2)):
+                assert got.dtype == np.uint8, trial
+                assert np.array_equal(got, ref), trial
+            for got, ref in zip((s, y), (s_ref, y_ref)):
                 assert got.dtype == ref.dtype == np.int64, trial
                 assert np.array_equal(got, ref), trial
             assert ra.random() == rb.random(), trial
+
+    @pytest.mark.parametrize("chunk", ["1", "7", "M*n-1", "M*n+1"])
+    def test_chunked_draws_keep_the_stream(self, monkeypatch, chunk):
+        # chunks smaller than one row's block, not dividing it, and holding
+        # one row but not two; M*n is the largest book's block
+        rng = np.random.default_rng(19)
+        for trial in range(6):
+            k, nu = int(rng.integers(2, 4)), int(rng.integers(1, 3))  # several rows per table
+            nx1, nx2 = (int(v) for v in rng.integers(1, 4, size=2))
+            n = int(rng.integers(1, 12))
+            counts = tuple(int(v) for v in rng.integers(1, 6, size=3))
+            policy = InputPolicy(
+                _sparse_rows(rng, (k, nu), 0.3),
+                _sparse_rows(rng, (nu, k, nx1), 0.3),
+                _sparse_rows(rng, (nu, k, k, nx2), 0.3),
+            )
+            size = max(counts) * n
+            draw = {"1": 1, "7": 7, "M*n-1": max(size - 1, 1), "M*n+1": size + 1}[chunk]
+            monkeypatch.setattr(coding, "_DRAW_CHUNK", draw)
+            seed = int(rng.integers(1 << 31))
+            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+            books = generate_codebooks(policy, n, counts, ra)
+            refs = _oracle_books(policy, n, counts, rb)
+            for got, ref in zip((books.t0, books.t1, books.t2), refs):
+                assert got.dtype == np.uint8, (chunk, trial)
+                assert np.array_equal(got, ref), (chunk, trial)
+            assert ra.random() == rb.random(), (chunk, trial)
+
+    def test_large_alphabets(self):
+        # 256 symbols of X1 still fit one byte, 257 take two; both through
+        # both kernels (the matmul one counts a pair list here), against the
+        # stated test: a symbol times |X2| passes 255
+        rng = np.random.default_rng(4)
+        chain, n, sent, d1, d2, eps = two_state(), 40, (0, 2, 1), 1, 1, 0.2
+        for nx, dtype in ((256, np.uint8), (257, np.uint16)):
+            row = np.append(np.full(nx - 1, 0.5 / (nx - 1)), 0.5)  # the widest symbol half the time
+            policy = InputPolicy(
+                np.full((2, 1), 1.0), np.tile(row, (1, 2, 1)), np.full((1, 2, 2, 2), 0.5)
+            )
+            counts, seed = (1, 3, 2), int(rng.integers(1 << 31))
+            books = generate_codebooks(policy, n, counts, np.random.default_rng(seed))
+            assert (books.t0.dtype, books.t1.dtype) == (np.uint8, dtype)
+            refs = _oracle_books(policy, n, counts, np.random.default_rng(seed))
+            for got, ref in zip((books.t0, books.t1, books.t2), refs):
+                assert np.array_equal(got, ref), nx
+            assert books.t1.max() == nx - 1  # the widest symbol is drawn
+            channel = DmcChannel(np.eye(2)[rng.integers(0, 2, size=(nx, 2, 2))])
+            s = sample_state_path(chain, n, rng)
+            x1, x2 = encode(books, *sent, s, d1, d2)
+            y = coding._sample_outputs(channel, x1, x2, s, rng)
+            joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
+            ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+            assert ref[sent], nx
+            view = _block_view(books, y, s, d1, d2, joint, eps)
+            for kernel in (coding._typical_bincount, coding._typical_matmul):
+                assert np.array_equal(kernel(books, *view), ref), (nx, kernel)
 
 
 def _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, seed, draw):
@@ -751,6 +848,33 @@ class TestTrialReplay:
         ref = _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, 5, draw)
         assert self._taxonomy(est) == ref
         assert 0 < ref[0] < trials and ref[1] > 0 and ref[2] > 0
+
+    @pytest.mark.parametrize("case", ["one-state", "one-position"])
+    def test_edge_instances_in_small_draws(self, monkeypatch, case):
+        # k = 1, and n = d1 + 1 (one decoded position), with every codebook
+        # table drawn in chunks of 5 uniforms
+        if case == "one-state":
+            chain, channel = single_state(), xor_bsc_channel(1, (0.1,))
+            rates, n, d1, d2, eps = (0.0, 1 / 16, 1 / 16), 48, 0, 0, 0.05
+        else:
+            chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
+            rates, n, d1, d2, eps = (0.5, 0.5, 0.5), 4, 3, 1, 0.95
+        policy, trials = uniform_policy(chain.k, nu=2), 12
+        counts = tuple(message_count(n, r) for r in rates)
+        monkeypatch.setattr(coding, "_DRAW_CHUNK", 5)
+        est = estimate_error_rate(
+            chain, channel, policy, rates, n, eps, trials, seed=3, d1=d1, d2=d2
+        )
+
+        def draw(rng):
+            return tuple(_uniform_index(rng, M) for M in counts)
+
+        ref = _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, 3, draw)
+        assert self._taxonomy(est) == ref
+        if case == "one-state":  # every outcome but a correct decode
+            assert min(ref[1:]) > 0, ref
+        else:  # one position cannot single out one of 64 candidates
+            assert ref[1] > 0 and ref[2] > 0, ref
 
     def test_conferencing_pipeline(self):
         chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
