@@ -29,6 +29,7 @@ from .regions import (
     conferencing_bounds,
     inner_bound_search,
     polytope_vertices,
+    search_weighted,
 )
 from .gaussian import (
     Allocation,

@@ -24,7 +24,7 @@ from .asymptotics import (
 from .coding import conferencing_error_rate, estimate_error_rate
 from .gaussian import _non_dominated, _thetas, solve_weighted
 from .gaussian import maximize_weighted_rate, trace_boundary  # noqa: F401 (perfbench wraps)
-from .regions import inner_bound_search
+from .regions import inner_bound_search, search_weighted  # noqa: F401 (perfbench wraps)
 from .svgplot import Series, render_plot
 
 if TYPE_CHECKING:
@@ -129,23 +129,13 @@ def run_region_gaussian(cfg: ExperimentConfig) -> Computed:
 
 def run_region_discrete(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
-    rows = []
-    dumps = []
-    for search in obj["searches"]:
-        res = inner_bound_search(
-            obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"], search
-        )
-        rows.append([search.mu1, search.mu2, res.point.r1, res.point.r2, res.value])
-        dumps.append({
-            "mu1": search.mu1,
-            "mu2": search.mu2,
-            "value": float(res.value),
-            "policy": {
-                "pU": res.policy.pU.tolist(),
-                "pX1": res.policy.pX1.tolist(),
-                "pX2": res.policy.pX2.tolist(),
-            },
-        })
+    # every weight direction in one lockstep search
+    args = [obj[name] for name in ("chain", "d1", "d2", "channel", "conf", "searches")]
+    pairs = list(zip(obj["searches"], search_weighted(*args)))
+    rows = [[s.mu1, s.mu2, res.point.r1, res.point.r2, res.value] for s, res in pairs]
+    dumps = [{"mu1": s.mu1, "mu2": s.mu2, "value": float(res.value), "policy": {
+        name: getattr(res.policy, name).tolist() for name in ("pU", "pX1", "pX2")
+    }} for s, res in pairs]
     pts = sorted((r1, r2) for _, _, r1, r2, _ in rows)
     return Computed(
         ["mu1", "mu2", "r1", "r2", "value"],

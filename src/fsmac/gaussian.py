@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import MarkovChain, n_step_matrix
-from .regions import ConferencingConfig, RateBounds, RatePoint, best_weighted_point
+from .regions import ConferencingConfig, RateBounds, RatePoint, best_weighted_point, check_weights
 
 __all__ = [
     "GaussianMacSpec",
@@ -507,8 +507,7 @@ def solve_weighted(
     Trajectories never mix, so each result equals the problem's own solve.
     """
     for mu1, mu2, c12, c21, r0 in problems:
-        if not (mu1 >= 0 and mu2 >= 0 and mu1 + mu2 > 0):
-            raise ValueError("weights must be nonnegative with mu1 + mu2 > 0")
+        check_weights(mu1, mu2)
         if not (r0 >= 0 and c12 >= 0 and c21 >= 0):
             raise ValueError("r0 and the link capacities must be nonnegative")
     return _solve(spec, problems, config or SolverConfig()) if problems else []

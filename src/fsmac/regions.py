@@ -4,8 +4,9 @@ inner-bound search over quantized policies."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "check_search_size",
+    "search_weighted",
     "inner_bound_search",
 ]
 
@@ -30,8 +32,8 @@ _GEOM_TOL = 1e-12
 
 # q entries (policies × |U|·|X1|·|X2|·k³·|Y|) that one `_common_caps` batch
 # may hold. A batch's temporaries peak at about 65 bytes per entry, so a full
-# batch peaks near 70 MB. The search runs its restarts in groups that fit,
-# and rejects a search whose single-restart row batch does not
+# batch peaks near 70 MB. The search runs its trajectories in groups that
+# fit, and rejects a search whose single-trajectory row batch does not
 # (`check_search_size`).
 _CAPS_BATCH_ELEMENTS = 1 << 20
 
@@ -148,30 +150,25 @@ def best_weighted_point(
     bounds: RateBounds, mu1: float, mu2: float, mode: str = "conferencing", r0: float = 0.0
 ) -> tuple[float, RatePoint]:
     """Maximize mu1*r1 + mu2*r2 over the region; ties prefer larger (r1, r2)."""
-    if mu1 < 0 or mu2 < 0 or mu1 + mu2 <= 0:
-        raise ValueError("weights must be nonnegative with mu1 + mu2 > 0")
+    check_weights(mu1, mu2)
     verts = polytope_vertices(bounds, mode=mode, r0=r0)
     best = max(verts, key=lambda p: (mu1 * p.r1 + mu2 * p.r2, p.r1, p.r2))
     return mu1 * best.r1 + mu2 * best.r2, best
 
 
+def check_weights(mu1: float, mu2: float) -> None:
+    """Raise ValueError unless the weights are finite, nonnegative and not both 0."""
+    if not (0 <= mu1 < math.inf and 0 <= mu2 < math.inf and mu1 + mu2 > 0):
+        raise ValueError(f"weights must be finite and nonnegative, not both 0; got ({mu1}, {mu2})")
+
+
 def _simplex_grid(size: int, levels: int) -> np.ndarray:
-    """All distributions over `size` symbols with masses at multiples of 1/(levels-1)."""
-    ticks = levels - 1
-    rows = [
-        np.array(c, dtype=float) / ticks
-        for c in _compositions(ticks, size)
-    ]
-    return np.array(rows)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """All distributions over `size` symbols with masses at multiples of
+    1/(levels-1), in lexicographic order: stars and bars, one row per choice
+    of the size - 1 bar positions among levels + size - 2 slots."""
+    slots = levels + size - 2
+    bars = np.array(list(itertools.combinations(range(slots), size - 1)), dtype=int)
+    return (np.diff(bars, prepend=-1, append=slots, axis=1) - 1) / (levels - 1)
 
 
 @dataclass
@@ -191,8 +188,7 @@ class SearchConfig:
         for name, least in (("u_size", 1), ("grid_levels", 2), ("restarts", 1), ("max_passes", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"search budget: {name} must be >= {least}, got {getattr(self, name)}")
-        if not (self.mu1 >= 0 and self.mu2 >= 0 and self.mu1 + self.mu2 > 0):
-            raise ValueError(f"weights must be nonnegative, not both 0; got ({self.mu1}, {self.mu2})")
+        check_weights(self.mu1, self.mu2)
 
 
 @dataclass
@@ -205,53 +201,48 @@ class SearchResult:
 
 
 def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
-    """Common-message caps (b1, b2, b12, bsum) of a stack of policies, shape
-    (4, *batch).
+    """Common-message caps (b1, b2, b12, bsum) of B policies, shape (4, B).
 
     `states` is the P(Sd1, Sd2, S) table and `w` the channel table; pU, pX1
-    and pX2 carry leading batch axes that broadcast against each other (a
-    factor shared along a batch axis has length 1 there), and `batch` is
-    their broadcast shape. Y depends on the rest only through (X1, X2, S), so
-    with C = (S, Sd1, Sd2) each cap is a conditional entropy of Y less
+    and pX2 are `InputPolicy` factors, each with one trailing batch axis of
+    length B, or 1 for a factor the whole batch shares. Y depends on the rest
+    only through (X1, X2, S), so with C = (S, Sd1, Sd2) each cap is a
+    conditional entropy of Y less
     h0 = H(Y | X1, X2, U, C) = sum P(x1, x2, s) H(W(.|x1, x2, s)):
     b1 = H(Y|X2,U,C) - h0, b2 = H(Y|X1,U,C) - h0, b12 = H(Y|U,C) - h0 and
     bsum = H(Y|C) - h0, each clamped at 0. `common_message_bounds` is the
     reference it matches.
     """
-    # q over the batch axes, then u; i,j = x1,x2; a,b,c = delayed1, delayed2,
-    # state; y. Each factor is broadcast onto those axes and multiplied in
-    # one fixed order, so a policy's q does not depend on its batch; factors
-    # made contiguous in that axis order give a C-ordered q to reshape.
-    pU, pX1, pX2 = (np.ascontiguousarray(f) for f in
-                    (np.swapaxes(pU, -1, -2), np.swapaxes(pX1, -1, -2), np.moveaxis(pX2, -1, -3)))
-    q = (states[:, :, :, None]
-         * pU[..., :, None, None, :, None, None, None]
-         * pX1[..., :, :, None, :, None, None, None]
-         * pX2[..., :, None, :, :, :, None, None]
-         * w[:, :, None, None, :, :])
-    batch, ny = q.shape[:-7], q.shape[-1]
-    q = q.reshape(-1, *q.shape[-7:])
-    n = q.shape[0]
-    q_i = q.sum(axis=3)
-    q_u = q_i.sum(axis=2)
+    # q over u; i,j = x1,x2; a,b,c = delayed1, delayed2, state; y; and the
+    # batch last, so every product, sum and log loops over the batch. The
+    # factors multiply in one fixed order and each sum adds its terms in
+    # index order, so a policy's caps do not depend on its batch.
+    q = (states[:, :, :, None, None]
+         * pU.transpose(1, 0, 2)[:, None, None, :, None, None, None]
+         * pX1.swapaxes(1, 2)[:, :, None, :, None, None, None]
+         * pX2.transpose(0, 3, 1, 2, 4)[:, None, :, :, :, None, None]
+         * w[:, :, None, None, :, :, None])
+    q_i = q.sum(axis=2)
+    q_u = q_i.sum(axis=1)
     # Y jointly with (X1,X2,U,C), (X2,U,C), (X1,U,C), (U,C) and C
-    joints = [t.reshape(n, -1, ny) for t in (q, q.sum(axis=2), q_i, q_u, q_u.sum(axis=1))]
-    p_yz = np.concatenate(joints, axis=1)
-    starts = np.cumsum([0] + [t.shape[1] for t in joints[:-1]])
+    joints = [t.reshape(-1, *q.shape[-2:]) for t in (q, q.sum(axis=1), q_i, q_u, q_u.sum(axis=0))]
+    p_yz = np.concatenate(joints)
+    starts = np.cumsum([0] + [len(t) for t in joints[:-1]])
     del q, q_i, q_u, joints  # p_yz holds them all; free them before the logs
-    p_z = p_yz.sum(axis=-1)
-    # -H(Y|Z) per context z: sum_y p(y,z) log p(y,z) - p(z) log p(z)
-    plogp = np.log2(p_yz, out=np.zeros_like(p_yz), where=p_yz > 0)
-    plogp *= p_yz
-    neg_h = plogp.sum(axis=-1)
-    neg_h -= p_z * np.log2(p_z, out=np.zeros_like(p_z), where=p_z > 0)
-    h = -np.add.reduceat(neg_h, starts, axis=1)
-    return np.maximum(h[:, 1:] - h[:, :1], 0.0).T.reshape(4, *batch)
+    # -H(Y|Z) per context z: sum_y p(y,z) log p(y,z) - p(z) log p(z). The y
+    # sums are spelled out: at B = 1 numpy's own sum would run over y as its
+    # inner loop and add 8 or more terms pairwise, in another order.
+    plogp = p_yz * np.log2(np.where(p_yz > 0, p_yz, 1.0))
+    neg_h = sum(plogp[:, 1:].swapaxes(0, 1), plogp[:, 0])
+    p_z = sum(p_yz[:, 1:].swapaxes(0, 1), p_yz[:, 0])
+    neg_h -= p_z * np.log2(np.where(p_z > 0, p_z, 1.0))
+    h = -np.add.reduceat(neg_h, starts)
+    return np.maximum(h[1:] - h[:1], 0.0)
 
 
-def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2: float) -> np.ndarray:
+def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1, mu2) -> np.ndarray:
     """best_weighted_point's value for each column of common-message `caps`,
-    shifted by the link capacities of `conf`.
+    shifted by the link capacities of `conf`; mu1 and mu2 may vary by column.
 
     The region is a box cut by the sum cap, so the optimum fills the rate of
     the heavier weight first and gives the other what the cap leaves.
@@ -259,7 +250,9 @@ def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2
     b1 = caps[0] + conf.c12
     b2 = caps[1] + conf.c21
     cap = np.minimum(caps[2] + conf.c12 + conf.c21, caps[3])
-    (m_hi, b_hi), (m_lo, b_lo) = ((mu1, b1), (mu2, b2)) if mu1 >= mu2 else ((mu2, b2), (mu1, b1))
+    first = mu1 >= mu2
+    m_hi, m_lo = np.where(first, mu1, mu2), np.where(first, mu2, mu1)
+    b_hi, b_lo = np.where(first, b1, b2), np.where(first, b2, b1)
     r_hi = np.minimum(b_hi, cap)
     return m_hi * r_hi + m_lo * np.minimum(b_lo, cap - r_hi)
 
@@ -267,7 +260,7 @@ def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1: float, mu2
 def check_search_size(config: SearchConfig, k: int, channel: DmcChannel) -> int:
     """Raise ValueError, naming the field, unless a search with `config` fits
     a channel with k states: u_size within `InputPolicy`'s ceiling
-    |X1|·|X2|·k³ + 2, and one restart's largest row batch, grid points times
+    |X1|·|X2|·k³ + 2, and one trajectory's largest row batch, grid points times
     q entries per policy, within `_CAPS_BATCH_ELEMENTS`. Returns the q
     entries of that batch."""
     n_u = config.u_size
@@ -287,36 +280,37 @@ def check_search_size(config: SearchConfig, k: int, channel: DmcChannel) -> int:
     return rows * entries
 
 
-def inner_bound_search(
-    chain: MarkovChain,
-    d1: int,
-    d2: int,
-    channel: DmcChannel,
-    conf: ConferencingConfig,
-    config: SearchConfig,
-    joint_states=None,
-) -> SearchResult:
-    """Search quantized input policies for the best weighted rate.
+def search_weighted(
+    chain: MarkovChain, d1: int, d2: int, channel: DmcChannel, conf: ConferencingConfig,
+    configs: list[SearchConfig], joint_states=None,
+) -> list[SearchResult]:
+    """Search quantized input policies for the best weighted rate of each of
+    `configs`, which may differ only in their weights (mu1, mu2).
 
     Coordinate ascent over the conditional rows of the policy on a simplex
-    grid, restarted from seeded random rows; every restart derives its own
-    random stream from (seed, restart index), so results do not depend on
-    execution order. The restarts run in lockstep: at each row step, all grid
-    candidates of that row for every restart still running are scored as one
-    batch from factor-level entropies (`_common_caps`); each restart then
-    accepts its own candidates in grid order when they beat its current value
-    by more than 1e-12, and leaves the lockstep after a pass without
-    improvement. Restarts run in groups whose batch stays within
-    `_CAPS_BATCH_ELEMENTS`. A restart replaces the best one only by the same
-    margin, so the earliest wins ties. The returned value is an inner bound:
-    it is the exact weighted rate of the returned policy, evaluated once more
-    through `conferencing_bounds`, never an extrapolation.
+    grid, restarted from seeded random rows; restart r draws from the stream
+    (seed, r), so results do not depend on execution order. A trajectory is
+    one (direction, restart) pair, and all of them run in lockstep: at each
+    row step, the grid candidates of that row for every trajectory still
+    running are scored as one batch from factor-level entropies
+    (`_common_caps`); each trajectory then accepts its own candidates in grid
+    order when they beat its current value by more than 1e-12, and leaves the
+    lockstep after a pass without improvement. Trajectories run in groups
+    whose batch stays within `_CAPS_BATCH_ELEMENTS`. A restart replaces its
+    direction's best only by the same margin, so the earliest wins ties. Each
+    value is an inner bound: the exact weighted rate of the returned policy,
+    evaluated once more through `conferencing_bounds`.
 
     `joint_states` overrides the state law computed from (chain, d1, d2),
     for surrogate models such as a decoupled first observation.
     """
+    if not configs:
+        return []
+    config = configs[0]
+    if any(replace(c, mu1=config.mu1, mu2=config.mu2) != config for c in configs):
+        raise ValueError("search configs must agree on everything but (mu1, mu2)")
     k = chain.k
-    # restarts per group, so that a row step's batch fits the budget
+    # trajectories per group, so that a row step's batch fits the budget
     group = _CAPS_BATCH_ELEMENTS // check_search_size(config, k, channel)
     dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
     if channel.n_states != k or dsj.k != k:
@@ -328,10 +322,6 @@ def inner_bound_search(
     row_specs = [(name, idx) for name, shape in shapes.items() for idx in np.ndindex(shape[:-1])]
     grids = {shape[-1]: _simplex_grid(shape[-1], config.grid_levels) for shape in shapes.values()}
 
-    def values(batch: dict[str, np.ndarray]) -> np.ndarray:
-        caps = _common_caps(dsj.table, channel.table, **batch)
-        return _weighted_values(caps, conf, config.mu1, config.mu2)
-
     def start(restart: int) -> dict[str, np.ndarray]:
         if restart == 0:
             return {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
@@ -341,43 +331,63 @@ def inner_bound_search(
             policy[name][idx] = rng.dirichlet(np.ones(shapes[name][-1]))
         return policy
 
-    visited = 0
-    best_val = -np.inf
-    best: dict[str, np.ndarray] | None = None
-    for first in range(0, config.restarts, group):
-        starts = [start(r) for r in range(first, min(first + group, config.restarts))]
-        # policies[name][r] is restart first + r's factor; live lists the running ones
-        policies = {name: np.stack([p[name] for p in starts]) for name in shapes}
-        cur = values(policies).tolist()
-        visited += len(cur)
-        live = np.arange(len(cur))
+    # trajectory t runs restart t % n_r of direction t // n_r
+    n_r = config.restarts
+    starts = [start(r) for r in range(n_r)]
+    mus = np.repeat([[c.mu1 for c in configs], [c.mu2 for c in configs]], n_r, axis=1)
+    visited = np.zeros(len(configs) * n_r, dtype=int)
+    best: list = [(-np.inf, None)] * len(configs)
+    for first in range(0, len(visited), group):
+        traj = np.arange(first, min(first + group, len(visited)))
+        # policies[name][..., t] is trajectory traj[t]'s factor; live lists the running ones
+        policies = {name: np.stack([starts[r][name] for r in traj % n_r], -1) for name in shapes}
+
+        def values(batch: dict[str, np.ndarray], cols) -> np.ndarray:
+            caps = _common_caps(dsj.table, channel.table, batch["pU"], batch["pX1"], batch["pX2"])
+            return _weighted_values(caps, conf, *mus[:, traj[cols]])
+
+        cur = values(policies, slice(None)).tolist()
+        visited[traj] += 1
+        live = np.arange(len(traj))
         for _ in range(config.max_passes):
             improved = np.zeros(len(live), dtype=bool)
             for name, idx in row_specs:
                 grid = grids[shapes[name][-1]]
-                # axes (live restart, candidate); only the varied row has candidates
-                batch = {other: arr[live, None] for other, arr in policies.items()}
-                batch[name] = np.repeat(batch[name], len(grid), axis=1)
-                batch[name][(slice(None), slice(None)) + idx] = grid
-                visited += len(live) * len(grid)
-                for pos, (r, vals) in enumerate(zip(live.tolist(), values(batch).tolist())):
+                # columns (live trajectory, candidate); only the varied row has candidates
+                cols = np.repeat(live, len(grid))
+                batch = {other: arr[..., cols] for other, arr in policies.items()}
+                batch[name][idx] = np.tile(grid.T, len(live))
+                visited[traj[live]] += len(grid)
+                vals = values(batch, cols).reshape(len(live), len(grid)).tolist()
+                for pos, (t, row) in enumerate(zip(live.tolist(), vals)):
                     pick = None
-                    for j, val in enumerate(vals):
-                        if val > cur[r] + 1e-12:
-                            cur[r] = val
+                    for j, val in enumerate(row):
+                        if val > cur[t] + 1e-12:
+                            cur[t] = val
                             pick = j
                     if pick is not None:
-                        policies[name][(r,) + idx] = grid[pick]
+                        policies[name][idx][:, t] = grid[pick]
                         improved[pos] = True
             live = live[improved]
             if not len(live):
                 break
-        for r, val in enumerate(cur):
-            if val > best_val + 1e-12:
-                best_val = val
-                best = {name: arr[r].copy() for name, arr in policies.items()}
-    assert best is not None
-    result_policy = InputPolicy(best["pU"], best["pX1"], best["pX2"])
-    bounds = conferencing_bounds(assemble_joint(dsj, result_policy, channel), conf)
-    value, point = best_weighted_point(bounds, config.mu1, config.mu2)
-    return SearchResult(value=value, policy=result_policy, point=point, bounds=bounds, visited=visited)
+        for t, val in enumerate(cur):
+            if val > best[traj[t] // n_r][0] + 1e-12:
+                best[traj[t] // n_r] = (val, InputPolicy(*(policies[n][..., t].copy() for n in shapes)))
+    results = []
+    reports = {}  # a policy's bounds, shared by the directions that end at it
+    for c, (_, policy), n in zip(configs, best, visited.reshape(-1, n_r).sum(axis=1).tolist()):
+        key = b"".join(f.tobytes() for f in (policy.pU, policy.pX1, policy.pX2))
+        if key not in reports:
+            reports[key] = conferencing_bounds(assemble_joint(dsj, policy, channel), conf)
+        value, point = best_weighted_point(reports[key], c.mu1, c.mu2)
+        results.append(SearchResult(value, policy, point, reports[key], visited=n))
+    return results
+
+
+def inner_bound_search(
+    chain: MarkovChain, d1: int, d2: int, channel: DmcChannel, conf: ConferencingConfig,
+    config: SearchConfig, joint_states=None,
+) -> SearchResult:
+    """`search_weighted` for one weight direction."""
+    return search_weighted(chain, d1, d2, channel, conf, [config], joint_states)[0]

@@ -252,6 +252,9 @@ class TestValidate:
         # non-finite budgets and gains
         ("region-gaussian", "gaussian.pbar1", float("inf")),
         ("region-gaussian", "gaussian.gains1", [[float("nan")], [0.1]]),
+        # non-finite weights
+        ("region-discrete", "search.weights", [[float("inf"), 1.0]]),
+        ("region-discrete", "search.weights", [[1.0, 1.0], [1.0, float("-inf")]]),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))

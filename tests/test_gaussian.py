@@ -240,6 +240,12 @@ class TestMaximizeWeightedRate:
         with pytest.raises(ValueError):
             maximize_weighted_rate(scalar_spec(), 0.0, 0.0)
 
+    def test_non_finite_weights_rejected(self):
+        # an infinite weight used to solve to a NaN value
+        for mu1, mu2 in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                solve_weighted(scalar_spec(), [(1.0, 1.0, 0.0, 0.0, 0.0), (mu1, mu2, 0.0, 0.0, 0.0)])
+
     def test_solver_matches_grid_oracle(self):
         # refined dense grid over (gamma1, gamma2) at pinned full power;
         # full power is optimal because every cap is nondecreasing in P

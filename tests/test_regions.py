@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from fsmac import (
     delayed_state_joint,
     inner_bound_search,
     polytope_vertices,
+    search_weighted,
 )
 from fsmac.config import load_config
 from fsmac.markov import DelayedStateJoint
@@ -206,6 +208,16 @@ class TestBestWeightedPoint:
         with pytest.raises(ValueError):
             best_weighted_point(RateBounds(1, 1, 2, 2), 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu1,mu2", [
+        (float("inf"), 1.0), (1.0, float("inf")), (float("nan"), 1.0), (-0.5, 1.0), (0.0, 0.0),
+    ])
+    def test_one_weight_check(self, mu1, mu2):
+        # an infinite weight used to pass and come back as value NaN at (0, 0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            best_weighted_point(RateBounds(1, 1, 2, 2), mu1, mu2)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SearchConfig(mu1=mu1, mu2=mu2)
+
     def test_tie_break_prefers_larger_r1(self):
         value, p = best_weighted_point(RateBounds(1.0, 1.0, 1.0, 1.0), 1.0, 1.0)
         assert value == 1.0
@@ -243,15 +255,16 @@ class TestInnerBoundSearch:
         dsj = delayed_state_joint(single_state(), 0, 0)
         grid = np.linspace(0.0, 1.0, 101)
         rows = np.stack([grid, 1 - grid], axis=-1)
-        pX1 = rows[:, None, None, None, :]  # axes (a, b, u, s, x1)
-        pX2 = rows[None, :, None, None, None, :]  # axes (a, b, u, s, s, x2)
-        caps = _common_caps(dsj.table, chan.table, np.ones((1, 1, 1, 1)), pX1, pX2)
-        values = _weighted_values(caps, conf, 1.0, 1.0)
+        # batch column 101·a + b holds the pair (a, b)
+        pX1 = np.repeat(rows, 101, axis=0).T[None, None]  # axes (u, s, x1, batch)
+        pX2 = np.tile(rows, (101, 1)).T[None, None, None]  # axes (u, s, s, x2, batch)
+        caps = _common_caps(dsj.table, chan.table, np.ones((1, 1, 1)), pX1, pX2)
+        values = _weighted_values(caps, conf, 1.0, 1.0).reshape(101, 101)
         best = values.max()
         picks = [np.unravel_index(values.argmax(), values.shape)]
         picks += [tuple(ab) for ab in np.random.default_rng(0).integers(0, 101, size=(20, 2))]
         for a, b in picks:
-            policy = InputPolicy(np.array([[1.0]]), pX1[a, 0], pX2[0, b])
+            policy = InputPolicy(np.array([[1.0]]), rows[a][None, None], rows[b][None, None, None])
             bounds = conferencing_bounds(assemble_joint(dsj, policy, chan), conf)
             assert abs(best_weighted_point(bounds, 1.0, 1.0)[0] - values[a, b]) <= 1e-12
         assert res.value <= best + 1e-12
@@ -361,14 +374,15 @@ def test_conferencing_config_validation():
 # -- the batched evaluator and search against their per-candidate references --
 
 
-def random_instance(rng, max_k=3, max_u=3):
-    """(state law, channel, u_size) with k states, 1-3 inputs and 2-3 outputs
-    per alphabet, and d1 >= d2; a quarter of the state laws are the decoupled
-    surrogate and half the channels are deterministic (W entries 0 or 1)."""
+def random_instance(rng, max_k=3, max_u=3, max_x=3, max_y=3):
+    """(state law, channel, u_size) with k states, 1 to max_x inputs per
+    alphabet, 2 to max_y outputs, and d1 >= d2; a quarter of the state laws
+    are the decoupled surrogate and half the channels are deterministic (W
+    entries 0 or 1)."""
     k = int(rng.integers(1, max_k + 1))
     n_u = int(rng.integers(1, max_u + 1))
-    nx1, nx2 = (int(v) for v in rng.integers(1, 4, size=2))
-    ny = int(rng.integers(2, 4))
+    nx1, nx2 = (int(v) for v in rng.integers(1, max_x + 1, size=2))
+    ny = int(rng.integers(2, max_y + 1))
     # a floor on every transition keeps the chain primitive
     chain = MarkovChain([f"s{i}" for i in range(k)], 0.9 * rng.dirichlet(np.ones(k), size=k) + 0.1 / k)
     d2 = int(rng.integers(0, 3))
@@ -380,7 +394,8 @@ def random_instance(rng, max_k=3, max_u=3):
         table = np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))]
     else:
         table = rng.dirichlet(np.ones(ny), size=(nx1, nx2, k))
-    return dsj, DmcChannel(table), n_u
+    # InputPolicy's ceiling on |U|; it is at least 3, so only max_u > 3 meets it
+    return dsj, DmcChannel(table), min(n_u, nx1 * nx2 * k**3 + 2)
 
 
 def random_rows(rng, shape, quarter):
@@ -395,27 +410,33 @@ WEIGHTS = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0), (0.0, 1.0), (1.0, 0.0)]
 
 class TestBatchedEvaluator:
     def test_caps_and_values_match_reference(self):
+        # |Y| up to 9 and alphabets up to 4, so some sums add 8 or more terms,
+        # where numpy's own reductions would switch to pairwise summation
         rng = np.random.default_rng(20)
         inf = float("inf")
         for _ in range(200):
-            dsj, chan, n_u = random_instance(rng)
+            dsj, chan, n_u = random_instance(rng, max_u=4, max_x=4, max_y=9)
             k = dsj.k
             shapes = [(k, n_u), (n_u, k, chan.n_x1), (n_u, k, k, chan.n_x2)]
-            factors = [np.stack([random_rows(rng, s, quarter=i % 2 == 1) for i in range(4)])
+            # each factor with its batch axis last
+            factors = [np.stack([random_rows(rng, s, quarter=i % 2 == 1) for i in range(4)], axis=-1)
                        for s in shapes]
-            # the search passes a factor it does not vary with a batch axis of 1
+            # the search passes a factor the batch shares with a batch axis of 1
             shared = int(rng.integers(0, 4))
             if shared < 3:
-                factors[shared] = factors[shared][:1]
+                factors[shared] = factors[shared][..., :1]
             caps = _common_caps(dsj.table, chan.table, *factors)
             assert caps.shape == (4, 4)
-            # the lockstep search's (restart, candidate) axes: same caps, bit for bit
-            square = [f.reshape(((2, 2) if len(f) == 4 else (1, 1)) + f.shape[1:]) for f in factors]
-            assert np.array_equal(_common_caps(dsj.table, chan.table, *square).reshape(4, 4), caps)
+            # a policy's caps, bit for bit, whatever the batch's size and its
+            # position in it: alone, and shuffled among repeats of the others
+            full = [np.broadcast_to(f, f.shape[:-1] + (4,)) for f in factors]
+            for cols in [[i] for i in range(4)] + [list(rng.integers(0, 4, size=int(rng.integers(2, 12))))]:
+                got = _common_caps(dsj.table, chan.table, *(f[..., cols] for f in full))
+                assert np.array_equal(got, caps[:, cols])
             conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.3, inf], size=2)))
             mu1, mu2 = WEIGHTS[rng.integers(0, len(WEIGHTS))]
             for i in range(4):
-                policy = InputPolicy(*(f[min(i, len(f) - 1)] for f in factors))
+                policy = InputPolicy(*(f[..., min(i, f.shape[-1] - 1)] for f in factors))
                 joint = assemble_joint(dsj, policy, chan)
                 ref = common_message_bounds(joint)
                 assert np.abs(caps[:, i] - [ref.b1, ref.b2, ref.b12, ref.bsum]).max() <= 1e-12
@@ -423,6 +444,15 @@ class TestBatchedEvaluator:
                     want = best_weighted_point(conferencing_bounds(joint, c), mu1, mu2)[0]
                     got = _weighted_values(caps[:, i:i + 1], c, mu1, mu2)[0]
                     assert abs(got - want) <= 1e-12
+
+    def test_per_column_weights(self):
+        rng = np.random.default_rng(21)
+        caps = np.sort(rng.uniform(0.0, 2.0, size=(4, 10)), axis=0)
+        mu1, mu2 = np.array(WEIGHTS * 2).T
+        got = _weighted_values(caps, ConferencingConfig(0.2, 0.1), mu1, mu2)
+        for j in range(10):
+            one = _weighted_values(caps[:, j:j + 1], ConferencingConfig(0.2, 0.1), mu1[j], mu2[j])
+            assert got[j] == one[0]
 
 
 def reference_search(chain, d1, d2, channel, conf, config, joint_states=None):
@@ -490,6 +520,13 @@ def assert_same_search(got, want):
         assert np.array_equal(getattr(got.policy, name), getattr(want.policy, name))
 
 
+def assert_same_directions(results, args, configs, joint_states=None):
+    """Each direction of one `search_weighted` call against its own reference search."""
+    assert len(results) == len(configs)
+    for cfg, got in zip(configs, results):
+        assert_same_search(got, reference_search(*args, cfg, joint_states=joint_states))
+
+
 class TestSearchAgainstReference:
     def test_random_instances(self):
         rng = np.random.default_rng(8)
@@ -517,10 +554,11 @@ class TestSearchAgainstReference:
         assert_same_search(inner_bound_search(*args), reference_search(*args))
 
     def test_shipped_region_discrete(self):
+        # every weight direction in one lockstep call, as the runner makes it
         obj = load_config(str(SHIPPED_DISCRETE)).objects
-        for cfg in obj["searches"]:
-            args = (obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"], cfg)
-            assert_same_search(inner_bound_search(*args), reference_search(*args))
+        assert len(obj["searches"]) == 3
+        args = (obj["chain"], obj["d1"], obj["d2"], obj["channel"], obj["conf"])
+        assert_same_directions(search_weighted(*args, obj["searches"]), args, obj["searches"])
 
     def test_restarts_stop_at_different_passes(self):
         chain, chan, conf = two_state(), state_bsc_channel(), ConferencingConfig(0.2, 0.1)
@@ -553,7 +591,7 @@ class TestSearchAgainstReference:
     def test_restart_groups_split_by_the_batch_budget(self, monkeypatch):
         import fsmac.regions as regions
 
-        # one restart's largest row batch: 5 grid points of 2·2·2·2³·2 q entries
+        # one trajectory's largest row batch: 5 grid points of 2·2·2·2³·2 q entries
         monkeypatch.setattr(regions, "_CAPS_BATCH_ELEMENTS", 2 * 5 * 128)
         cfg = SearchConfig(u_size=2, grid_levels=5, restarts=5, seed=3, mu1=1.0, mu2=0.25, max_passes=2)
         args = (two_state(), 2, 1, state_bsc_channel(), ConferencingConfig(0.2, 0.1), cfg)
@@ -561,11 +599,78 @@ class TestSearchAgainstReference:
         caps = regions._common_caps
 
         def counted(states, w, pU, pX1, pX2):
-            calls.append(len(pU))  # restarts in the batch
+            calls.append(pU.shape[-1])  # policies in the batch
             return caps(states, w, pU, pX1, pX2)
 
         monkeypatch.setattr(regions, "_common_caps", counted)
         got = inner_bound_search(*args)
-        # groups of 2, 2 and 1 restarts, each starting with one batch of its starts
-        assert max(calls) == 2 and 1 in calls
+        # groups of 2, 2 and 1 restarts, each starting with one batch of its
+        # starts; a row step scores 5 candidates for each live restart
+        assert [n for n in calls if n % 5] == [2, 2, 1]
+        assert max(calls) == 10
         assert_same_search(got, reference_search(*args))
+
+    def test_groups_split_across_directions(self, monkeypatch):
+        import fsmac.regions as regions
+
+        # 4 trajectories per group: 3 directions × 3 restarts run as
+        # (d0 r0-r2, d1 r0), (d1 r1-r2, d2 r0-r1) and (d2 r2)
+        monkeypatch.setattr(regions, "_CAPS_BATCH_ELEMENTS", 4 * 5 * 128)
+        calls = []
+        caps = regions._common_caps
+
+        def counted(states, w, pU, pX1, pX2):
+            calls.append(pU.shape[-1])
+            return caps(states, w, pU, pX1, pX2)
+
+        monkeypatch.setattr(regions, "_common_caps", counted)
+        configs = [SearchConfig(u_size=2, grid_levels=5, restarts=3, seed=3, mu1=mu1, mu2=mu2,
+                                max_passes=2) for mu1, mu2 in ((1.0, 0.25), (1.0, 1.0), (0.0, 1.0))]
+        args = (two_state(), 2, 1, state_bsc_channel(), ConferencingConfig(0.2, 0.1))
+        results = search_weighted(*args, configs)
+        assert [n for n in calls if n % 5] == [4, 4, 1]
+        monkeypatch.setattr(regions, "_common_caps", caps)
+        assert_same_directions(results, args, configs)
+
+    def test_random_instances_every_direction(self):
+        # 2-5 directions per call, drawn from WEIGHTS with repeats
+        rng = np.random.default_rng(9)
+        seen_repeat = seen_axis = False
+        for _ in range(12):
+            dsj, chan, n_u = random_instance(rng, max_k=2, max_u=2)
+            conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.2, float("inf")], size=2)))
+            weights = [WEIGHTS[i] for i in rng.integers(0, len(WEIGHTS), size=int(rng.integers(2, 6)))]
+            seen_repeat |= len(set(weights)) < len(weights)
+            seen_axis |= any(0.0 in w for w in weights)
+            budget = dict(u_size=n_u, grid_levels=int(rng.integers(2, 5)), restarts=int(rng.integers(1, 4)),
+                          seed=int(rng.integers(0, 100)), max_passes=2)
+            configs = [SearchConfig(mu1=mu1, mu2=mu2, **budget) for mu1, mu2 in weights]
+            args = (dsj.chain, dsj.d1, dsj.d2, chan, conf)
+            assert_same_directions(search_weighted(*args, configs, joint_states=dsj), args, configs, dsj)
+        assert seen_repeat and seen_axis
+
+    def test_edge_instances_in_one_call(self):
+        # Y = X1 + X2 over {0, 1, 2}: one state, d1 = d2, a deterministic
+        # channel and unbounded links, at |U| = 1 and 2; every weight of
+        # WEIGHTS in one call, then a one-weight list
+        t = np.zeros((2, 2, 1, 3))
+        for x1 in range(2):
+            for x2 in range(2):
+                t[x1, x2, 0, x1 + x2] = 1.0
+        inf = float("inf")
+        args = (single_state(), 1, 1, DmcChannel(t), ConferencingConfig(inf, inf))
+        for u_size in (1, 2):
+            configs = [SearchConfig(u_size=u_size, grid_levels=3, restarts=3, seed=7, mu1=mu1, mu2=mu2)
+                       for mu1, mu2 in WEIGHTS]
+            assert_same_directions(search_weighted(*args, configs), args, configs)
+            assert_same_directions(search_weighted(*args, configs[:1]), args, configs[:1])
+
+    def test_configs_must_agree_but_for_weights(self):
+        base = SearchConfig(u_size=1, grid_levels=2, restarts=1, seed=0)
+        args = (two_state(), 1, 0, state_bsc_channel(), ConferencingConfig())
+        for other in (replace(base, seed=1), replace(base, restarts=2), replace(base, u_size=2),
+                      replace(base, grid_levels=3), replace(base, max_passes=2)):
+            with pytest.raises(ValueError, match="agree"):
+                search_weighted(*args, [base, replace(other, mu1=0.5)])
+        assert search_weighted(*args, []) == []
+        assert len(search_weighted(*args, [base, replace(base, mu1=0.0)])) == 2
