@@ -5,7 +5,7 @@ numerical cross-check against the allocation solver."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .gaussian import GaussianMacSpec, SolverConfig, maximize_weighted_rate
 from .markov import MarkovChain
@@ -101,8 +101,8 @@ def correlation_profile_numeric(
     """Solve the symmetric scalar instance (one state, unit gains, equal
     powers) at each SNR and record rho* = sqrt(1 - gamma/P).
 
-    The sum-rate objective is symmetric in the two encoders, so the solver is
-    run with the user-tying option and a single private fraction is read off.
+    The sum-rate objective is symmetric in the two encoders, so the solver
+    ties them to one allocation and a single private fraction is read off.
     """
     base_cfg = config or SolverConfig()
     chain = MarkovChain(["s0"], [[1.0]])
@@ -114,15 +114,7 @@ def correlation_profile_numeric(
         spec = GaussianMacSpec(
             chain, [[1.0]], [[1.0]], p, p, conf, d1=0, d2=0, convention=_CONVENTION
         )
-        cfg = SolverConfig(
-            tolerance=base_cfg.tolerance,
-            iterations=base_cfg.iterations,
-            rounds=base_cfg.rounds,
-            multistarts=base_cfg.multistarts,
-            seed=base_cfg.seed + i,
-            tie_users=True,
-        )
-        res = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        res = maximize_weighted_rate(spec, 1.0, 1.0, replace(base_cfg, seed=base_cfg.seed + i))
         power = res.alloc.P1[0, 0]
         beta = res.alloc.gamma1[0, 0] / power if power > 0 else 0.0
         rhos.append(rho_from_beta(min(max(beta, 0.0), 1.0)))

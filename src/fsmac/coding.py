@@ -35,7 +35,7 @@ MAX_BLOCKLENGTH = 512
 MAX_TRIPLETS = 1 << 16
 _CHUNK_CELL_LIMIT = 8_000_000
 # int64 entries of the bincount kernel's cell array and histogram per chunk
-_BINCOUNT_ELEMENTS = 1 << 18
+_BINCOUNT_ELEMENTS = 1 << 16
 # candidate pairs (m1, m2) per m0 from which the decoder counts cells with
 # matrix products (fixed cost about 0.3 ms per m0) instead of a bincount.
 # Measured crossover at n = 128..512 on a 2-core x86 box (numpy 2.4,

@@ -67,13 +67,6 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _bool(value, where: str) -> bool:
-    # only YAML true/false: the string "false" would be truthy
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{where}' must be true or false, got {value!r}")
-    return value
-
-
 def _float(value, where: str) -> float:
     try:
         out = math.nan if isinstance(value, bool) else float(value)
@@ -157,17 +150,13 @@ def _parse_conferencing(section: dict) -> ConferencingConfig:
 
 def _parse_solver(raw: dict, seed: int) -> SolverConfig:
     section = raw.get("solver", {}) or {}
-    _check_keys(
-        section, {"tolerance", "iterations", "rounds", "multistarts", "tie_users"}, "solver"
-    )
+    _check_keys(section, {"iterations", "rounds", "multistarts"}, "solver")
     budget = {
         name: _int(section.get(name, default), f"solver.{name}")
         for name, default in (("iterations", 400), ("rounds", 10), ("multistarts", 2))
     }
-    tolerance = _float(section.get("tolerance", 1e-9), "solver.tolerance")
-    tie_users = _bool(section.get("tie_users", False), "solver.tie_users")
     try:
-        return SolverConfig(tolerance=tolerance, seed=seed, tie_users=tie_users, **budget)
+        return SolverConfig(seed=seed, **budget)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -302,6 +291,13 @@ def _parse_sweep_correlation(raw: dict, seed: int) -> tuple[dict, dict]:
     if math.isinf(conf.c12) or math.isinf(conf.c21):
         raise ConfigError("sweep-correlation requires finite link capacities")
     snr_db = [_float(v, "snr_db") for v in _items(raw, "snr_db")]
+    for s in snr_db:
+        try:  # the run's power budget, 10^(s/10), must be a finite float
+            finite = math.isfinite(10.0 ** (s / 10.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"'snr_db' entry {s!r}: its linear power is not finite")
     return dict(c12=conf.c12, c21=conf.c21, snr_db=snr_db), {
         "conf": conf, "snr_db": snr_db, "solver": _parse_solver(raw, seed),
     }

@@ -33,6 +33,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _FEAS_SLACK = 1e-9
+# a start still improving by more than this in its last round flags its
+# problem's result as budget-exhausted
+_FLAG_TOL = 1e-9
 
 
 class FeasibilityError(ValueError):
@@ -364,17 +367,13 @@ class SolverConfig:
     """Budget of the multistart projected supergradient ascent.
 
     Each start runs `rounds` sweeps of `iterations` target-level steps, with
-    the target gap shrinking geometrically between sweeps. `tie_users`
-    constrains the two encoders to a shared allocation (single-state
-    symmetric instances only).
+    the target gap shrinking geometrically between sweeps.
     """
 
-    tolerance: float = 1e-9
     iterations: int = 400
     rounds: int = 10
     multistarts: int = 2
     seed: int = 0
-    tie_users: bool = False
 
     def __post_init__(self) -> None:
         # an empty budget would return a start point flagged as converged
@@ -389,7 +388,6 @@ class GaussianSolveResult:
     point: RatePoint
     alloc: Allocation
     flag: str
-    kkt_residual: float
 
 
 @dataclass(frozen=True)
@@ -436,24 +434,28 @@ def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[Gaussi
     the scalar method would: a trajectory whose supergradient vanishes is
     frozen for the rest of its round, and each problem keeps its first
     best start.
+
+    A problem that does not change when the encoders swap (one state, equal
+    budgets and gains, mu1 = mu2) keeps both rows of its trajectories at one
+    shared allocation. Its objective is concave and swap-invariant, so the
+    mean of an optimum and its swap is an optimum: tying loses nothing. Only
+    at k = 1 do the two rows have the same cell layout.
     """
-    if config.tie_users:
-        if spec.k != 1:
-            raise ValueError("tie_users requires a single-state spec")
-        if spec.pbar1 != spec.pbar2:
-            raise ValueError("tie_users requires equal power budgets")
     starts = _starts(spec, config)
     S, D = len(starts), len(problems)
-    _, _, c12, c21, r0s = np.repeat(np.array(problems, dtype=float).T, S, axis=1)
+    mu1s, mu2s, c12, c21, r0s = np.repeat(np.array(problems, dtype=float).T, S, axis=1)
     kern = _Kernel(spec, c12, c21)
+    symmetric = (spec.k == 1 and spec.pbar1 == spec.pbar2
+                 and np.array_equal(spec.gains1, spec.gains2))
+    tied = np.flatnonzero(mu1s == mu2s) if symmetric else []
 
     def project(X):
         X = _budget_project_pair(kern, X)
-        if config.tie_users:
-            X[:, :] = 0.5 * (X[:, 0] + X[:, 1])[:, None]
+        if len(tied):
+            X[tied] = 0.5 * (X[tied, 0] + X[tied, 1])[:, None]
         return X
 
-    X = np.tile(project(kern.pack(starts)), (D, 1, 1))
+    X = project(np.tile(kern.pack(starts), (D, 1, 1)))
     Y = np.repeat(_dual_vertices([p[:2] for p in problems]), S, axis=2)
     loc_v, _ = _lp_value_duals(_bounds_and_grads(kern, X, grads=False)[0], Y, r0s)
     loc_x = X
@@ -475,14 +477,10 @@ def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[Gaussi
             X = np.where(live[:, None, None], project(X + step[:, None, None] * G), X)
         X = loc_x
         gap = gap * 0.4
-        exhausted = loc_v - round_start > config.tolerance
+        exhausted = loc_v - round_start > _FLAG_TOL
     best = np.arange(D) * S + loc_v.reshape(D, S).argmax(axis=1)
     flags = exhausted.reshape(D, S).any(axis=1)
-    # projected-ascent residual: feasible displacement per unit supergradient step
-    b, grad = _bounds_and_grads(kern, loc_x)
-    G = grad(_lp_value_duals(b, Y, r0s)[1])
-    tau = 1e-6 * max(spec.pbar1, spec.pbar2, 1.0)
-    residual = np.abs(_budget_project_pair(kern, loc_x + tau * G) - loc_x).max(axis=(1, 2)) / tau
+    b, _ = _bounds_and_grads(kern, loc_x, grads=False)
     results = []
     for t, flag, (mu1, mu2, _, _, r0) in zip(best, flags, problems):
         b1, b2, b12, bsum = (float(x) for x in b[:, t])
@@ -492,7 +490,6 @@ def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[Gaussi
             point=RatePoint(r0, point.r1, point.r2),
             alloc=kern.allocation(loc_x[t]),
             flag="budget-exhausted" if flag else "converged",
-            kkt_residual=float(residual[t]),
         ))
     return results
 

@@ -1,5 +1,7 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fsmac import (
@@ -11,6 +13,8 @@ from fsmac import (
     snr_critical,
     snr_critical_db,
 )
+from fsmac import asymptotics
+from fsmac.config import load_config
 
 
 class TestSnrCritical:
@@ -128,3 +132,22 @@ class TestNumericProfile:
                 prof = correlation_profile_numeric(c12, c21, snrs, cfg)
                 for a, b in zip(prof.rho, prof.rho[1:]):
                     assert b <= a + 1e-3, (c12, c21, prof.rho)
+
+    def test_shipped_config_allocations_tied(self, monkeypatch):
+        # every SNR point of sweep_correlation.yaml is a symmetric problem:
+        # both encoders get the same cells, bit for bit
+        path = Path(__file__).resolve().parent.parent / "configs" / "sweep_correlation.yaml"
+        obj = load_config(str(path)).objects
+        results = []
+        solve = asymptotics.maximize_weighted_rate
+
+        def recorded(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(asymptotics, "maximize_weighted_rate", recorded)
+        correlation_profile_numeric(obj["conf"].c12, obj["conf"].c21, obj["snr_db"], obj["solver"])
+        assert len(results) == len(obj["snr_db"])
+        for res in results:
+            assert np.array_equal(res.alloc.P1.ravel(), res.alloc.P2.ravel())
+            assert np.array_equal(res.alloc.gamma1.ravel(), res.alloc.gamma2.ravel())

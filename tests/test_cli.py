@@ -255,6 +255,11 @@ class TestValidate:
         # non-finite weights
         ("region-discrete", "search.weights", [[float("inf"), 1.0]]),
         ("region-discrete", "search.weights", [[1.0, 1.0], [1.0, float("-inf")]]),
+        # SNRs whose linear power 10^(s/10) is not a finite float
+        ("sweep-correlation", "snr_db", [float("inf")]),
+        ("sweep-correlation", "snr_db", [4000]),
+        # the solver section holds the budget only
+        ("region-gaussian", "solver.tolerance", 1e-9),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))
