@@ -26,14 +26,23 @@ __all__ = [
 _CONVENTION = "real"
 
 
+def _link_factor(c12: float, c21: float) -> float:
+    """2^(2(c12+c21)), the factor the closed forms share; inf once it
+    overflows a float, which gives their values at unbounded links."""
+    if c12 < 0 or c21 < 0:
+        raise ValueError("link capacities must be nonnegative")
+    try:
+        return 2.0 ** (2.0 * (c12 + c21))
+    except OverflowError:
+        return math.inf
+
+
 def snr_critical(c12: float, c21: float) -> float:
     """Linear SNR below which full correlation (rho = 1) is optimal.
 
     Equals (2^(2(c12+c21)) - 1) / 4; zero when both links are absent.
     """
-    if c12 < 0 or c21 < 0:
-        raise ValueError("link capacities must be nonnegative")
-    return (2.0 ** (2.0 * (c12 + c21)) - 1.0) / 4.0
+    return (_link_factor(c12, c21) - 1.0) / 4.0
 
 
 def snr_critical_db(c12: float, c21: float) -> float:
@@ -47,9 +56,7 @@ def snr_critical_db(c12: float, c21: float) -> float:
 def rho_infinity(c12: float, c21: float) -> float:
     """Optimal correlation in the infinite-SNR limit,
     sqrt(1 - 2 / (2^(2(c12+c21)) + 1)); nondecreasing in c12 + c21."""
-    if c12 < 0 or c21 < 0:
-        raise ValueError("link capacities must be nonnegative")
-    return math.sqrt(1.0 - 2.0 / (2.0 ** (2.0 * (c12 + c21)) + 1.0))
+    return math.sqrt(1.0 - 2.0 / (_link_factor(c12, c21) + 1.0))
 
 
 def beta_star_high_snr(p1: float, p2: float, c12: float, c21: float) -> float:
@@ -60,10 +67,8 @@ def beta_star_high_snr(p1: float, p2: float, c12: float, c21: float) -> float:
     """
     if p1 <= 0 or p2 <= 0:
         raise ValueError("powers must be positive")
-    if c12 < 0 or c21 < 0:
-        raise ValueError("link capacities must be nonnegative")
     num = (math.sqrt(p1) + math.sqrt(p2)) ** 2
-    den = 2.0 ** (2.0 * (c12 + c21)) * (p1 + p2) + 2.0 * math.sqrt(p1 * p2)
+    den = _link_factor(c12, c21) * (p1 + p2) + 2.0 * math.sqrt(p1 * p2)
     # mathematically in (0, 1]; clamp the floating-point residue
     return min(max(num / den, 0.0), 1.0)
 

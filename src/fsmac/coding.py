@@ -34,14 +34,15 @@ __all__ = [
 MAX_BLOCKLENGTH = 512
 MAX_TRIPLETS = 1 << 16
 _CHUNK_CELL_LIMIT = 8_000_000
-# int64 entries of the bincount kernel's cell array and histogram per chunk
+# int64 entries of the cell counter's cell array and histogram per chunk
 _BINCOUNT_ELEMENTS = 1 << 16
-# candidate pairs (m1, m2) per m0 from which the decoder counts cells with
-# matrix products (fixed cost about 0.3 ms per m0) instead of a bincount.
-# Measured crossover at n = 128..512 on a 2-core x86 box (numpy 2.4,
-# OpenBLAS): 64-144 pairs for a per-m0 bincount, 144-256 for one per chunk.
+# candidate pairs (m1, m2) per m0 from which the decoder screens each m0's
+# pairs before it counts them (fixed cost about 0.3 ms per m0) instead of
+# counting every triplet. Set at the crossover measured for group matrix
+# products at n = 128..512 on a 2-core x86 box (numpy 2.4, OpenBLAS):
+# 64-144 pairs for a per-m0 bincount, 144-256 for one per chunk.
 _MATMUL_MIN_PAIRS = 128
-# bytes of gathered bit sets per position chunk in the matmul kernel's screen
+# bytes of gathered bit sets per position chunk in the screen
 _SCREEN_BYTES = 1 << 21
 # survivors x positions up to which the pairs that pass the screen are
 # counted as a list rather than all pairs with matrix products.
@@ -223,15 +224,19 @@ def decode_joint_typicality(
         )
     if n - d1 <= 0:
         return DecodeResult(False, None, 0)
-    # the block view both kernels read: post-delay positions, observed
+    # the block view the decoder reads: post-delay positions, observed
     # states, the context index of (s, sd1, sd2, y) and the pass bounds per
-    # (u, x1, x2) and context
+    # cell (u, context, x1, x2), contiguous so that their flat views are free
     i, sd1, sd2 = _observed(s, d1, d2)
     ctx = ((s[d1:] * k + sd1) * k + sd2) * ny + y[d1:]
-    lo, hi = _pass_bounds(joint.table.reshape(nu, nx1, nx2, -1), n - d1, epsilon)
+    p = joint.table.reshape(nu, nx1, nx2, -1).transpose(0, 3, 1, 2).copy()
+    lo, hi = _pass_bounds(p, n - d1, epsilon)
     M0, M1, M2 = books.sizes
-    kernel = _typical_matmul if M1 * M2 >= _MATMUL_MIN_PAIRS else _typical_bincount
-    typical = kernel(books, i, sd1, sd2, ctx, lo, hi)
+    if M1 * M2 >= _MATMUL_MIN_PAIRS:
+        typical = _typical_screened(books, i, sd1, sd2, ctx, lo, hi)
+    else:
+        grid = np.ix_(np.arange(M0), np.arange(M1), np.arange(M2))
+        typical = _count_cells(books, grid, i, sd1, sd2, ctx, lo, hi)
     ids = np.flatnonzero(typical)
     if len(ids) == 1:
         triplet = tuple(int(m) for m in np.unravel_index(ids[0], typical.shape))
@@ -258,9 +263,50 @@ def _pass_bounds(p, m_eff: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
+def _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
+    """Whether each candidate triplet is typical, over the block view and
+    the (nu, contexts, nx1, nx2) pass bounds built by
+    decode_joint_typicality. cands are three message-index arrays (m0, m1,
+    m2) of one rank that broadcast against each other, such as the np.ix_
+    grid of the books or one m0 with lists of m1 and m2; the mask has their
+    broadcast shape.
+
+    Symbols are gathered per index array: u once per m0, x1 once per
+    (m0, m1) and x2 once per (m0, m2). Each candidate's cells
+    ((u * n_ctx + ctx) * nx1 + x1) * nx2 + x2 are offset by its rank times
+    the number of cells, so that one bincount counts a chunk of the first
+    axis, and the counts are compared with their cells' pass bounds."""
+    nu, n_ctx, nx1, nx2 = lo.shape
+    k, n, n_cells = books.policy.n_states, books.n, lo.size
+    lo, hi = lo.ravel(), hi.ravel()
+    t0, t1, t2 = books.t0.ravel(), books.t1.ravel(), books.t2.ravel()
+    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) and t2
+    # (M2, n, nu, k, k) less the message's and the auxiliary symbol's terms
+    off0 = i * k + sd1
+    base1 = i * (nu * k) + sd1
+    base2 = base1 * k + sd2
+    shape = np.broadcast(*cands).shape
+    typical = np.empty(shape, dtype=bool)
+    step = max(1, _BINCOUNT_ELEMENTS // (math.prod(shape[1:]) * max(len(i), n_cells)))
+    for r in range(0, shape[0], step):
+        # the chunk's rows of each index array, positions on a last axis
+        m0, m1, m2 = (c[r:r + step, ..., None] if len(c) > 1 else c[..., None] for c in cands)
+        # the books' symbols may be bytes: index arithmetic on them is in intp
+        u = t0[m0 * (n * k) + off0].astype(np.intp)
+        x1 = t1[m1 * (n * nu * k) + (u * k + base1)]
+        x2 = t2[m2 * (n * nu * k * k) + (u * (k * k) + base2)]
+        cells = ((u * n_ctx + ctx) * nx1 + x1) * nx2 + x2
+        rows = cells.shape[:-1]
+        n_rows = math.prod(rows)
+        cells += np.arange(0, n_rows * n_cells, n_cells).reshape(*rows, 1)
+        counts = np.bincount(cells.ravel(), minlength=n_rows * n_cells).reshape(n_rows, -1)
+        typical[r:r + step] = ((counts >= lo) & (counts <= hi)).all(axis=1).reshape(rows)
+    return typical
+
+
+def _typical_screened(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     """(M0, M1, M2) mask of the typical candidate triplets, over the block
-    view and the (nu, nx1, nx2, contexts) pass bounds built by
+    view and the (nu, contexts, nx1, nx2) pass bounds built by
     decode_joint_typicality.
 
     For a fixed m0 the auxiliary symbol is fixed at every position, so the
@@ -276,12 +322,12 @@ def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     one with m_eff * (p + epsilon) < 1) rejects any pair that puts one
     position into it, so `_screen` drops such pairs without counting. It
     drops only pairs the test rejects, so the mask is the same as counting
-    every pair. Few survivors are counted as a list (`_count_pairs`); when
+    every pair. Few survivors are counted as a list (`_count_cells`); when
     they are many, or no cell is forbidden, every pair is counted with
     group matrix products (`_count_groups`).
     """
     M0, M1, M2 = books.sizes
-    nu, nx1, nx2, n_ctx = lo.shape
+    nu, n_ctx, nx1, nx2 = lo.shape
     k = books.policy.n_states
     n_groups = nu * n_ctx
     # the books' symbols may be bytes: index arithmetic on them is in intp
@@ -292,10 +338,10 @@ def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     ).reshape(M0, n_groups)
 
     # pass bounds per (group, a, b) and what they imply for whole groups
-    lo, hi = (b.transpose(0, 3, 1, 2).reshape(n_groups, nx1, nx2) for b in (lo, hi))
-    rejects_empty = (lo > 0).any(axis=(1, 2))
+    group_lo, group_hi = lo.reshape(n_groups, nx1, nx2), hi.reshape(n_groups, nx1, nx2)
+    rejects_empty = (group_lo > 0).any(axis=(1, 2))
     live = ~(rejects_empty & (size == 0)).any(axis=1)
-    active = (size > 0) & (rejects_empty | (hi.min(axis=(1, 2)) < size))
+    active = (size > 0) & (rejects_empty | (group_hi.min(axis=(1, 2)) < size))
     typical = np.zeros((M0, M1, M2), dtype=bool)
     typical[live] = True
 
@@ -314,7 +360,7 @@ def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
         order = np.argsort(e, kind="stable")[np.count_nonzero(e < 0):]
         e = e[order]
         pos1, pos2 = off1[m0, order], off2[m0, order]
-        lo_g, hi_g = lo[groups], hi[groups]
+        lo_g, hi_g = group_lo[groups], group_hi[groups]
         forbidden = hi_g[e] <= 0  # (positions, nx1, nx2)
         screened = np.flatnonzero(forbidden.any(axis=(1, 2)))
         if screened.size:
@@ -322,7 +368,8 @@ def _typical_matmul(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
             m1s, m2s = np.divmod(np.flatnonzero(keep), M2)  # 2-D nonzero is 10x slower
             if len(m1s) * len(e) <= _PAIR_LIST_MAX_ENTRIES:
                 typical[m0] = False
-                typical[m0, m1s, m2s] = _count_pairs(t1, t2, m1s, m2s, pos1, pos2, e, lo_g, hi_g)
+                cands = (np.full(1, m0), m1s, m2s)
+                typical[m0, m1s, m2s] = _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi)
                 continue
         typical[m0] = _count_groups(t1, t2, pos1, pos2, e, lo_g, hi_g)
     return typical
@@ -351,27 +398,6 @@ def _screen(forbidden, t1, t2, pos1, pos2) -> np.ndarray:
         picked = bits[j - j0, t1[:, pos1[j]]]  # (M1, positions, bytes)
         np.bitwise_or(rejected, np.bitwise_or.reduce(picked, axis=1), out=rejected)
     return np.unpackbits(rejected, axis=1, count=M2) == 0
-
-
-def _count_pairs(t1, t2, m1s, m2s, pos1, pos2, e, lo, hi) -> np.ndarray:
-    """Whether each pair (m1s[r], m2s[r]) passes the test on its group
-    cells: the bincount kernel's cell indexing, applied to a pair list.
-    t1 and t2 are the books as (M, flat) arrays, pos1 and pos2 the flat
-    offsets of the positions, e their group ranks and lo, hi the (groups,
-    nx1, nx2) pass bounds."""
-    _, nx1, nx2 = lo.shape
-    n_cells = lo.size
-    lo, hi = lo.ravel(), hi.ravel()
-    base = e * (nx1 * nx2)
-    passed = np.empty(len(m1s), dtype=bool)
-    step = max(1, _BINCOUNT_ELEMENTS // max(len(e), n_cells))
-    for r in range(0, len(m1s), step):
-        sl = slice(r, r + step)
-        cells = t1[m1s[sl, None], pos1].astype(np.intp) * nx2 + t2[m2s[sl, None], pos2] + base
-        cells += (np.arange(len(cells)) * n_cells)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=len(cells) * n_cells).reshape(-1, n_cells)
-        passed[sl] = ((counts >= lo) & (counts <= hi)).all(axis=1)
-    return passed
 
 
 def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: int) -> np.ndarray:
@@ -418,41 +444,6 @@ def _count_groups(t1, t2, pos1, pos2, e, lo, hi) -> np.ndarray:
         counts -= half[g]
         passed &= counts.max(axis=(0, 1, 3)) <= 0
     return passed
-
-
-def _typical_bincount(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
-    """(M0, M1, M2) mask of the typical candidate triplets, over the block
-    view and the (nu, nx1, nx2, contexts) pass bounds built by
-    decode_joint_typicality: each candidate's cells ((u * nx1 + x1) * nx2
-    + x2) * n_ctx + ctx, offset by its rank times the number of cells, so
-    that one bincount counts every candidate of a chunk of common messages,
-    and the counts are compared with their cells' pass bounds."""
-    M0, M1, M2 = books.sizes
-    nu, nx1, nx2, n_ctx = lo.shape
-    k = books.policy.n_states
-    m_eff, n_cells, pairs = len(i), lo.size, M1 * M2
-    lo, hi = lo.ravel(), hi.ravel()
-    t0, t1, t2 = (t.reshape(len(t), -1) for t in (books.t0, books.t1, books.t2))
-    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) and t2
-    # (M2, n, nu, k, k) less the auxiliary symbol's term
-    off0 = i * k + sd1
-    base1 = i * (nu * k) + sd1
-    base2 = base1 * k + sd2
-    rank1 = (np.arange(M1) * (M2 * n_cells))[:, None, None, None]
-    rank2 = (np.arange(M2) * n_cells)[:, None, None]
-    typical = np.empty((M0, M1, M2), dtype=bool)
-    step = max(1, _BINCOUNT_ELEMENTS // (pairs * max(m_eff, n_cells)))
-    for m0 in range(0, M0, step):
-        # the books' symbols may be bytes: index arithmetic on them is in intp
-        u = np.take(t0[m0:m0 + step], off0, axis=1).astype(np.intp)  # (chunk, m_eff)
-        x1 = np.take(t1, u * k + base1, axis=1).astype(np.intp)[:, None] * (nx2 * n_ctx) + rank1
-        x2 = np.take(t2, u * (k * k) + base2, axis=1).astype(np.intp) * n_ctx + rank2
-        own = u * (nx1 * nx2 * n_ctx) + ctx
-        own += (np.arange(len(u)) * (pairs * n_cells))[:, None]
-        cells = (x1 + own) + x2  # (M1, M2, chunk, m_eff)
-        counts = np.bincount(cells.ravel(), minlength=len(u) * pairs * n_cells).reshape(-1, n_cells)
-        typical[m0:m0 + step] = ((counts >= lo) & (counts <= hi)).all(axis=1).reshape(-1, M1, M2)
-    return typical
 
 
 @dataclass(frozen=True)

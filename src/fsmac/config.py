@@ -151,9 +151,10 @@ def _parse_conferencing(section: dict) -> ConferencingConfig:
 def _parse_solver(raw: dict, seed: int) -> SolverConfig:
     section = raw.get("solver", {}) or {}
     _check_keys(section, {"iterations", "rounds", "multistarts"}, "solver")
+    # an omitted key keeps the SolverConfig default
     budget = {
-        name: _int(section.get(name, default), f"solver.{name}")
-        for name, default in (("iterations", 400), ("rounds", 10), ("multistarts", 2))
+        name: _int(section[name], f"solver.{name}")
+        for name in ("iterations", "rounds", "multistarts") if name in section
     }
     try:
         return SolverConfig(seed=seed, **budget)
@@ -253,10 +254,10 @@ def _parse_region_discrete(raw: dict, seed: int) -> tuple[dict, dict]:
         isinstance(w, list) and len(w) == 2 for w in weights
     ):
         raise ConfigError("'search.weights' must be a nonempty list of [mu1, mu2] pairs")
+    # an omitted key keeps the SearchConfig default
     budget = {
-        name: _int(search_sec.get(name, default), f"search.{name}")
-        for name, default in (("u_size", 2), ("grid_levels", 3), ("restarts", 3),
-                              ("max_passes", 30))
+        name: _int(search_sec[name], f"search.{name}")
+        for name in ("u_size", "grid_levels", "restarts", "max_passes") if name in search_sec
     }
     mus = [[_float(mu, "search.weights") for mu in w] for w in weights]
     try:

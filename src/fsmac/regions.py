@@ -146,12 +146,11 @@ def polytope_vertices(bounds: RateBounds, mode: str = "conferencing", r0: float 
     return out
 
 
-def best_weighted_point(
-    bounds: RateBounds, mu1: float, mu2: float, mode: str = "conferencing", r0: float = 0.0
-) -> tuple[float, RatePoint]:
-    """Maximize mu1*r1 + mu2*r2 over the region; ties prefer larger (r1, r2)."""
+def best_weighted_point(bounds: RateBounds, mu1: float, mu2: float) -> tuple[float, RatePoint]:
+    """Maximize mu1*r1 + mu2*r2 over the conferencing region of `bounds`;
+    ties prefer larger (r1, r2)."""
     check_weights(mu1, mu2)
-    verts = polytope_vertices(bounds, mode=mode, r0=r0)
+    verts = polytope_vertices(bounds)
     best = max(verts, key=lambda p: (mu1 * p.r1 + mu2 * p.r2, p.r1, p.r2))
     return mu1 * best.r1 + mu2 * best.r2, best
 

@@ -76,6 +76,61 @@ class TestBetaStarHighSnr:
             beta_star_high_snr(0.0, 1.0, 0.1, 0.1)
 
 
+class TestLinksPastTheFloatRange:
+    @pytest.mark.parametrize("c12,c21", [(600.0, 0.0), (300.0, 300.0), (512.0, 0.0)])
+    def test_values_at_unbounded_links(self, c12, c21):
+        # 2^(2(c12 + c21)) overflows a float: the c = inf values, not an error
+        assert snr_critical(c12, c21) == snr_critical(math.inf, 0.0) == math.inf
+        assert snr_critical_db(c12, c21) == math.inf
+        assert rho_infinity(c12, c21) == rho_infinity(math.inf, 0.0) == 1.0
+        assert beta_star_high_snr(2.0, 3.0, c12, c21) == beta_star_high_snr(2.0, 3.0, math.inf, 0.0) == 0.0
+
+    def test_last_finite_factor(self):
+        # c12 + c21 just below 512 keeps the finite closed forms
+        assert math.isfinite(snr_critical(511.9, 0.0))
+        assert rho_infinity(511.9, 0.0) == 1.0
+        with pytest.raises(ValueError):
+            rho_infinity(600.0, -1.0)
+
+
+def _beta_exact(p: float, c: float) -> float:
+    """The exact private fraction of the symmetric scalar instance (one
+    state, unit gains, power p per user, real convention) at total link
+    capacity c: the beta in [0, 1] where c + (1/2)log2(1 + 2 beta p) meets
+    (1/2)log2(1 + 4p - 2 beta p), clipped."""
+    f = 4.0 ** c
+    return min(max((1.0 + 4.0 * p - f) / (2.0 * p * (f + 1.0)), 0.0), 1.0)
+
+
+class TestExactSymmetricOptimum:
+    def test_numeric_profile_matches_exact_rho(self):
+        # sweep_correlation.yaml's links, budget and seed at five of its
+        # SNR points, one below the critical SNR (-4.9 dB at c = 0.6)
+        path = Path(__file__).resolve().parent.parent / "configs" / "sweep_correlation.yaml"
+        cfg = load_config(str(path))
+        conf, solver = cfg.objects["conf"], cfg.objects["solver"]
+        snr_db = [-6.0, 0.0, 10.0, 20.0, 40.0]
+        prof = correlation_profile_numeric(conf.c12, conf.c21, snr_db, solver)
+        c = conf.c12 + conf.c21
+        for s_db, rho in zip(snr_db, prof.rho):
+            exact = math.sqrt(1.0 - _beta_exact(10.0 ** (s_db / 10.0), c))
+            assert abs(rho - exact) <= 1e-5, (s_db, rho, exact)
+        assert prof.rho[0] == 1.0 and _beta_exact(10.0 ** -0.6, c) == 0.0
+
+    @pytest.mark.parametrize("c", [0.0, 0.1, 0.6, 1.0, 2.5])
+    def test_closed_forms_are_its_limits(self, c):
+        crit = snr_critical(c / 2, c / 2)
+        # beta* = 0 exactly when p <= snr_critical
+        for scale in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0):
+            p = crit * scale if crit > 0 else scale
+            if p > 0:
+                assert (_beta_exact(p, c) == 0.0) == (p <= crit), (c, scale)
+        # and its p -> inf limit is rho_infinity
+        rho = math.sqrt(1.0 - _beta_exact(1e12, c))
+        assert abs(rho - rho_infinity(c / 2, c / 2)) <= 1e-9
+        assert abs(_beta_exact(1e12, c) - beta_star_high_snr(1e12, 1e12, c / 2, c / 2)) <= 1e-9
+
+
 class TestRhoFromBeta:
     def test_endpoints(self):
         assert rho_from_beta(0.0) == 1.0

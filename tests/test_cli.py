@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from fsmac import SearchConfig, SolverConfig
 from fsmac.cli import main
 from fsmac.config import KINDS, ConfigError, load_config
 
@@ -274,6 +275,16 @@ class TestValidate:
         assert record["error"] == "ConfigError"
         assert all(part in record["message"] for part in field.split("."))
 
+    def test_omitted_budget_keys_take_the_dataclass_defaults(self, tmp_path):
+        payload = discrete_payload(str(tmp_path))
+        payload["search"] = {"weights": [[1.0, 1.0]]}
+        searches = load_config(write_config(tmp_path, payload)).objects["searches"]
+        assert searches == [SearchConfig(seed=payload["seed"])]
+        payload = gaussian_payload(str(tmp_path))
+        del payload["solver"]
+        solver = load_config(write_config(tmp_path, payload)).objects["solver"]
+        assert solver == SolverConfig(seed=payload["seed"])
+
     def test_sweep_sumrate_echoes_each_delay_case(self, tmp_path, capsys):
         payload = sumrate_payload(str(tmp_path))
         payload["delay_cases"] = [{"d1": 2, "d2": 1}, {"d1": "inf", "d2": 0}]
@@ -423,6 +434,26 @@ class TestOtherKinds:
         rows = read_rows(tmp_path / "asym.csv")
         assert float(rows[1]["snr_critical"]) == 0.75
         assert rows[0]["snr_critical_db"] == "-inf"
+
+    @pytest.mark.parametrize("kind", ["sweep-correlation", "asymptotics"])
+    def test_links_past_the_float_range_run(self, tmp_path, kind):
+        # 2^(2 * 600) overflows a float: the closed forms take their values
+        # at unbounded links instead of raising
+        payload = PAYLOADS[kind](str(tmp_path))
+        if kind == "sweep-correlation":
+            payload["conferencing"] = {"c12": 600, "c21": 0}
+        else:
+            payload["pairs"] = [{"c12": 600, "c21": 0}, {"c12": "inf", "c21": 0}]
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 0
+        assert main([kind, "--config", cfgp, "--no-plots"]) == 0
+        prefix = payload["output"]["prefix"]
+        rows = read_rows(tmp_path / f"{prefix}.csv")
+        if kind == "sweep-correlation":
+            assert all(r["rho_closed_form_if_applicable"] == "1" for r in rows)
+        else:
+            for r in rows:
+                assert (r["snr_critical"], r["snr_critical_db"], r["rho_infinity"]) == ("inf", "inf", "1")
 
     def test_region_discrete_with_policy_dump(self, tmp_path):
         payload = discrete_payload(str(tmp_path))

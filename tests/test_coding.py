@@ -371,24 +371,32 @@ def _random_instance(rng, counts, nu=None, m_eff=None):
 
 
 def _block_view(books, y, s, d1, d2, joint, eps):
-    """The kernels' arguments (i, sd1, sd2, ctx, lo, hi), built as
-    decode_joint_typicality builds them."""
+    """The decoder's arguments (i, sd1, sd2, ctx, lo, hi), the pass bounds
+    per cell (u, context, x1, x2), built as decode_joint_typicality builds
+    them."""
     pol = books.policy
     k, ny = pol.n_states, joint.table.shape[-1]
     i, sd1, sd2 = coding._observed(s, d1, d2)
     ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
-    p = joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1)
+    p = joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1).transpose(0, 3, 1, 2)
     return (i, sd1, sd2, ctx, *coding._pass_bounds(p, len(i), eps))
 
 
+def _grid_mask(books, view):
+    """The cell counter over every candidate triplet, as the decoder runs
+    it below _MATMUL_MIN_PAIRS pairs."""
+    grid = np.ix_(*(np.arange(M) for M in books.sizes))
+    return coding._count_cells(books, grid, *view)
+
+
 class TestDecoderKernels:
-    """The bincount kernel against the brute-force test, and the matmul
-    kernel, which serves large books, against the bincount one."""
+    """The cell counter against the brute-force test, and the screened
+    path, which serves large books, against the counter on the grid."""
 
     @staticmethod
     def _decode_both(monkeypatch, books, y, s, d1, d2, eps, joint):
         results = []
-        for threshold in (0, 1 << 30):  # matmul for every size, then never
+        for threshold in (0, 1 << 30):  # screened for every size, then never
             monkeypatch.setattr(coding, "_MATMUL_MIN_PAIRS", threshold)
             results.append(decode_joint_typicality(books, y, s, d1, d2, eps, joint))
         return results
@@ -408,10 +416,7 @@ class TestDecoderKernels:
             assert fast == ref, (trial, counts, d1, d2, eps)
             if d1 < books.n:
                 view = _block_view(books, y, s, d1, d2, joint, eps)
-                masks = [
-                    kern(books, *view)
-                    for kern in (coding._typical_matmul, coding._typical_bincount)
-                ]
+                masks = [coding._typical_screened(books, *view), _grid_mask(books, view)]
                 assert np.array_equal(*masks), (trial, counts, d1, d2, eps)
             key = "unique" if ref.ok else ("none" if ref.n_typical == 0 else "several")
             outcomes[key] += 1
@@ -426,7 +431,7 @@ class TestDecoderKernels:
 
     @pytest.mark.parametrize("sizes", [(1, 8, 15), (1, 8, 16), (2, 16, 16), (1, 1, 200)])
     def test_both_sides_of_the_size_threshold(self, monkeypatch, sizes):
-        # the default selection uses bincount below 128 pairs, matmul from it
+        # the default selection counts the grid below 128 pairs, screens from it
         rng = np.random.default_rng(sum(sizes))
         for _ in range(4):
             books, y, s, d1, d2, joint = _random_instance(rng, sizes)
@@ -435,23 +440,34 @@ class TestDecoderKernels:
             assert default == fast == ref
 
     def test_bincount_mask_matches_brute_force(self, monkeypatch):
+        # the cell counter on the grid of every triplet and on candidate
+        # lists, unsorted and with repeats: one m0 with lists of m1 and m2,
+        # as the screened path passes its survivors, and lists of triplets
         rng = np.random.default_rng(31)
         default = coding._BINCOUNT_ELEMENTS
         mixed = 0
         for trial in range(36):
-            counts = (int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            M0 = 1 if trial % 3 == 0 else int(rng.integers(2, 6))
+            counts = (M0, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             m_eff = 1 if trial % 4 == 0 else None  # d1 = n - 1: one decoded position
             books, y, s, d1, d2, joint = _random_instance(rng, counts, nu=2, m_eff=m_eff)
             eps = float(rng.choice([0.05, 0.15, 0.3, 0.6]))
             view = _block_view(books, y, s, d1, d2, joint, eps)
+            ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+            length = 1 if trial % 2 else int(rng.integers(2, 3 * ref.size))
+            m0 = np.full(1, rng.integers(M0))
+            m1s, m2s = (rng.integers(M, size=length) for M in counts[1:])
+            triplets = tuple(rng.integers(M, size=length) for M in counts)
             # one chunk of common messages, then chunks of one, then of two
             n_cells = joint.table.size
             per_m0 = counts[1] * counts[2] * max(len(view[0]), n_cells)
             for budget in (default, 1, 2 * per_m0):
                 monkeypatch.setattr(coding, "_BINCOUNT_ELEMENTS", budget)
-                mask = coding._typical_bincount(books, *view)
-                ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
-                assert np.array_equal(mask, ref), (trial, counts, d1, d2, eps, budget)
+                key = (trial, counts, d1, d2, eps, length, budget)
+                assert np.array_equal(_grid_mask(books, view), ref), key
+                survivors = coding._count_cells(books, (m0, m1s, m2s), *view)
+                assert np.array_equal(survivors, ref[m0, m1s, m2s]), key
+                assert np.array_equal(coding._count_cells(books, triplets, *view), ref[triplets]), key
             mixed += 0 < ref.sum() < ref.size
         assert mixed >= 8
 
@@ -479,8 +495,8 @@ class TestDecoderKernels:
     def test_symbol_arithmetic_past_one_byte(self, monkeypatch, counts):
         # |U| = k = 3 and |Y| = 5: 135 contexts, so the group and cell
         # indices (u * 135 + ctx, ...) exceed 255 while the books hold bytes;
-        # 12 pairs take the bincount kernel, 144 the matmul one, whose pairs
-        # are counted as a list and then with products
+        # 12 pairs are counted on the grid, 144 are screened, and their
+        # survivors counted as a list and then every pair with products
         k, nu, nx1, nx2, ny = 3, 3, 2, 2, 5
         n, d1, d2, eps = 24, 1, 0, 0.15
         for seed in range(4):
@@ -504,15 +520,15 @@ class TestDecoderKernels:
             ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
             assert ref[sent], seed  # noiseless: the sent triplet is typical
             if counts[1] * counts[2] < coding._MATMUL_MIN_PAIRS:
-                assert np.array_equal(coding._typical_bincount(books, *view), ref), seed
+                assert np.array_equal(_grid_mask(books, view), ref), seed
             else:
                 for entries in (1 << 30, 0):  # a pair list, then products
                     monkeypatch.setattr(coding, "_PAIR_LIST_MAX_ENTRIES", entries)
-                    assert np.array_equal(coding._typical_matmul(books, *view), ref), seed
+                    assert np.array_equal(coding._typical_screened(books, *view), ref), seed
                 monkeypatch.undo()
             assert decode_joint_typicality(books, y, s, d1, d2, eps, joint) == _decode_result(ref)
 
-    # instances for the matmul kernel's screen, M1 * M2 >= 128, with
+    # instances for the screened path, M1 * M2 >= 128, with
     # uniform inputs: (chain, channel, nu, counts, n, d1, d2, epsilon)
     PARITY, BSC = gated_parity_channel(), xor_bsc_channel(2, (0.1, 0.4))
     SCREENED = {
@@ -556,7 +572,7 @@ class TestDecoderKernels:
         keeps = []
         for m0 in range(M0):
             u = books.t0[m0, i, sd1]
-            forbidden = hi[u, :, :, ctx] <= 0  # (positions, nx1, nx2)
+            forbidden = hi[u, ctx] <= 0  # (positions, nx1, nx2)
             x1 = np.array([encode(books, m0, m1, 0, s, d1, d2)[0][d1:] for m1 in range(M1)])
             x2 = np.array([encode(books, m0, 0, m2, s, d1, d2)[1][d1:] for m2 in range(M2)])
             hit = forbidden[np.arange(len(i)), x1[:, None, :], x2[None, :, :]].any(axis=-1)
@@ -573,11 +589,11 @@ class TestDecoderKernels:
         chain, channel, nu, counts, n, d1, d2, eps = self.SCREENED[case]
         policy = uniform_policy(2, nu=nu)
         calls = {"pairs": 0, "groups": 0}
-        count_pairs, count_groups = coding._count_pairs, coding._count_groups
+        count_cells, count_groups = coding._count_cells, coding._count_groups
 
-        def pairs(t1, t2, m1s, *args):
-            calls["pairs"] += len(m1s) > 0
-            return count_pairs(t1, t2, m1s, *args)
+        def pairs(books, cands, *args):
+            calls["pairs"] += cands[1].size > 0
+            return count_cells(books, cands, *args)
 
         def groups(t1, t2, *args):
             calls["groups"] += 1
@@ -590,17 +606,17 @@ class TestDecoderKernels:
             keeps, view = self._screen_per_m0(monkeypatch, books, y, s, d1, d2, joint, eps)
             # the screen never drops a pair the stated test accepts
             assert not (ref & ~keeps).any(), (case, seed)
-            assert np.array_equal(coding._typical_bincount(books, *view), ref), (case, seed)
+            assert np.array_equal(_grid_mask(books, view), ref), (case, seed)
             # the survivors counted as a list, then every pair with
             # products, then in chunks of one pair and one position
             for entries, budget in ((1 << 30, None), (0, None), (1 << 30, 1)):
-                monkeypatch.setattr(coding, "_count_pairs", pairs)
+                monkeypatch.setattr(coding, "_count_cells", pairs)
                 monkeypatch.setattr(coding, "_count_groups", groups)
                 monkeypatch.setattr(coding, "_PAIR_LIST_MAX_ENTRIES", entries)
                 if budget:
                     monkeypatch.setattr(coding, "_BINCOUNT_ELEMENTS", budget)
                     monkeypatch.setattr(coding, "_SCREEN_BYTES", budget)
-                mask = coding._typical_matmul(books, *view)
+                mask = coding._typical_screened(books, *view)
                 monkeypatch.undo()
                 assert np.array_equal(mask, ref), (case, seed, entries, budget)
             assert decode_joint_typicality(books, y, s, d1, d2, eps, joint) == _decode_result(ref)
@@ -760,8 +776,8 @@ class TestSamplersAgainstOracles:
 
     def test_large_alphabets(self):
         # 256 symbols of X1 still fit one byte, 257 take two; both through
-        # both kernels (the matmul one counts a pair list here), against the
-        # stated test: a symbol times |X2| passes 255
+        # the grid count and the screened path (which counts a pair list
+        # here), against the stated test: a symbol times |X2| passes 255
         rng = np.random.default_rng(4)
         chain, n, sent, d1, d2, eps = two_state(), 40, (0, 2, 1), 1, 1, 0.2
         for nx, dtype in ((256, np.uint8), (257, np.uint16)):
@@ -784,8 +800,8 @@ class TestSamplersAgainstOracles:
             ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
             assert ref[sent], nx
             view = _block_view(books, y, s, d1, d2, joint, eps)
-            for kernel in (coding._typical_bincount, coding._typical_matmul):
-                assert np.array_equal(kernel(books, *view), ref), (nx, kernel)
+            assert np.array_equal(_grid_mask(books, view), ref), nx
+            assert np.array_equal(coding._typical_screened(books, *view), ref), nx
 
 
 def _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, seed, draw):
