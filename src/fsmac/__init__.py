@@ -42,7 +42,6 @@ from .gaussian import (
     TracePoint,
     check_gaussian_markov,
     common_message_bounds_gaussian,
-    common_message_region_gaussian,
     feasible,
     maximize_weighted_rate,
     rate_bounds_gaussian,
@@ -54,6 +53,7 @@ from .asymptotics import (
     beta_star_high_snr,
     correlation_profile_numeric,
     rho_from_beta,
+    rho_star,
     rho_infinity,
     snr_critical,
     snr_critical_db,

@@ -1,11 +1,11 @@
-"""Closed-form single-state scalar analyses: the critical SNR below which the
-optimal input correlation is 1, the infinite-SNR correlation limit, and their
-numerical cross-check against the allocation solver."""
+"""Closed-form single-state scalar analyses: the exact optimal input
+correlation, the critical SNR below which it is 1, its infinite-SNR limit,
+and the numerical cross-check against the allocation solver."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .gaussian import GaussianMacSpec, SolverConfig, maximize_weighted_rate
 from .markov import MarkovChain
@@ -17,6 +17,7 @@ __all__ = [
     "rho_infinity",
     "beta_star_high_snr",
     "rho_from_beta",
+    "rho_star",
     "CorrelationProfile",
     "correlation_profile_numeric",
 ]
@@ -80,6 +81,24 @@ def rho_from_beta(beta: float) -> float:
     return math.sqrt(1.0 - beta)
 
 
+def rho_star(snr: float, c12: float, c21: float) -> float:
+    """Exact optimal correlation of the symmetric scalar instance (one state,
+    unit gains, power P = snr per user, real convention), c = c12 + c21.
+
+    The sum rate is the maximum over beta in [0, 1] of min(c + (1/2)log2(1 +
+    2 beta P), (1/2)log2(1 + 4P - 2 beta P)), met where the rising first term
+    crosses the falling second: beta* = min(2(P - P_crit) / (P(2^(2c) + 1)), 1)
+    above P_crit = snr_critical(c12, c21), and rho* = sqrt(1 - beta*); rho* = 1
+    up to P_crit, and tends to rho_infinity(c12, c21) as P grows.
+    """
+    if not snr >= 0:
+        raise ValueError(f"snr must be nonnegative, got {snr}")
+    crit = snr_critical(c12, c21)
+    if snr <= crit:
+        return 1.0
+    return rho_from_beta(min(2.0 * (snr - crit) / (snr * (_link_factor(c12, c21) + 1.0)), 1.0))
+
+
 @dataclass
 class CorrelationProfile:
     """Numerically optimal correlation as a function of SNR at fixed links."""
@@ -88,7 +107,6 @@ class CorrelationProfile:
     rho: list[float]
     c12: float
     c21: float
-    flags: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.snr_db) != len(self.rho):
@@ -108,12 +126,13 @@ def correlation_profile_numeric(
 
     The sum-rate objective is symmetric in the two encoders, so the solver
     ties them to one allocation and a single private fraction is read off.
+    `rho_star` is the exact value; this profile is the solver's check
+    against it.
     """
     base_cfg = config or SolverConfig()
     chain = MarkovChain(["s0"], [[1.0]])
     conf = ConferencingConfig(c12, c21)
     rhos: list[float] = []
-    flags: list[str] = []
     for i, s_db in enumerate(snr_db):
         p = 10.0 ** (s_db / 10.0)
         spec = GaussianMacSpec(
@@ -123,5 +142,4 @@ def correlation_profile_numeric(
         power = res.alloc.P1[0, 0]
         beta = res.alloc.gamma1[0, 0] / power if power > 0 else 0.0
         rhos.append(rho_from_beta(min(max(beta, 0.0), 1.0)))
-        flags.append(res.flag)
-    return CorrelationProfile(list(snr_db), rhos, c12, c21, flags)
+    return CorrelationProfile(list(snr_db), rhos, c12, c21)

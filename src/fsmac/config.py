@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .gaussian import GaussianMacSpec, SolverConfig
 from .markov import MarkovChain, mixing_horizon
-from .pmf import DmcChannel, InputPolicy
+from .pmf import DmcChannel, InputPolicy, check_compatible
 from .regions import ConferencingConfig, SearchConfig, check_search_size
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "KINDS"]
@@ -299,9 +299,7 @@ def _parse_sweep_correlation(raw: dict, seed: int) -> tuple[dict, dict]:
             finite = False
         if not finite:
             raise ConfigError(f"'snr_db' entry {s!r}: its linear power is not finite")
-    return dict(c12=conf.c12, c21=conf.c21, snr_db=snr_db), {
-        "conf": conf, "snr_db": snr_db, "solver": _parse_solver(raw, seed),
-    }
+    return dict(c12=conf.c12, c21=conf.c21, snr_db=snr_db), {"conf": conf, "snr_db": snr_db}
 
 
 def _parse_simulate(raw: dict, seed: int) -> tuple[dict, dict]:
@@ -309,6 +307,10 @@ def _parse_simulate(raw: dict, seed: int) -> tuple[dict, dict]:
     d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
     channel = _parse_channel(_require(raw, "channel", "top level"))
     policy = _parse_policy(_require(raw, "policy", "top level"))
+    try:
+        check_compatible(chain.k, policy, channel)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rates_sec = _require(raw, "rates", "top level")
     _check_keys(rates_sec, {"r0", "r1", "r2"}, "rates")
     sim_sec = _require(raw, "sim", "top level")
@@ -375,7 +377,7 @@ KINDS = {
                             _parse_region_discrete, run_region_discrete),
     "sweep-sumrate": Kind({"chain", "gaussian", "delay_cases", "c_list", "solver"},
                           _parse_sweep_sumrate, run_sweep_sumrate),
-    "sweep-correlation": Kind({"conferencing", "snr_db", "solver"},
+    "sweep-correlation": Kind({"conferencing", "snr_db"},
                               _parse_sweep_correlation, run_sweep_correlation),
     "simulate": Kind({"chain", "delays", "channel", "policy", "rates", "conferencing", "sim"},
                      _parse_simulate, run_simulate),
@@ -398,6 +400,8 @@ def load_config(path: str, seed_override: int | None = None, out_override: str |
     if seed_override is not None:
         seed = seed_override
     seed = _int(seed, "seed")
+    if seed < 0:  # numpy's seed sequences take nonnegative entropy only
+        raise ConfigError(f"'seed' must be nonnegative, got {seed}")
 
     output = raw.get("output", {}) or {}
     _check_keys(output, {"dir", "prefix"}, "output")

@@ -15,12 +15,7 @@ from typing import TYPE_CHECKING
 
 import yaml
 
-from .asymptotics import (
-    correlation_profile_numeric,
-    rho_infinity,
-    snr_critical,
-    snr_critical_db,
-)
+from .asymptotics import rho_infinity, rho_star, snr_critical, snr_critical_db
 from .coding import conferencing_error_rate, estimate_error_rate
 from .gaussian import _non_dominated, _thetas, solve_weighted
 from .gaussian import maximize_weighted_rate, trace_boundary  # noqa: F401 (perfbench wraps)
@@ -177,21 +172,16 @@ def run_sweep_sumrate(cfg: ExperimentConfig) -> Computed:
 
 
 def run_sweep_correlation(cfg: ExperimentConfig) -> Computed:
-    obj = cfg.objects
-    conf = obj["conf"]
-    prof = correlation_profile_numeric(conf.c12, conf.c21, obj["snr_db"], obj["solver"])
+    conf, snr_db = cfg.objects["conf"], cfg.objects["snr_db"]
+    rhos = [rho_star(10.0 ** (s / 10.0), conf.c12, conf.c21) for s in snr_db]
     crit = snr_critical(conf.c12, conf.c21)
     crit_db = snr_critical_db(conf.c12, conf.c21)
     rho_inf = rho_infinity(conf.c12, conf.c21)
-    rows = []
-    for s_db, rho, flag in zip(prof.snr_db, prof.rho, prof.flags):
-        closed = 1.0 if 10.0 ** (s_db / 10.0) <= crit else ""
-        rows.append([s_db, rho, closed, flag])
     return Computed(
-        ["snr_db", "rho_numeric", "rho_closed_form_if_applicable", "flag"],
-        rows,
+        ["snr_db", "rho"],
+        [[s, rho] for s, rho in zip(snr_db, rhos)],
         plot=dict(
-            series=[Series(prof.snr_db, prof.rho, label="numeric", marker=True)],
+            series=[Series(snr_db, rhos, label="exact", marker=True)],
             title=f"Correlation vs SNR (c12={conf.c12}, c21={conf.c21})",
             xlabel="SNR [dB]", ylabel="correlation",
             vlines=[(crit_db, "critical SNR")] if math.isfinite(crit_db) else [],

@@ -26,7 +26,6 @@ __all__ = [
     "maximize_weighted_rate",
     "solve_weighted",
     "trace_boundary",
-    "common_message_region_gaussian",
     "GaussianTripleCovariance",
     "check_gaussian_markov",
 ]
@@ -136,9 +135,6 @@ class Allocation:
             np.zeros((k, n_sub)), np.zeros((k, n_sub)),
             np.zeros((k, k, n_sub)), np.zeros((k, k, n_sub)),
         )
-
-    def copy(self) -> "Allocation":
-        return Allocation(self.P1.copy(), self.gamma1.copy(), self.P2.copy(), self.gamma2.copy())
 
 
 @dataclass(frozen=True)
@@ -526,23 +522,11 @@ def maximize_weighted_rate(
 def trace_boundary(
     spec: GaussianMacSpec, n_directions: int, config: SolverConfig | None = None
 ) -> list[TracePoint]:
-    """Sweep weight directions over the open quarter circle and keep the
-    mutually non-dominated achieved points."""
-    return _trace(spec, n_directions, config, spec.conf.c12, spec.conf.c21, 0.0)
-
-
-def common_message_region_gaussian(
-    spec: GaussianMacSpec,
-    n_directions: int,
-    config: SolverConfig | None = None,
-    r0: float = 0.0,
-) -> list[TracePoint]:
-    """Boundary of the (r1, r2) slice of the common-message region at rate r0.
-
-    Same machinery as the conferencing trace with the link offsets removed
-    and the total cap reduced by r0.
-    """
-    return _trace(spec, n_directions, config, 0.0, 0.0, r0)
+    """Sweep weight directions over the open quarter circle, all of them in
+    one batched solve, and keep the mutually non-dominated achieved points."""
+    thetas = _thetas(n_directions)
+    problems = [(math.cos(t), math.sin(t), spec.conf.c12, spec.conf.c21, 0.0) for t in thetas]
+    return _non_dominated(thetas, solve_weighted(spec, problems, config))
 
 
 def _thetas(n_directions: int) -> list[float]:
@@ -550,13 +534,6 @@ def _thetas(n_directions: int) -> list[float]:
     if n_directions < 2:
         raise ValueError("n_directions must be >= 2")
     return [(j + 1) * (math.pi / 2) / (n_directions + 1) for j in range(n_directions)]
-
-
-def _trace(spec, n_directions, config, c12, c21, r0) -> list[TracePoint]:
-    """All directions of a trace as one batched solve."""
-    thetas = _thetas(n_directions)
-    problems = [(math.cos(t), math.sin(t), c12, c21, r0) for t in thetas]
-    return _non_dominated(thetas, solve_weighted(spec, problems, config))
 
 
 def _non_dominated(thetas, results) -> list[TracePoint]:

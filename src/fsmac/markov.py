@@ -39,24 +39,20 @@ class MarkovChain:
             raise ValueError("state labels must be unique")
         if K.shape != (k, k):
             raise ValueError(f"transition matrix must be {k}x{k}, got {K.shape}")
-        if np.any(K < 0):
-            raise ValueError("transition probabilities must be nonnegative")
+        if not np.all(K >= 0):  # written so that NaN fails it too
+            raise ValueError("transition probabilities must be nonnegative numbers")
         row_err = np.abs(K.sum(axis=1) - 1.0).max()
-        if row_err > _ROW_SUM_TOL:
+        if not row_err <= _ROW_SUM_TOL:
             raise ValueError(f"rows of K must sum to 1 (max deviation {row_err:.3e})")
         if not _is_primitive(K):
             raise ValueError("chain must be irreducible and aperiodic")
         self.states = states
         self.K = K
-        self._index = {s: i for i, s in enumerate(states)}
         self._pi: np.ndarray | None = None
 
     @property
     def k(self) -> int:
         return len(self.states)
-
-    def index(self, label: str) -> int:
-        return self._index[label]
 
     @property
     def pi(self) -> np.ndarray:
@@ -68,16 +64,14 @@ class MarkovChain:
         return f"MarkovChain(states={self.states!r}, k={self.k})"
 
 
-def _is_primitive(K: np.ndarray, max_power: int | None = None) -> bool:
+def _is_primitive(K: np.ndarray) -> bool:
     """Whether some power of K up to k^2 has all entries strictly positive."""
     k = K.shape[0]
-    if max_power is None:
-        max_power = k * k
     reach = K > 0
     if reach.all():
         return True
     step = K > 0
-    for _ in range(max_power - 1):
+    for _ in range(k * k - 1):
         reach = reach @ step
         if reach.all():
             return True
@@ -119,15 +113,15 @@ class DelayedStateJoint:
         k = chain.k
         if table.shape != (k, k, k):
             raise ValueError(f"table must be {k}x{k}x{k}, got {table.shape}")
-        if np.any(table < 0):
-            raise ValueError("joint probabilities must be nonnegative")
+        if not np.all(table >= 0):
+            raise ValueError("joint probabilities must be nonnegative numbers")
         total = table.sum()
-        if abs(total - 1.0) > _ROW_SUM_TOL:
+        if not abs(total - 1.0) <= _ROW_SUM_TOL:
             raise ValueError(f"joint table must sum to 1 (got {total!r})")
         pi = chain.pi
-        if np.abs(table.sum(axis=(1, 2)) - pi).max() > _ROW_SUM_TOL:
+        if not np.abs(table.sum(axis=(1, 2)) - pi).max() <= _ROW_SUM_TOL:
             raise ValueError("marginal of the encoder-1 state must equal the stationary law")
-        if np.abs(table.sum(axis=(0, 1)) - pi).max() > _ROW_SUM_TOL:
+        if not np.abs(table.sum(axis=(0, 1)) - pi).max() <= _ROW_SUM_TOL:
             raise ValueError("marginal of the current state must equal the stationary law")
         self.chain = chain
         self.d1 = int(d1)

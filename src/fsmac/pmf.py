@@ -14,6 +14,7 @@ __all__ = [
     "InputPolicy",
     "DmcChannel",
     "JOINT_VARIABLES",
+    "check_compatible",
     "assemble_joint",
     "conditional_mutual_information",
 ]
@@ -36,10 +37,10 @@ class JointPmf:
             raise ValueError(
                 f"table has {table.ndim} axes but {len(variables)} variables were named"
             )
-        if np.any(table < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.all(table >= 0):  # written so that NaN fails it too
+            raise ValueError("probabilities must be nonnegative numbers")
         total = table.sum()
-        if abs(total - 1.0) > _PMF_TOL:
+        if not abs(total - 1.0) <= _PMF_TOL:
             raise ValueError(f"joint table must sum to 1 (got {total!r})")
         self.variables = variables
         self.table = table
@@ -65,10 +66,10 @@ def _validate_conditional(table: np.ndarray, name: str, cond_axes: int) -> None:
     """Each slice of the trailing axis, indexed by the leading axes, sums to 1."""
     if table.ndim != cond_axes + 1:
         raise ValueError(f"{name} must have {cond_axes + 1} axes, got {table.ndim}")
-    if np.any(table < 0):
-        raise ValueError(f"{name} has negative entries")
+    if not np.all(table >= 0):  # written so that NaN fails it too
+        raise ValueError(f"{name} entries must be nonnegative numbers")
     sums = table.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > _PMF_TOL
+    bad = ~(np.abs(sums - 1.0) <= _PMF_TOL)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"{name} slice {idx} sums to {sums[idx]!r}, expected 1")
@@ -82,7 +83,7 @@ class InputPolicy:
     pX2[u, a, b, x] P(x2 | u, delayed state 1 = a, delayed state 2 = b)
     """
 
-    def __init__(self, pU, pX1, pX2, max_aux_factor: int | None = None) -> None:
+    def __init__(self, pU, pX1, pX2) -> None:
         pU = np.asarray(pU, dtype=float)
         pX1 = np.asarray(pX1, dtype=float)
         pX2 = np.asarray(pX2, dtype=float)
@@ -147,6 +148,18 @@ class DmcChannel:
         return self.table.shape[3]
 
 
+def check_compatible(k: int, policy: InputPolicy, channel: DmcChannel) -> None:
+    """Raise ValueError unless the policy and the channel both have the
+    chain's k states and agree on the two input alphabets."""
+    if policy.n_states != k:
+        raise ValueError(f"policy has {policy.n_states} states, the chain {k}")
+    if channel.n_states != k:
+        raise ValueError(f"channel table has {channel.n_states} states, the chain {k}")
+    if (policy.n_x1, policy.n_x2) != (channel.n_x1, channel.n_x2):
+        raise ValueError(f"policy pX1, pX2 have {policy.n_x1}, {policy.n_x2} input symbols, "
+                         f"the channel table {channel.n_x1}, {channel.n_x2}")
+
+
 def assemble_joint(
     joint_states: DelayedStateJoint, policy: InputPolicy, channel: DmcChannel
 ) -> JointPmf:
@@ -154,15 +167,7 @@ def assemble_joint(
 
     P(u,x1,x2,s,a,b,y) = P(a,b,s) P(u|a) P(x1|u,a) P(x2|u,a,b) P(y|x1,x2,s).
     """
-    k = joint_states.k
-    if policy.n_states != k:
-        raise ValueError(f"policy state count {policy.n_states} != chain state count {k}")
-    if channel.n_states != k:
-        raise ValueError(f"channel state count {channel.n_states} != chain state count {k}")
-    if channel.n_x1 != policy.n_x1:
-        raise ValueError("X1 alphabet size differs between policy and channel")
-    if channel.n_x2 != policy.n_x2:
-        raise ValueError("X2 alphabet size differs between policy and channel")
+    check_compatible(joint_states.k, policy, channel)
     # indices: a,b,c = delayed1, delayed2, state; u; i,j = x1,x2; y
     table = np.einsum(
         "abc,au,uai,uabj,ijcy->uijcaby",

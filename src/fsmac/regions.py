@@ -59,9 +59,9 @@ class RateBounds:
         if math.isfinite(self.b1) and math.isfinite(self.b2) and self.b12 > self.b1 + self.b2 + 1e-9:
             raise ValueError("b12 exceeds b1 + b2; bounds are not from a single joint law")
 
-    def sum_cap(self, r0: float = 0.0) -> float:
-        """Effective cap on r1 + r2 once a total rate r0 is reserved."""
-        return min(self.b12, max(self.bsum - r0, 0.0))
+    def sum_cap(self) -> float:
+        """Effective cap on r1 + r2."""
+        return min(self.b12, self.bsum)
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,15 @@ def conferencing_bounds(joint: JointPmf, conf: ConferencingConfig) -> RateBounds
     )
 
 
-def polytope_vertices(bounds: RateBounds, mode: str = "conferencing", r0: float = 0.0) -> list[RatePoint]:
+def polytope_vertices(bounds: RateBounds) -> list[RatePoint]:
     """Vertices of the (r1, r2) region, counterclockwise from the origin.
 
-    The region is {r >= 0, r1 <= b1, r2 <= b2, r1 + r2 <= cap} with
-    cap = min(b12, bsum) in conferencing mode and min(b12, bsum - r0) for a
-    common-message slice at total rate r0. Duplicate vertices within 1e-12
-    are removed; a degenerate region collapses to the origin alone.
+    The region is {r >= 0, r1 <= b1, r2 <= b2, r1 + r2 <= min(b12, bsum)}; a
+    common-message slice at total rate r0 is the region of bounds whose bsum
+    is lowered by r0. Duplicate vertices within 1e-12 are removed; a
+    degenerate region collapses to the origin alone.
     """
-    if mode not in ("conferencing", "common"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "conferencing" and r0 != 0.0:
-        raise ValueError("r0 applies to the common-message mode only")
-    cap = bounds.sum_cap(r0)
+    cap = bounds.sum_cap()
     b1, b2 = bounds.b1, bounds.b2
     pts: list[tuple[float, float]] = [(0.0, 0.0)]
     x_max = min(b1, cap)
@@ -142,17 +138,32 @@ def polytope_vertices(bounds: RateBounds, mode: str = "conferencing", r0: float 
     for x, y in pts:
         if any(abs(x - p.r1) <= _GEOM_TOL and abs(y - p.r2) <= _GEOM_TOL for p in out):
             continue
-        out.append(RatePoint(r0, x, y))
+        out.append(RatePoint(0.0, x, y))
     return out
+
+
+def _greedy_fill(b1, b2, cap, mu1, mu2):
+    """The (r1, r2) maximizing mu1*r1 + mu2*r2 over the box [0, b1] x [0, b2]
+    cut by r1 + r2 <= cap, elementwise: the heavier weight's rate is filled
+    first (r1 on a tie) and the other gets what the cap leaves, which is the
+    optimal vertex with the larger (r1, r2)."""
+    first = mu1 >= mu2
+    b_hi, b_lo = np.where(first, b1, b2), np.where(first, b2, b1)
+    r_hi = np.minimum(b_hi, cap)
+    # an unbounded r_hi under an unbounded cap leaves b_lo: fmin skips inf - inf
+    with np.errstate(invalid="ignore"):
+        r_lo = np.fmin(b_lo, cap - r_hi)
+    return np.where(first, r_hi, r_lo), np.where(first, r_lo, r_hi)
 
 
 def best_weighted_point(bounds: RateBounds, mu1: float, mu2: float) -> tuple[float, RatePoint]:
     """Maximize mu1*r1 + mu2*r2 over the conferencing region of `bounds`;
     ties prefer larger (r1, r2)."""
     check_weights(mu1, mu2)
-    verts = polytope_vertices(bounds)
-    best = max(verts, key=lambda p: (mu1 * p.r1 + mu2 * p.r2, p.r1, p.r2))
-    return mu1 * best.r1 + mu2 * best.r2, best
+    r1, r2 = (float(r) for r in _greedy_fill(bounds.b1, bounds.b2, bounds.sum_cap(), mu1, mu2))
+    # a zero weight scores nothing, even on an unbounded rate (0 * inf is NaN)
+    value = (mu1 * r1 if mu1 else 0.0) + (mu2 * r2 if mu2 else 0.0)
+    return value, RatePoint(0.0, r1, r2)
 
 
 def check_weights(mu1: float, mu2: float) -> None:
@@ -241,27 +252,20 @@ def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
 
 def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1, mu2) -> np.ndarray:
     """best_weighted_point's value for each column of common-message `caps`,
-    shifted by the link capacities of `conf`; mu1 and mu2 may vary by column.
-
-    The region is a box cut by the sum cap, so the optimum fills the rate of
-    the heavier weight first and gives the other what the cap leaves.
-    """
-    b1 = caps[0] + conf.c12
-    b2 = caps[1] + conf.c21
+    shifted by the link capacities of `conf`; mu1 and mu2 may vary by column."""
     cap = np.minimum(caps[2] + conf.c12 + conf.c21, caps[3])
-    first = mu1 >= mu2
-    m_hi, m_lo = np.where(first, mu1, mu2), np.where(first, mu2, mu1)
-    b_hi, b_lo = np.where(first, b1, b2), np.where(first, b2, b1)
-    r_hi = np.minimum(b_hi, cap)
-    return m_hi * r_hi + m_lo * np.minimum(b_lo, cap - r_hi)
+    r1, r2 = _greedy_fill(caps[0] + conf.c12, caps[1] + conf.c21, cap, mu1, mu2)
+    return mu1 * r1 + mu2 * r2
 
 
 def check_search_size(config: SearchConfig, k: int, channel: DmcChannel) -> int:
     """Raise ValueError, naming the field, unless a search with `config` fits
-    a channel with k states: u_size within `InputPolicy`'s ceiling
-    |X1|·|X2|·k³ + 2, and one trajectory's largest row batch, grid points times
-    q entries per policy, within `_CAPS_BATCH_ELEMENTS`. Returns the q
-    entries of that batch."""
+    a chain with k states and `channel`: the channel has k states, u_size is
+    within `InputPolicy`'s ceiling |X1|·|X2|·k³ + 2, and one trajectory's
+    largest row batch, grid points times q entries per policy, is within
+    `_CAPS_BATCH_ELEMENTS`. Returns the q entries of that batch."""
+    if channel.n_states != k:
+        raise ValueError(f"channel table has {channel.n_states} states, the chain {k}")
     n_u = config.u_size
     cap = channel.n_x1 * channel.n_x2 * k**3 + 2
     if n_u > cap:
@@ -312,8 +316,8 @@ def search_weighted(
     # trajectories per group, so that a row step's batch fits the budget
     group = _CAPS_BATCH_ELEMENTS // check_search_size(config, k, channel)
     dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
-    if channel.n_states != k or dsj.k != k:
-        raise ValueError(f"channel and state law must have the chain's {k} states")
+    if dsj.k != k:
+        raise ValueError(f"the state law must have the chain's {k} states")
 
     # one flat list of conditional rows; each row is a simplex of its own size
     n_u = config.u_size

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from fsmac import (
     correlation_profile_numeric,
     rho_from_beta,
     rho_infinity,
+    rho_star,
     snr_critical,
     snr_critical_db,
 )
@@ -102,19 +104,28 @@ def _beta_exact(p: float, c: float) -> float:
     return min(max((1.0 + 4.0 * p - f) / (2.0 * p * (f + 1.0)), 0.0), 1.0)
 
 
+# the solver budget and seed sweep_correlation.yaml ran its numeric profile with
+SHIPPED_SOLVER = SolverConfig(iterations=300, rounds=8, multistarts=1, seed=3)
+
+
+def _shipped_correlation_config():
+    path = Path(__file__).resolve().parent.parent / "configs" / "sweep_correlation.yaml"
+    return load_config(str(path))
+
+
 class TestExactSymmetricOptimum:
     def test_numeric_profile_matches_exact_rho(self):
-        # sweep_correlation.yaml's links, budget and seed at five of its
-        # SNR points, one below the critical SNR (-4.9 dB at c = 0.6)
-        path = Path(__file__).resolve().parent.parent / "configs" / "sweep_correlation.yaml"
-        cfg = load_config(str(path))
-        conf, solver = cfg.objects["conf"], cfg.objects["solver"]
+        # sweep_correlation.yaml's links at five of its SNR points, one below
+        # the critical SNR (-4.9 dB at c = 0.6), solved at its former budget
+        conf = _shipped_correlation_config().objects["conf"]
         snr_db = [-6.0, 0.0, 10.0, 20.0, 40.0]
-        prof = correlation_profile_numeric(conf.c12, conf.c21, snr_db, solver)
+        prof = correlation_profile_numeric(conf.c12, conf.c21, snr_db, SHIPPED_SOLVER)
         c = conf.c12 + conf.c21
         for s_db, rho in zip(snr_db, prof.rho):
-            exact = math.sqrt(1.0 - _beta_exact(10.0 ** (s_db / 10.0), c))
+            p = 10.0 ** (s_db / 10.0)
+            exact = math.sqrt(1.0 - _beta_exact(p, c))
             assert abs(rho - exact) <= 1e-5, (s_db, rho, exact)
+            assert abs(rho - rho_star(p, conf.c12, conf.c21)) <= 1e-5, (s_db, rho)
         assert prof.rho[0] == 1.0 and _beta_exact(10.0 ** -0.6, c) == 0.0
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.6, 1.0, 2.5])
@@ -129,6 +140,64 @@ class TestExactSymmetricOptimum:
         rho = math.sqrt(1.0 - _beta_exact(1e12, c))
         assert abs(rho - rho_infinity(c / 2, c / 2)) <= 1e-9
         assert abs(_beta_exact(1e12, c) - beta_star_high_snr(1e12, 1e12, c / 2, c / 2)) <= 1e-9
+
+
+class TestRhoStar:
+    C_GRID = [0.0, 1e-9, 0.01, 0.1, 0.3, 0.6, 1.0, 2.5, 10.0, 100.0, 511.0]
+
+    @staticmethod
+    def _powers(c):
+        # 1e-6 to 1e12 in 1 dB steps, and the critical SNR itself
+        crit = snr_critical(c / 2, c / 2)
+        ps = [10.0 ** (k / 10) for k in range(-60, 121)]
+        return ps + [crit * s for s in (1.0, 1.0 + 1e-12, 1.001, 2.0) if crit > 0]
+
+    def test_matches_the_rational_formula(self):
+        # _beta_exact's formula in exact rational arithmetic, from the same floats
+        for c in self.C_GRID:
+            f = Fraction(2.0 ** (2.0 * c))
+            for p in self._powers(c):
+                q = Fraction(p)
+                beta = float(min(max((1 + 4 * q - f) / (2 * q * (f + 1)), 0), 1))
+                got = rho_star(p, c / 2, c / 2)
+                assert abs((1.0 - got * got) - beta) <= 1e-12, (c, p)
+
+    def test_matches_beta_exact(self):
+        # _beta_exact forms 1 + 4p - 4^c, which rounds by up to half an ulp of
+        # its largest term; beyond that the two agree to 1e-12 in beta
+        eps = 2.0 ** -52
+        for c in self.C_GRID:
+            f = 4.0 ** c
+            for p in self._powers(c):
+                rounding = eps * (1.0 + 4.0 * p + f) / (2.0 * p * (f + 1.0))
+                got = rho_star(p, c / 2, c / 2)
+                assert abs((1.0 - got * got) - _beta_exact(p, c)) <= 1e-12 + rounding, (c, p)
+
+    def test_snr_critical_and_rho_infinity_are_its_limits(self):
+        for c in self.C_GRID[:-1]:
+            crit = snr_critical(c / 2, c / 2)
+            assert rho_star(crit, c / 2, c / 2) == 1.0
+            if 0 < c <= 10:  # past that, 1 - beta* rounds to 1 so close to crit
+                assert rho_star(crit * (1 + 1e-9), c / 2, c / 2) < 1.0
+            assert abs(rho_star(1e30, c / 2, c / 2) - rho_infinity(c / 2, c / 2)) <= 1e-12
+
+    @pytest.mark.parametrize("c12,c21", [(math.inf, 0.0), (0.3, math.inf), (512.0, 0.0), (300.0, 300.0)])
+    def test_unbounded_links_fully_correlated(self, c12, c21):
+        for p in (1e-17, 1.0, 1e12, 1e300):
+            assert rho_star(p, c12, c21) == 1.0
+
+    def test_far_below_unit_power(self):
+        # at -170 dB, log2(1 + P) rounds to 0, but the optimum does not
+        p = 10.0 ** -17
+        assert rho_star(p, 0.3, 0.3) == rho_star(p, 1e-6, 0.0) == 1.0
+        assert rho_star(p, 0.0, 0.0) == 0.0
+
+    def test_bad_input_rejected(self):
+        for p in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                rho_star(p, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            rho_star(1.0, -0.1, 0.0)
 
 
 class TestRhoFromBeta:
@@ -170,9 +239,9 @@ class TestNumericProfile:
         for a, b in zip(prof.rho, prof.rho[1:]):
             assert b <= a + 1e-3
 
-    def test_lengths_and_flags(self):
+    def test_lengths(self):
         prof = correlation_profile_numeric(0.1, 0.1, [0.0, 10.0], self.CFG)
-        assert len(prof.rho) == len(prof.snr_db) == len(prof.flags) == 2
+        assert len(prof.rho) == len(prof.snr_db) == 2
 
     def test_nonincreasing_beyond_critical_on_capacity_grid(self):
         # every link pair on the {0, 0.1, ..., 0.5}^2 grid
@@ -191,8 +260,7 @@ class TestNumericProfile:
     def test_shipped_config_allocations_tied(self, monkeypatch):
         # every SNR point of sweep_correlation.yaml is a symmetric problem:
         # both encoders get the same cells, bit for bit
-        path = Path(__file__).resolve().parent.parent / "configs" / "sweep_correlation.yaml"
-        obj = load_config(str(path)).objects
+        obj = _shipped_correlation_config().objects
         results = []
         solve = asymptotics.maximize_weighted_rate
 
@@ -201,7 +269,7 @@ class TestNumericProfile:
             return results[-1]
 
         monkeypatch.setattr(asymptotics, "maximize_weighted_rate", recorded)
-        correlation_profile_numeric(obj["conf"].c12, obj["conf"].c21, obj["snr_db"], obj["solver"])
+        correlation_profile_numeric(obj["conf"].c12, obj["conf"].c21, obj["snr_db"], SHIPPED_SOLVER)
         assert len(results) == len(obj["snr_db"])
         for res in results:
             assert np.array_equal(res.alloc.P1.ravel(), res.alloc.P2.ravel())

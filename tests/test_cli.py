@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fsmac import SearchConfig, SolverConfig
+from fsmac import SearchConfig, SolverConfig, gaussian, rho_star
 from fsmac.cli import main
 from fsmac.config import KINDS, ConfigError, load_config
 
@@ -20,11 +20,25 @@ XOR_CHANNEL = [
     [[[0.1, 0.9], [0.45, 0.55]], [[0.9, 0.1], [0.55, 0.45]]],
 ]
 
+# XOR_CHANNEL's first state alone
+ONE_STATE_CHANNEL = [[states[:1] for states in x1] for x1 in XOR_CHANNEL]
+
 UNIFORM_POLICY = {
     "pU": [[1.0], [1.0]],
     "pX1": [[[0.5, 0.5], [0.5, 0.5]]],
     "pX2": [[[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]],
 }
+
+
+def _with_nan(table, index):
+    """A copy of a nested list with one entry replaced by NaN."""
+    out = copy.deepcopy(table)
+    *path, last = index
+    row = out
+    for i in path:
+        row = row[i]
+    row[last] = float("nan")
+    return out
 
 
 def write_config(tmp_path, payload, name="exp.yaml"):
@@ -102,7 +116,6 @@ def correlation_payload(out_dir):
         "output": {"dir": out_dir, "prefix": "corr"},
         "conferencing": {"c12": 0.3, "c21": 0.3},
         "snr_db": [-5.0, 10.0],
-        "solver": {"iterations": 120, "rounds": 4, "multistarts": 0},
     }
 
 
@@ -261,6 +274,19 @@ class TestValidate:
         ("sweep-correlation", "snr_db", [4000]),
         # the solver section holds the budget only
         ("region-gaussian", "solver.tolerance", 1e-9),
+        # NaN entries of probability tables
+        ("region-discrete", "channel.table", _with_nan(XOR_CHANNEL, (0, 1, 1, 0))),
+        ("region-discrete", "chain.transition", [[float("nan"), 1.0], [0.1, 0.9]]),
+        ("simulate", "policy.pX1", _with_nan(UNIFORM_POLICY["pX1"], (0, 1, 0))),
+        # negative seeds, which numpy's seed sequences refuse
+        ("region-gaussian", "seed", -5),
+        ("region-discrete", "seed", -5),
+        ("simulate", "seed", -5),
+        ("sweep-correlation", "seed", -5),
+        # a one-state channel on the two-state chain, and a three-letter X1
+        ("region-discrete", "channel.table", ONE_STATE_CHANNEL),
+        ("simulate", "channel.table", ONE_STATE_CHANNEL),
+        ("simulate", "policy.pX1", [[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]]),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))
@@ -358,12 +384,33 @@ class TestOtherKinds:
             "output": {"dir": str(tmp_path), "prefix": "corr"},
             "conferencing": {"c12": 0.0, "c21": 0.0},
             "snr_db": [-5.0, 5.0, 15.0],
-            "solver": {"iterations": 150, "rounds": 5, "multistarts": 1},
         }
         cfgp = write_config(tmp_path, payload)
         assert main(["sweep-correlation", "--config", cfgp, "--no-plots"]) == 0
         rows = read_rows(tmp_path / "corr.csv")
-        assert all(float(r["rho_numeric"]) == 0.0 for r in rows)
+        assert all(float(r["rho"]) == 0.0 for r in rows)
+
+    def test_sweep_correlation_from_the_closed_form(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args):
+            raise AssertionError("sweep-correlation called the solver")
+
+        monkeypatch.setattr(gaussian, "_solve", no_solve)
+        payload = correlation_payload(str(tmp_path))
+        payload["snr_db"] = [-170.0, -5.0, 10.0]
+        cfgp = write_config(tmp_path, payload)
+        assert main(["sweep-correlation", "--config", cfgp]) == 0
+        with open(tmp_path / "corr.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["config_hash", "seed", "snr_db", "rho"]
+        rows = read_rows(tmp_path / "corr.csv")
+        assert [r["rho"] for r in rows] == [f"{rho_star(10.0 ** (s / 10.0), 0.3, 0.3):.12g}"
+                                           for s in payload["snr_db"]]
+        assert [r["rho"] for r in rows[:2]] == ["1", "1"]  # both below the critical SNR
+        # the kind has no solver budget: a solver section is an unknown key
+        payload["solver"] = {"iterations": 120, "rounds": 4, "multistarts": 0}
+        capsys.readouterr()
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "solver" in record["message"]
 
     def test_sweep_correlation_svg_overlays(self, tmp_path):
         payload = correlation_payload(str(tmp_path))
@@ -450,7 +497,7 @@ class TestOtherKinds:
         prefix = payload["output"]["prefix"]
         rows = read_rows(tmp_path / f"{prefix}.csv")
         if kind == "sweep-correlation":
-            assert all(r["rho_closed_form_if_applicable"] == "1" for r in rows)
+            assert all(r["rho"] == "1" for r in rows)
         else:
             for r in rows:
                 assert (r["snr_critical"], r["snr_critical_db"], r["rho_infinity"]) == ("inf", "inf", "1")

@@ -14,7 +14,6 @@ from fsmac import (
     SolverConfig,
     check_gaussian_markov,
     common_message_bounds_gaussian,
-    common_message_region_gaussian,
     feasible,
     maximize_weighted_rate,
     rate_bounds_gaussian,
@@ -28,6 +27,7 @@ from fsmac.gaussian import (
     _dual_vertices,
     _Kernel,
     _lp_value_duals,
+    _thetas,
 )
 
 
@@ -392,13 +392,13 @@ class TestBatchedSolver:
             assert (solo.value, solo.point, solo.flag) == (p.value, p.point, p.flag)
 
     def test_common_message_points_equal_solo_solves(self):
+        # the r0 slice of the common-message region: no link offsets, and the
+        # total cap lowered by r0
         spec = reference_spec(0.0, 0.0)
-        points = common_message_region_gaussian(spec, 4, self.CFG, r0=0.3)
-        for p in points:
-            solo, = solve_weighted(
-                spec, [(math.cos(p.theta), math.sin(p.theta), 0.0, 0.0, 0.3)], self.CFG
-            )
-            assert (solo.value, solo.point, solo.flag) == (p.value, p.point, p.flag)
+        problems = [(math.cos(t), math.sin(t), 0.0, 0.0, 0.3) for t in _thetas(4)]
+        for problem, res in zip(problems, solve_weighted(spec, problems, self.CFG)):
+            solo, = solve_weighted(spec, [problem], self.CFG)
+            assert (solo.value, solo.point, solo.flag) == (res.value, res.point, res.flag)
 
     @pytest.mark.parametrize("spec,config", [
         (reference_spec(0.3, 0.1), CFG),
@@ -617,11 +617,12 @@ class TestCommonMessageRegion:
     def test_r0_slice_shrinks_region(self):
         spec = reference_spec(0.0, 0.0)
         cfg = SolverConfig(seed=2, iterations=150, rounds=5)
-        full = common_message_region_gaussian(spec, 4, cfg, r0=0.0)
-        sliced = common_message_region_gaussian(spec, 4, cfg, r0=0.5)
-        assert max(p.point.r1 + p.point.r2 for p in sliced) <= max(
-            p.point.r1 + p.point.r2 for p in full
-        ) + 1e-9
+
+        def best_sum(r0):
+            problems = [(math.cos(t), math.sin(t), 0.0, 0.0, r0) for t in _thetas(4)]
+            return max(res.point.r1 + res.point.r2 for res in solve_weighted(spec, problems, cfg))
+
+        assert best_sum(0.5) <= best_sum(0.0) + 1e-9
 
 
 class TestGaussianMarkovPredicate:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fsmac import (
+    DelayedStateJoint,
     MarkovChain,
     delayed_state_joint,
     mixing_horizon,
@@ -142,6 +143,19 @@ class TestValidation:
     def test_rejects_periodic(self):
         with pytest.raises(ValueError, match="irreducible"):
             MarkovChain(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_nan_entries(self):
+        # NaN fails every comparison, so each check must be one it fails
+        nan = float("nan")
+        with pytest.raises(ValueError, match="nonnegative"):
+            MarkovChain(["G", "B"], [[nan, 1.0], [0.1, 0.9]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            MarkovChain(["G", "B"], [[0.5, 0.5], [0.1, 0.9 + 1e-9]])
+        chain = two_state()
+        table = delayed_state_joint(chain, 1, 0).table.copy()
+        table[0, 0, 0] = nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            DelayedStateJoint(chain, 1, 0, table)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

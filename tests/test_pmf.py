@@ -10,6 +10,7 @@ from fsmac import (
     conditional_mutual_information,
     delayed_state_joint,
 )
+from fsmac.pmf import check_compatible
 
 
 def two_state(g=0.1, b=0.1):
@@ -222,6 +223,29 @@ class TestTypeValidation:
                 np.full((nu, k, 2), 0.5),
                 np.full((nu, k, k, 2), 0.5),
             )
+
+    def test_nan_entries_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointPmf(["A"], np.array([nan, 1.0]))
+        pX1 = np.full((2, 2, 2), 0.5)
+        pX1[1, 0, 1] = nan
+        with pytest.raises(ValueError, match="pX1 entries"):
+            InputPolicy(np.full((2, 2), 0.5), pX1, np.full((2, 2, 2, 2), 0.5))
+        t = np.full((2, 2, 2, 2), 0.5)
+        t[0, 1, 1, 0] = nan
+        with pytest.raises(ValueError, match="channel table entries"):
+            DmcChannel(t)
+
+    def test_compatibility_checked_before_assembly(self):
+        one_state = DmcChannel(np.full((2, 2, 1, 2), 0.5))
+        with pytest.raises(ValueError, match="channel table has 1 states"):
+            check_compatible(2, uniform_policy(2), one_state)
+        with pytest.raises(ValueError, match="policy has 1 states"):
+            check_compatible(2, uniform_policy(1), DmcChannel(np.full((2, 2, 2, 2), 0.5)))
+        three_x2 = DmcChannel(np.full((2, 3, 2, 2), 0.5))
+        with pytest.raises(ValueError, match="pX1, pX2 have 2, 2 input symbols"):
+            check_compatible(2, uniform_policy(2), three_x2)
 
     def test_channel_slice_validation(self):
         t = np.full((2, 2, 2, 2), 0.5)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,9 +199,12 @@ class TestPolytopeVertices:
                 assert vert_best <= grid_best + 1e-3 + 2 * max(mu) * g[1]
 
     def test_common_mode_r0_projection(self):
-        bounds = RateBounds(1.0, 1.0, 2.0, 1.6)
-        verts = polytope_vertices(bounds, mode="common", r0=0.4)
-        assert max(p.r1 + p.r2 for p in verts) <= 1.2 + 1e-12
+        # a common-message slice at total rate r0 is the region whose bsum is
+        # lowered by r0, as gaussian.solve_weighted scores it
+        bounds = RateBounds(1.0, 1.0, 2.0, 1.6 - 0.4)
+        verts = polytope_vertices(bounds)
+        assert abs(max(p.r1 + p.r2 for p in verts) - 1.2) <= 1e-12
+        assert abs(best_weighted_point(bounds, 1.0, 1.0)[0] - 1.2) <= 1e-12
 
 
 class TestBestWeightedPoint:
@@ -222,6 +226,34 @@ class TestBestWeightedPoint:
         value, p = best_weighted_point(RateBounds(1.0, 1.0, 1.0, 1.0), 1.0, 1.0)
         assert value == 1.0
         assert (p.r1, p.r2) == (1.0, 0.0)
+
+    def test_unbounded_rates(self):
+        # an unbounded rate under an unbounded cap leaves the other its whole box
+        inf = math.inf
+        value, p = best_weighted_point(RateBounds(inf, 1.0, inf, inf), 1.0, 1.0)
+        assert (value, p.r1, p.r2) == (inf, inf, 1.0)
+        value, p = best_weighted_point(RateBounds(1.0, inf, inf, inf), 1.0, 2.0)
+        assert (value, p.r1, p.r2) == (inf, 1.0, inf)
+        # a zero weight scores nothing on its unbounded rate
+        value, p = best_weighted_point(RateBounds(0.5, inf, inf, inf), 1.0, 0.0)
+        assert (value, p.r1, p.r2) == (0.5, 0.5, inf)
+
+    def test_matches_the_best_vertex(self):
+        # the greedy fill against the vertices of the polytope, with ties
+        # broken toward larger (r1, r2)
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            b1, b2 = rng.uniform(0, 2, 2) * (rng.random(2) > 0.1)
+            b12 = min(rng.uniform(0, 3), b1 + b2)
+            bounds = RateBounds(b1, b2, b12, rng.uniform(0, 3))
+            mu1, mu2 = rng.choice([0.0, 0.5, 1.0, rng.random()], 2)
+            if mu1 + mu2 == 0:
+                continue
+            value, p = best_weighted_point(bounds, mu1, mu2)
+            best = max(mu1 * v.r1 + mu2 * v.r2 for v in polytope_vertices(bounds))
+            assert abs(value - best) <= 1e-12
+            assert p.r1 <= bounds.b1 and p.r2 <= bounds.b2
+            assert p.r1 + p.r2 <= bounds.sum_cap() + 1e-12
 
 
 class TestInnerBoundSearch:
