@@ -128,7 +128,11 @@ def _parse_delays(section: dict, chain: MarkovChain) -> tuple[int, int, dict]:
 
     def resolve(raw, name):
         if raw == "inf":
-            return mixing_horizon(chain, _INF_HORIZON_TOL)
+            try:
+                return mixing_horizon(chain, _INF_HORIZON_TOL)
+            except RuntimeError as exc:  # no finite surrogate within the step cap
+                raise ConfigError(f"'delays.{name}' is \"inf\" but chain.transition "
+                                  f"mixes too slowly: {exc}") from exc
         if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
             raise ConfigError(f"'delays.{name}' must be a nonnegative integer or \"inf\"")
         return raw
@@ -289,8 +293,6 @@ def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
 
 def _parse_sweep_correlation(raw: dict, seed: int) -> tuple[dict, dict]:
     conf = _parse_conferencing(_require(raw, "conferencing", "top level"))
-    if math.isinf(conf.c12) or math.isinf(conf.c21):
-        raise ConfigError("sweep-correlation requires finite link capacities")
     snr_db = [_float(v, "snr_db") for v in _items(raw, "snr_db")]
     for s in snr_db:
         try:  # the run's power budget, 10^(s/10), must be a finite float

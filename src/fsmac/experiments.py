@@ -1,7 +1,7 @@
 """Experiment runners: each computes one kind's CSV rows, extra text files,
-figure and notes from a validated config; `run_experiment` persists them (CSV
-with a header row, 12-significant-digit floats and provenance columns, then
-the extra files, then the SVG figure)."""
+figure and notes from a validated config; `run_experiment` writes each file
+atomically (CSV with a header row, 12-significant-digit floats and provenance
+columns, then the extra files, then the SVG figure)."""
 
 from __future__ import annotations
 
@@ -80,12 +80,12 @@ def run_experiment(cfg: ExperimentConfig, plots: bool = True) -> RunReport:
     writer.writerow(["config_hash", "seed", *out.header])
     for row in out.rows:
         writer.writerow([_fmt_value(v) for v in (report.config_hash, cfg.seed, *row)])
-    for suffix, text in {".csv": buf.getvalue(), **out.extras}.items():
+    texts = {".csv": buf.getvalue(), **out.extras}
+    if plots and out.plot is not None:
+        texts[".svg"] = render_plot(**out.plot)
+    for suffix, text in texts.items():
         report.artifacts.append(os.path.join(cfg.out_dir, cfg.prefix + suffix))
         _atomic_write(report.artifacts[-1], text)
-    if plots and out.plot is not None:
-        report.artifacts.append(os.path.join(cfg.out_dir, cfg.prefix + ".svg"))
-        render_plot(report.artifacts[-1], **out.plot)
     return report
 
 

@@ -89,7 +89,6 @@ class GaussianMacSpec:
         pi = chain.pi
         self._w2 = pi[:, None] * n_step_matrix(chain, d1 - d2)
         self._w3 = self._w2[:, :, None] * n_step_matrix(chain, d2)[None, :, :]
-        self._wA = pi[:, None] * n_step_matrix(chain, d1)
 
     @property
     def n_sub(self) -> int:
@@ -103,9 +102,9 @@ class GaussianMacSpec:
     def log_factor(self) -> float:
         return 0.5 if self.convention == "real" else 1.0
 
-    def state_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w2, w3, wA): pair, triple and encoder-1-to-state weight tables."""
-        return self._w2, self._w3, self._wA
+    def state_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w2, w3): pair and triple weight tables."""
+        return self._w2, self._w3
 
 
 class Allocation:
@@ -153,7 +152,7 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
         raise ValueError(
             f"allocation shape ({k}, {n}) does not match spec ({spec.k}, {spec.n_sub})"
         )
-    w2, _, _ = spec.state_weights()
+    w2, _ = spec.state_weights()
     pi = spec.chain.pi
     used1 = float((pi[:, None] * alloc.P1).sum())
     if used1 > spec.pbar1 + _FEAS_SLACK:
@@ -188,7 +187,7 @@ class _Kernel:
         k, N = spec.k, spec.n_sub
         self.k, self.N, self.m1, self.m = k, N, k * N, k * k * N
         m = self.m
-        w2, w3, _ = spec.state_weights()
+        w2, w3 = spec.state_weights()
         a1, a2, s, n = np.indices((k, k, k, N)).reshape(4, -1)
         # where gamma1, gamma2, delta1, delta2 of each grid cell sit in a batch row
         gammas = np.array([a1 * N + n, 2 * m + (a1 * k + a2) * N + n])
@@ -199,8 +198,11 @@ class _Kernel:
         self.gsq = np.array([g1 * g1, g2 * g2, g1 * g1, g2 * g2])[:, None, :]
         self.gg2 = 2.0 * g1 * g2
         self.Lw = spec.log_factor * w
-        self.Cwgsq = C * w * self.gsq[:2]
-        self.Cwgg = C * w * g1 * g2
+        # an encoder with no budget is pinned at zero and gets no supergradient:
+        # its floored cross-term slope (~1e150) would shrink every step to 0
+        live = (np.array([spec.pbar1, spec.pbar2]) > 0)[:, None, None]
+        self.Cwgsq = C * w * self.gsq[:2] * live
+        self.Cwgg = C * w * g1 * g2 * live
         self.off = np.array(np.broadcast_arrays(c12, c21, np.add(c12, c21), 0.0)).reshape(4, -1)
         # budget weight of each cell of a batch row
         cells1 = np.concatenate([np.repeat(spec.chain.pi, N), np.zeros(m - self.m1)])
@@ -245,7 +247,8 @@ def _bounds_and_grads(kern: _Kernel, X: np.ndarray, grads: bool = True):
     a function mapping bound weights c of shape (4, T) to a supergradient of
     sum_i c_i b_i in the batch layout. The square-root cross term has an
     unbounded derivative as delta -> 0, so gradient ratios are evaluated at
-    an interior point floored at 1e-9 * P.
+    an interior point floored at 1e-9 * P. The cells of an encoder with no
+    power budget get a zero supergradient.
     """
     at, _, _ = kern.index(len(X))
     V = X.take(at)  # gamma1, gamma2, delta1, delta2 at each grid cell

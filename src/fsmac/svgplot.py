@@ -45,16 +45,28 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _text(x, y, body, size, anchor: str = "", extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+_DASHED = 'stroke-dasharray="6 4" stroke-width="1"'
+
+
 def render_plot(
-    path: str,
     series: list[Series],
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     vlines: list[tuple[float, str]] = (),
     hlines: list[tuple[float, str]] = (),
-) -> None:
-    """Write a standalone SVG with the given polylines and dashed guide lines."""
+) -> str:
+    """A standalone SVG with the given polylines and dashed guide lines."""
     xs = [float(v) for s in series for v in s.x if math.isfinite(v)]
     ys = [float(v) for s in series for v in s.y if math.isfinite(v)]
     xs += [v for v, _ in vlines]
@@ -73,107 +85,60 @@ def render_plot(
     y_lo2, y_hi2 = y_lo - y_pad, y_hi + y_pad
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    left, right, top, bottom = _MARGIN_L, _MARGIN_L + plot_w, _MARGIN_T, _MARGIN_T + plot_h
 
     def sx(v: float) -> float:
-        return _MARGIN_L + (v - x_lo2) / (x_hi2 - x_lo2) * plot_w
+        return left + (v - x_lo2) / (x_hi2 - x_lo2) * plot_w
 
     def sy(v: float) -> float:
-        return _MARGIN_T + plot_h - (v - y_lo2) / (y_hi2 - y_lo2) * plot_h
+        return bottom - (v - y_lo2) / (y_hi2 - y_lo2) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2}" y="{_MARGIN_T - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        parts.append(_text(_WIDTH / 2, top - 12, title, 14, "middle"))
     for t in _nice_ticks(x_lo2, x_hi2):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h}" x2="{px:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        px = f"{sx(t):.2f}"
+        parts.append(_line(px, bottom, px, bottom + 5, 'stroke="#333"'))
+        parts.append(_text(px, bottom + 18, _fmt(t), 11, "middle"))
     for t in _nice_ticks(y_lo2, y_hi2):
         py = sy(t)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" '
-            'stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        parts.append(_line(left - 5, f"{py:.2f}", left, f"{py:.2f}", 'stroke="#333"'))
+        parts.append(_text(left - 8, f"{py + 4:.2f}", _fmt(t), 11, "end"))
     if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-        )
+        parts.append(_text(left + plot_w / 2, _HEIGHT - 10, xlabel, 12, "middle"))
     if ylabel:
-        parts.append(
-            f'<text x="16" y="{_MARGIN_T + plot_h / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2})">{ylabel}</text>'
-        )
+        mid = top + plot_h / 2
+        parts.append(_text(16, mid, ylabel, 12, "middle", f' transform="rotate(-90 16 {mid})"'))
     for v, label in vlines:
         px = sx(v)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" y2="{_MARGIN_T + plot_h}" '
-            'stroke="#2a8f2a" stroke-dasharray="6 4" stroke-width="1"/>'
-        )
+        parts.append(_line(f"{px:.2f}", top, f"{px:.2f}", bottom, f'stroke="#2a8f2a" {_DASHED}'))
         if label:
-            parts.append(
-                f'<text x="{px + 4:.2f}" y="{_MARGIN_T + 14}" font-family="sans-serif" '
-                f'font-size="10" fill="#2a8f2a">{label}</text>'
-            )
+            parts.append(_text(f"{px + 4:.2f}", top + 14, label, 10, extra=' fill="#2a8f2a"'))
     for v, label in hlines:
         py = sy(v)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_MARGIN_L + plot_w}" y2="{py:.2f}" '
-            'stroke="#2255cc" stroke-dasharray="6 4" stroke-width="1"/>'
-        )
+        parts.append(_line(left, f"{py:.2f}", right, f"{py:.2f}", f'stroke="#2255cc" {_DASHED}'))
         if label:
-            parts.append(
-                f'<text x="{_MARGIN_L + plot_w - 4}" y="{py - 5:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10" fill="#2255cc">{label}</text>'
-            )
+            parts.append(_text(right - 4, f"{py - 5:.2f}", label, 10, "end", ' fill="#2255cc"'))
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-            for x, y in zip(s.x, s.y)
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        )
+        pts = [(sx(float(x)), sy(float(y))) for x, y in zip(s.x, s.y)
+               if math.isfinite(float(x)) and math.isfinite(float(y))]
         tag = "polygon" if s.closed else "polyline"
-        parts.append(
-            f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-        )
+        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+        parts.append(f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         if s.marker:
-            for x, y in zip(s.x, s.y):
-                if math.isfinite(float(x)) and math.isfinite(float(y)):
-                    parts.append(
-                        f'<circle cx="{sx(float(x)):.2f}" cy="{sy(float(y)):.2f}" r="2.5" '
-                        f'fill="{color}"/>'
-                    )
+            parts += [f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}"/>'
+                      for px, py in pts]
         if s.label:
-            ly = _MARGIN_T + 16 + 14 * i
-            parts.append(
-                f'<line x1="{_MARGIN_L + plot_w - 110}" y1="{ly - 4}" '
-                f'x2="{_MARGIN_L + plot_w - 90}" y2="{ly - 4}" stroke="{color}" '
-                'stroke-width="1.6"/>'
-            )
-            parts.append(
-                f'<text x="{_MARGIN_L + plot_w - 84}" y="{ly}" font-family="sans-serif" '
-                f'font-size="10">{s.label}</text>'
-            )
+            ly = top + 16 + 14 * i
+            parts.append(_line(right - 110, ly - 4, right - 90, ly - 4,
+                               f'stroke="{color}" stroke-width="1.6"'))
+            parts.append(_text(right - 84, ly, s.label, 10))
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

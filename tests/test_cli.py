@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fsmac import SearchConfig, SolverConfig, gaussian, rho_star
+from fsmac import SearchConfig, SolverConfig, experiments, gaussian, rho_star
 from fsmac.cli import main
 from fsmac.config import KINDS, ConfigError, load_config
+from fsmac.experiments import run_experiment
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -287,6 +288,8 @@ class TestValidate:
         ("region-discrete", "channel.table", ONE_STATE_CHANNEL),
         ("simulate", "channel.table", ONE_STATE_CHANNEL),
         ("simulate", "policy.pX1", [[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]]),
+        # a chain too slow to mix for the "inf" delay of a delay case
+        ("sweep-sumrate", "chain.transition", [[0.999999, 1e-6], [1e-6, 0.999999]]),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))
@@ -320,6 +323,14 @@ class TestValidate:
         cases = yaml.safe_load(out[: out.rindex("ok")])["delay_cases"]
         assert [(c["d1_raw"], c["d2_raw"], c["d2"]) for c in cases] == [(2, 1, 1), ("inf", 0, 0)]
         assert cases[0]["d1"] == 2 and cases[1]["d1"] > 2
+
+    def test_slow_chain_rejects_an_inf_delay_by_name(self, tmp_path, capsys):
+        payload = gaussian_payload(str(tmp_path))
+        payload["chain"]["transition"] = [[0.999999, 1e-6], [1e-6, 0.999999]]
+        payload["delays"] = {"d1": 3, "d2": "inf"}
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "'delays.d2'" in record["message"]
 
     def test_validate_never_writes(self, tmp_path):
         out_dir = tmp_path / "results"
@@ -420,6 +431,32 @@ class TestOtherKinds:
         # dashed guides at the critical SNR and the infinite-SNR correlation
         assert svg.count("stroke-dasharray") >= 2
         assert "critical SNR" in svg and "infinite-SNR limit" in svg
+
+    def test_sweep_correlation_infinite_link(self, tmp_path, capsys):
+        # an unbounded link runs like a huge finite one: rho = 1 at every SNR,
+        # an infinite critical SNR, and no critical-SNR guide in the figure
+        payload = correlation_payload(str(tmp_path))
+        payload["conferencing"] = {"c12": "inf", "c21": 0}
+        assert main(["sweep-correlation", "--config", write_config(tmp_path, payload)]) == 0
+        assert "# snr_critical = inf" in capsys.readouterr().out.splitlines()
+        assert [r["rho"] for r in read_rows(tmp_path / "corr.csv")] == ["1", "1"]
+        svg = (tmp_path / "corr.svg").read_text()
+        assert "infinite-SNR limit" in svg and "critical SNR" not in svg
+
+    def test_region_gaussian_silent_encoder_reaches_the_sum_face(self, tmp_path):
+        # encoder 1 has no power: every trace point of the shipped region
+        # setup lies on r1 + r2 = max_r2, the single-user value of encoder 2
+        payload = yaml.safe_load(next(p for p in CONFIGS if p.name == "region_gaussian.yaml")
+                                 .read_text())
+        payload["gaussian"]["pbar1"] = 0.0
+        payload["conferencing"]["c12"] = [0.3]
+        payload["output"] = {"dir": str(tmp_path), "prefix": "reg"}
+        assert main(["region-gaussian", "--config", write_config(tmp_path, payload),
+                     "--no-plots"]) == 0
+        rows = read_rows(tmp_path / "reg.csv")
+        assert rows and all(abs(float(r["max_r2"]) - 0.964242340852) <= 1e-6 for r in rows)
+        for r in rows:
+            assert float(r["r1"]) + float(r["r2"]) >= float(r["max_r2"]) - 1e-6
 
     def test_simulate_zero_rates_error_free(self, tmp_path):
         payload = {
@@ -545,6 +582,23 @@ def test_every_kind_through_the_cli(tmp_path, capsys, kind):
     printed, bare = run(tmp_path / "bare", "--no-plots")
     assert printed == [str(tmp_path / "bare" / prefix) + s for s in unplotted]
     assert bare == first[: len(unplotted)]
+
+
+def test_every_artifact_goes_through_the_atomic_writer(tmp_path, monkeypatch):
+    written = []
+    atomic_write = experiments._atomic_write
+
+    def record(path, text):
+        written.append(path)
+        atomic_write(path, text)
+
+    monkeypatch.setattr(experiments, "_atomic_write", record)
+    cfg = load_config(write_config(tmp_path, discrete_payload(str(tmp_path / "out"))))
+    report = run_experiment(cfg, plots=True)
+    assert written == report.artifacts
+    assert [Path(p).name for p in written] == ["disc.csv", "disc_policies.yaml", "disc.svg"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        Path(p).name for p in written)  # no temporary file left behind
 
 
 def test_kind_table_matches_shipped_configs():

@@ -16,6 +16,7 @@ from fsmac import (
     common_message_bounds_gaussian,
     feasible,
     maximize_weighted_rate,
+    n_step_matrix,
     rate_bounds_gaussian,
     solve_weighted,
     trace_boundary,
@@ -138,7 +139,8 @@ class TestRateBounds:
 
 def per_cell_bounds(spec, alloc, c12, c21):
     """The four caps summed cell by cell in plain Python."""
-    _, w3, wA = spec.state_weights()
+    _, w3 = spec.state_weights()
+    wA = spec.chain.pi[:, None] * n_step_matrix(spec.chain, spec.d1)  # pi(a1) K^d1[a1, s]
     L, k, n_sub = spec.log_factor, spec.k, spec.n_sub
     G1, G2 = spec.gains1, spec.gains2
     b1 = b2 = b12 = bsum = 0.0
@@ -532,6 +534,37 @@ def _is_tied(alloc) -> bool:
     return np.array_equal(alloc.P1.ravel(), alloc.P2.ravel()) and np.array_equal(
         alloc.gamma1.ravel(), alloc.gamma2.ravel()
     )
+
+
+class TestZeroBudget:
+    """An encoder with no power on the two-state instance at the shipped
+    region budget: its pinned cells must not stall the other encoder's ascent."""
+
+    CFG = SolverConfig(iterations=300, rounds=8, multistarts=1)
+    R2_ALONE = 0.964242340852  # encoder 2 alone at full power, c12 = 0.3
+
+    def values(self, pbar1, pbar2, gains=((1.0,), (0.1,))):
+        spec = GaussianMacSpec(two_state(), gains, gains, pbar1, pbar2,
+                               ConferencingConfig(0.3, 0.0), 2, 2, "real")
+        problems = [(*mu, 0.3, 0.0, 0.0) for mu in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))]
+        return [res.value for res in solve_weighted(spec, problems, self.CFG)]
+
+    def test_silent_encoder_1(self):
+        both, r2, _ = self.values(0.0, 10.0)
+        assert both >= r2 - 1e-9
+        assert abs(both - self.R2_ALONE) <= 1e-6 and abs(r2 - self.R2_ALONE) <= 1e-6
+
+    def test_silent_encoder_2(self):
+        # symmetric gains: encoder 1 alone reaches encoder 2's single-user value
+        both, _, r1 = self.values(10.0, 0.0)
+        assert both >= r1 - 1e-9
+        assert abs(both - self.R2_ALONE) <= 1e-6 and abs(r1 - self.R2_ALONE) <= 1e-6
+
+    @pytest.mark.parametrize("pbar,gains", [((0.0, 0.0), ((1.0,), (0.1,))),
+                                            ((10.0, 10.0), ((0.0,), (0.0,)))])
+    def test_no_power_or_no_gain_is_zero(self, pbar, gains):
+        # the total cap carries no link offset, so every weight gets value 0
+        assert self.values(*pbar, gains=gains) == [0.0, 0.0, 0.0]
 
 
 class TestBatchedRunners:
