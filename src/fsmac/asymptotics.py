@@ -41,9 +41,15 @@ def _link_factor(c12: float, c21: float) -> float:
 def snr_critical(c12: float, c21: float) -> float:
     """Linear SNR below which full correlation (rho = 1) is optimal.
 
-    Equals (2^(2(c12+c21)) - 1) / 4; zero when both links are absent.
+    Equals (2^(2(c12+c21)) - 1) / 4; zero when both links are absent, inf
+    where the factor overflows. The difference is formed as
+    expm1(2(c12+c21) ln 2), which keeps its relative precision at small
+    links, where the subtraction cancels (a relative 3.6e-8 off at
+    c12 + c21 = 1e-9).
     """
-    return (_link_factor(c12, c21) - 1.0) / 4.0
+    if _link_factor(c12, c21) == math.inf:
+        return math.inf
+    return math.expm1(2.0 * (c12 + c21) * math.log(2.0)) / 4.0
 
 
 def snr_critical_db(c12: float, c21: float) -> float:

@@ -5,12 +5,15 @@ message cells into a common message."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, _categorical, _inverse_cdf, delayed_state_joint, sample_state_path
+from .markov import (
+    MarkovChain, _by_content, _cumulative, _inverse_cdf, delayed_state_joint, sample_state_path,
+)
 from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint
 from .regions import ConferencingConfig
 
@@ -54,6 +57,15 @@ _PAIR_LIST_MAX_ENTRIES = 1 << 19
 # drawn and counted in chunks, which give the same stream because
 # Generator.random fills in C order
 _DRAW_CHUNK = 1 << 16
+# book bytes per comparison pass over a chunk of several rows: each pass
+# writes one column of the book, so its rows should stay in the L1 cache
+# until the next pass. On a 2-core x86 box (numpy 2.4), comparing 2 rows x
+# 2048 positions straight into the book took 5-8 us against 14-20 us
+# through a transposed copy, and 64 rows x 1024 positions 151 us in one
+# pass, 89 us in blocks of 16 KB and 98 us through the copy. A single row
+# is faster through a contiguous comparison and a copy (64768 positions:
+# 38 us against 53-89 us straight into its column)
+_BOOK_BLOCK = 1 << 14
 FILL_SYMBOL = 0
 
 
@@ -108,25 +120,34 @@ def generate_codebooks(
         raise ValueError("blocklength must be >= 1")
     books = []
     for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
-        rows = table.reshape(-1, table.shape[-1])
-        books.append(_draw_book(rows, M * n, rng).reshape(M, n, *table.shape[:-1]))
+        *rows, nx = table.shape
+        cum = _cumulative(table).reshape(math.prod(rows), 1, nx - 1)
+        books.append(_draw_book(cum, M * n, rng).reshape(M, n, *rows))
     return Codebooks(policy, *books, n)
 
 
-def _draw_book(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, len(rows)) symbols: one block of `size` uniforms per row of
-    probabilities, drawn in row order and counted by `_inverse_cdf` in the
-    type it returns. A table of at most _DRAW_CHUNK uniforms is one draw and
-    one pass; a larger one is drawn as whole rows per chunk, or each row in
-    chunks when one row is larger."""
-    book = np.empty((size, len(rows)), np.min_scalar_type(rows.shape[-1] - 1))
+def _draw_book(cum: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, len(cum)) symbols: one block of `size` uniforms per row of
+    thresholds cum (rows, 1, symbols - 1), drawn in row order and counted
+    by `_inverse_cdf`. A table of at most _DRAW_CHUNK uniforms is one draw;
+    a larger one is drawn as whole rows per chunk, or each row in chunks
+    when one row is larger. A chunk of several rows is compared straight
+    into the book, in blocks of positions whose book rows fit in
+    _BOOK_BLOCK bytes; a chunk of one row is compared into a contiguous
+    array, which is then copied into its column."""
+    book = np.empty((size, len(cum)), np.min_scalar_type(cum.shape[-1]))
     per_draw = max(1, _DRAW_CHUNK // size)  # rows
     span = min(size, _DRAW_CHUNK)  # uniforms per row
-    for r in range(0, len(rows), per_draw):
-        probs = rows[r:r + per_draw, None]
+    block = max(1, _BOOK_BLOCK // book.strides[0])  # positions
+    for r in range(0, len(cum), per_draw):
+        c = cum[r:r + per_draw]
         for j in range(0, size, span):
-            u = rng.random((len(probs), min(span, size - j)))
-            book[j:j + span, r:r + per_draw] = _inverse_cdf(u, probs).T
+            u = rng.random((len(c), min(span, size - j)))
+            if len(c) == 1:
+                book[j:j + span, r] = _inverse_cdf(u[0], c[0])
+                continue
+            for a in range(0, u.shape[1], block):
+                _inverse_cdf(u[:, a:a + block], c, book[j + a:j + a + block, r:r + per_draw].T)
     return book
 
 
@@ -152,20 +173,28 @@ def encode(
     for name, m, M in (("m0", m0, M0), ("m1", m1, M1), ("m2", m2, M2)):
         if not 0 <= m < M:
             raise ValueError(f"{name}={m} out of range [0, {M})")
-    n = books.n
+    n, k, nu = books.n, books.policy.n_states, books.policy.n_u
     if len(s) != n:
         raise ValueError("the state path must have the block length")
-    x1 = np.full(n, FILL_SYMBOL, dtype=np.int64)
-    x2 = np.full(n, FILL_SYMBOL, dtype=np.int64)
+    x = np.empty((2, n), dtype=np.int64)
+    x[:, :d1] = FILL_SYMBOL
     i, sd1, sd2 = _observed(s, d1, d2)
-    u = books.t0[m0, i, sd1]
-    x1[i] = books.t1[m1, i, u, sd1]
-    x2[i] = books.t2[m2, i, u, sd1, sd2]
-    return x1, x2
+    # flat offsets into the codewords t0[m0] (n, k), t1[m1] (n, nu, k) and
+    # t2[m2] (n, nu, k, k)
+    u = books.t0[m0].ravel()[i * k + sd1]
+    off1 = (i * nu + u) * k + sd1
+    x[0, d1:] = books.t1[m1].ravel()[off1]
+    x[1, d1:] = books.t2[m2].ravel()[off1 * k + sd2]
+    return x[0], x[1]
 
 
 def _sample_outputs(channel, x1, x2, s, rng):
-    return _categorical(rng.random(len(x1)), channel.table[x1, x2, s])
+    """One output per position, drawn by `_inverse_cdf` from the channel
+    row of (x1, x2, s), as int64."""
+    u = rng.random(len(x1))
+    *cells, ny = channel.table.shape
+    cum = _cumulative(channel.table).reshape(math.prod(cells), ny - 1)
+    return _inverse_cdf(u, cum[(x1 * channel.n_x2 + x2) * channel.n_states + s]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,22 +255,42 @@ def decode_joint_typicality(
         return DecodeResult(False, None, 0)
     # the block view the decoder reads: post-delay positions, observed
     # states, the context index of (s, sd1, sd2, y) and the pass bounds per
-    # cell (u, context, x1, x2), contiguous so that their flat views are free
+    # cell (u, context, x1, x2)
     i, sd1, sd2 = _observed(s, d1, d2)
     ctx = ((s[d1:] * k + sd1) * k + sd2) * ny + y[d1:]
-    p = joint.table.reshape(nu, nx1, nx2, -1).transpose(0, 3, 1, 2).copy()
-    lo, hi = _pass_bounds(p, n - d1, epsilon)
+    lo, hi = _cell_bounds(joint.table, n - d1, epsilon)
     M0, M1, M2 = books.sizes
     if M1 * M2 >= _MATMUL_MIN_PAIRS:
         typical = _typical_screened(books, i, sd1, sd2, ctx, lo, hi)
     else:
-        grid = np.ix_(np.arange(M0), np.arange(M1), np.arange(M2))
-        typical = _count_cells(books, grid, i, sd1, sd2, ctx, lo, hi)
+        typical = _count_cells(books, _grid(M0, M1, M2), i, sd1, sd2, ctx, lo, hi)
     ids = np.flatnonzero(typical)
     if len(ids) == 1:
-        triplet = tuple(int(m) for m in np.unravel_index(ids[0], typical.shape))
+        m0, pair = divmod(int(ids[0]), M1 * M2)
+        triplet = (m0, *divmod(pair, M2))
         return DecodeResult(True, triplet, 1)
     return DecodeResult(False, None, len(ids))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(M0: int, M1: int, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The np.ix_ grid of every candidate triplet, as read-only index arrays
+    of shapes (M0, 1, 1), (1, M1, 1) and (1, 1, M2), built once per run."""
+    grid = np.arange(M0)[:, None, None], np.arange(M1)[None, :, None], np.arange(M2)[None, None]
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+@_by_content
+def _cell_bounds(table, m_eff: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_pass_bounds` of the model joint table (u, x1, x2, s, sd1, sd2, y)
+    in the decoder's cell layout (u, context, x1, x2), the context being the
+    index of (s, sd1, sd2, y); contiguous, so that their flat views are
+    free. Cached on the table's content, m_eff and epsilon, so a run
+    computes them once and a changed table never reads stale ones."""
+    nu, nx1, nx2 = table.shape[:3]
+    return _pass_bounds(table.reshape(nu, nx1, nx2, -1).transpose(0, 3, 1, 2).copy(), m_eff, epsilon)
 
 
 def _pass_bounds(p, m_eff: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +329,10 @@ def _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     k, n, n_cells = books.policy.n_states, books.n, lo.size
     lo, hi = lo.ravel(), hi.ravel()
     t0, t1, t2 = books.t0.ravel(), books.t1.ravel(), books.t2.ravel()
-    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) and t2
-    # (M2, n, nu, k, k) less the message's and the auxiliary symbol's terms
+    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) less the
+    # message's and the auxiliary symbol's terms
     off0 = i * k + sd1
     base1 = i * (nu * k) + sd1
-    base2 = base1 * k + sd2
     shape = np.broadcast(*cands).shape
     typical = np.empty(shape, dtype=bool)
     step = max(1, _BINCOUNT_ELEMENTS // (math.prod(shape[1:]) * max(len(i), n_cells)))
@@ -293,8 +341,9 @@ def _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
         m0, m1, m2 = (c[r:r + step, ..., None] if len(c) > 1 else c[..., None] for c in cands)
         # the books' symbols may be bytes: index arithmetic on them is in intp
         u = t0[m0 * (n * k) + off0].astype(np.intp)
-        x1 = t1[m1 * (n * nu * k) + (u * k + base1)]
-        x2 = t2[m2 * (n * nu * k * k) + (u * (k * k) + base2)]
+        off1 = u * k + base1  # times k plus sd2: the offsets into t2 (M2, n, nu, k, k)
+        x1 = t1[m1 * (n * nu * k) + off1]
+        x2 = t2[m2 * (n * nu * k * k) + (off1 * k + sd2)]
         cells = ((u * n_ctx + ctx) * nx1 + x1) * nx2 + x2
         rows = cells.shape[:-1]
         n_rows = math.prod(rows)
@@ -582,16 +631,10 @@ def split_messages(
     """Split each private message into a cell (shared over the link) and an
     in-cell index; cell j of message m is m // idx_size, the index m % idx_size.
     The map (m1, m2) <-> (cells, indices) is a bijection."""
-    sizes = _split_sizes(n, rates, conf)
-    for name, m, M in (("m1", m1, sizes[0][0]), ("m2", m2, sizes[0][1])):
+    counts, (cells1, cells2), (idx1, idx2) = _split_sizes(n, rates, conf)
+    for name, m, M in (("m1", m1, counts[0]), ("m2", m2, counts[1])):
         if not 0 <= m < M:
             raise ValueError(f"{name}={m} out of range [0, {M})")
-    return _split(m1, m2, sizes)
-
-
-def _split(m1: int, m2: int, sizes) -> SplitMessages:
-    """split_messages for in-range messages and their `_split_sizes`."""
-    _, (cells1, cells2), (idx1, idx2) = sizes
     return SplitMessages(
         m0_prime=(m1 // idx1, m2 // idx2),
         m1_prime=m1 % idx1,
@@ -637,13 +680,11 @@ def conferencing_error_rate(
     The shared cells form the common message. A decoded triplet maps back to
     the original pair one to one, so errors are counted on the triplet.
     """
-    sizes = _split_sizes(n, rates, conf)  # once per run, not per trial
-    M1, M2 = sizes[0]
+    (M1, M2), (_, cells2), (idx1, idx2) = _split_sizes(n, rates, conf)  # once per run
     counts = conferencing_counts(n, rates, conf)
 
-    def draw(rng):
-        sm = _split(_draw_index(rng, M1), _draw_index(rng, M2), sizes)
-        c1, c2 = sm.m0_prime
-        return (c1 * sm.n_cells2 + c2, sm.m1_prime, sm.m2_prime)
+    def draw(rng):  # the split of split_messages, as the triplet it encodes
+        m1, m2 = _draw_index(rng, M1), _draw_index(rng, M2)
+        return (m1 // idx1 * cells2 + m2 // idx2, m1 % idx1, m2 % idx2)
 
     return _run_trials(chain, channel, policy, counts, n, d1, d2, epsilon, trials, seed, draw)

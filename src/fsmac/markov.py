@@ -3,6 +3,7 @@ distribution of the current state with its delayed observations."""
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,10 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+# positions per step of sample_state_path's walk over its jump tables (a
+# power of 2): the walk takes n / _PATH_JUMP steps, and the path holds
+# log2(_PATH_JUMP) + 1 tables of k * n entries
+_PATH_JUMP = 16
 
 
 class MarkovChain:
@@ -157,34 +162,96 @@ def delayed_state_joint(chain: MarkovChain, d1: int, d2: int) -> DelayedStateJoi
 def mixing_horizon(chain: MarkovChain, tol: float = 1e-9, max_steps: int = 100_000) -> int:
     """Smallest d with max-row total-variation distance of K^d from pi below tol.
 
-    Used to replace an unbounded delay by a finite surrogate.
+    Used to replace an unbounded delay by a finite surrogate. The distance
+    does not grow with d, so repeated squaring brackets the horizon between
+    two powers of 2, and bisection with the squares finds it: about
+    2 * log2(d) products of K's powers instead of d.
     """
     pi = chain.pi
+
+    def mixed(P):
+        return 0.5 * np.abs(P - pi).sum(axis=1).max() < tol
+
+    def no_horizon():
+        return RuntimeError(f"chain did not mix to {tol} within {max_steps} steps")
+
     P = np.eye(chain.k)
-    for d in range(max_steps + 1):
-        tv = 0.5 * np.abs(P - pi[None, :]).sum(axis=1).max()
-        if tv < tol:
-            return d
-        P = P @ chain.K
-    raise RuntimeError(f"chain did not mix to {tol} within {max_steps} steps")
+    if mixed(P):
+        return 0
+    squares = [chain.K]  # K^(2^j)
+    while not mixed(squares[-1]):
+        if 1 << (len(squares) - 1) >= max_steps:
+            raise no_horizon()
+        squares.append(squares[-1] @ squares[-1])
+    # the largest d below the horizon, bit by bit from the highest
+    d = 0
+    for j in reversed(range(len(squares) - 1)):
+        Q = P @ squares[j]
+        if not mixed(Q):
+            d, P = d + (1 << j), Q
+    if d + 1 > max_steps:
+        raise no_horizon()
+    return d + 1
 
 
-def _inverse_cdf(u, probs) -> np.ndarray:
-    """Inverse-CDF draws: for each uniform in u, the number of cumulative
-    masses of probs (over its last axis) that are <= u, not counting the
-    last one, so the last symbol also takes the rounding residue of the
-    cumulative sum. u and the leading axes of probs broadcast; the draws
-    are counted in the smallest integer type, in the broadcast C order."""
-    cum = np.cumsum(probs, axis=-1)[..., :-1]
-    sym = np.zeros(np.broadcast(u, probs[..., 0]).shape, np.min_scalar_type(cum.shape[-1]))
-    for j in range(cum.shape[-1]):
-        sym += u >= cum[..., j]
-    return sym
+def _by_content(fn):
+    """fn(table, *args) memoized on the table's content (shape, type and
+    bytes) and on args, so that a table changed in place never reads the
+    values of its old content. The cache keeps a few entries and hands out
+    read-only arrays, so that one caller cannot change them for the next."""
+
+    @functools.lru_cache(maxsize=8)
+    def cached(shape, dtype, data, *args):
+        out = fn(np.frombuffer(data, dtype).reshape(shape), *args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+
+    @functools.wraps(fn)
+    def by_content(table, *args):
+        return cached(table.shape, table.dtype.str, table.tobytes(), *args)
+
+    by_content.cache_clear = cached.cache_clear
+    return by_content
+
+
+@_by_content
+def _cumulative(probs) -> np.ndarray:
+    """The thresholds of `_inverse_cdf` for probs: its cumulative masses
+    over the last axis, less the last one."""
+    return np.ascontiguousarray(np.cumsum(probs, axis=-1)[..., :-1])
+
+
+def _inverse_cdf(u, cum, out=None) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform in u, the number of the
+    thresholds cum (over its last axis, see `_cumulative`) that are <= u,
+    so the last symbol also takes the rounding residue of the cumulative
+    sum. u and the leading axes of cum broadcast; the draws are counted in
+    the smallest unsigned type, in the broadcast C order, or into out, an
+    array of the broadcast shape, with one comparison pass per threshold."""
+    if cum.shape[-1] == 0:  # one symbol
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(u), cum.shape[:-1]), np.uint8)
+        out[...] = 0
+        return out
+    # a bool is one byte of 0 or 1, so comparisons count as uint8 in place
+    if out is None:
+        out = (u >= cum[..., 0]).view(np.uint8)
+        if cum.shape[-1] > 255:
+            out = out.astype(np.min_scalar_type(cum.shape[-1]))
+    elif out.dtype == np.uint8:
+        np.greater_equal(u, cum[..., 0], out=out.view(bool))
+    else:
+        out[...] = u >= cum[..., 0]
+    for j in range(1, cum.shape[-1]):
+        out += (u >= cum[..., j]).view(np.uint8)
+    return out
 
 
 def _categorical(u, probs) -> np.ndarray:
-    """The inverse-CDF draws of `_inverse_cdf` as C-order int64."""
-    return _inverse_cdf(u, probs).astype(np.int64)
+    """The inverse-CDF draws of `_inverse_cdf` for the probabilities probs,
+    as C-order int64."""
+    return _inverse_cdf(u, np.cumsum(probs, axis=-1)[..., :-1]).astype(np.int64)
 
 
 def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,13 +259,31 @@ def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> n
 
     One uniform per position: the first picks the start from pi, and the
     i-th picks the next state from row K[s[i-1]]. Every row's next state is
-    drawn for every step at once, then the path follows its own row."""
+    drawn for every step at once; the path then follows its own rows. Node
+    s * N + i (state s at position i, N being n rounded up to a multiple of
+    _PATH_JUMP) points to the node after it, and squaring that table gives
+    the node 2, 4, ..., _PATH_JUMP steps on. A walk takes the path's node at
+    every _PATH_JUMP-th position, and halving jumps fill in the rest."""
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    k = chain.k
+    k, J = chain.k, _PATH_JUMP
+    N = -(-n // J) * J
     u = rng.random(n)
-    # node i * k + s (state s at position i) points to the node that follows it
-    nxt = (_categorical(u[1:, None], chain.K) + np.arange(k, n * k, k)[:, None]).ravel().tolist()
-    node = int(_categorical(u[0], chain.pi))
-    nodes = [node] + [node := nxt[node] for _ in range(n - 1)]
-    return np.array(nodes, dtype=np.int64) % k
+    # succ[s, i] is the state after state s at position i, drawn with u[i + 1]
+    succ = np.zeros((k, N), np.min_scalar_type(k - 1))
+    _inverse_cdf(u[1:], _cumulative(chain.K)[:, None], succ[:, :n - 1])
+    # the last position points back to the first: no position before N is
+    # reached through it
+    jumps = [(succ.astype(np.intp) * N + np.arange(1, N + 1) % N).ravel()]
+    while 1 << (len(jumps) - 1) < J:
+        jumps.append(jumps[-1][jumps[-1]])
+    # the J-step table between nodes at multiples of J, as s * N / J + i / J
+    coarse = (jumps.pop()[::J] // J).tolist()
+    node = int(_inverse_cdf(u[0], _cumulative(chain.pi))) * (N // J)
+    path = np.empty(N, dtype=np.int64)
+    path[::J] = [node] + [node := coarse[node] for _ in range(N // J - 1)]
+    path[::J] *= J
+    for q in reversed(range(len(jumps))):
+        h = 1 << q
+        path[h::2 * h] = jumps[q][path[::2 * h]]
+    return path[:n] // N

@@ -34,6 +34,17 @@ class TestSnrCritical:
     def test_symmetric_in_arguments(self):
         assert snr_critical(0.2, 0.7) == snr_critical(0.7, 0.2)
 
+    @pytest.mark.parametrize("c", [1e-9, 1e-6])
+    def test_small_links_keep_relative_precision(self, c):
+        # (e^x - 1) / 4 with x = 2c ln 2, by its Taylor series: the terms
+        # left out are below 1e-19 of the value at these links
+        x = 2.0 * c * math.log(2.0)
+        series = (x + x * x / 2.0 + x**3 / 6.0) / 4.0
+        assert abs(snr_critical(c, 0.0) - series) <= 4e-16 * series
+        assert snr_critical(c / 2, c / 2) == snr_critical(c, 0.0)
+        # the subtraction it replaces is off by more than that
+        assert abs((2.0 ** (2.0 * c) - 1.0) / 4.0 - series) > 1e-12 * series
+
     def test_monotone_in_sum(self):
         vals = [snr_critical(c, c) for c in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -153,12 +164,13 @@ class TestRhoStar:
         return ps + [crit * s for s in (1.0, 1.0 + 1e-12, 1.001, 2.0) if crit > 0]
 
     def test_matches_the_rational_formula(self):
-        # _beta_exact's formula in exact rational arithmetic, from the same floats
+        # _beta_exact's formula in exact rational arithmetic, from the same
+        # floats: 4^c - 1 as expm1 forms it, and 4^c
         for c in self.C_GRID:
-            f = Fraction(2.0 ** (2.0 * c))
+            f, f_minus_1 = Fraction(2.0 ** (2.0 * c)), Fraction(math.expm1(2.0 * c * math.log(2.0)))
             for p in self._powers(c):
                 q = Fraction(p)
-                beta = float(min(max((1 + 4 * q - f) / (2 * q * (f + 1)), 0), 1))
+                beta = float(min(max((4 * q - f_minus_1) / (2 * q * (f + 1)), 0), 1))
                 got = rho_star(p, c / 2, c / 2)
                 assert abs((1.0 - got * got) - beta) <= 1e-12, (c, p)
 

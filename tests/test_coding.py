@@ -19,7 +19,8 @@ from fsmac import (
     sample_state_path,
     split_messages,
 )
-from fsmac import coding
+from fsmac import coding, markov
+from fsmac.markov import _categorical
 
 
 def two_state(g=0.1, b=0.1):
@@ -328,6 +329,87 @@ class TestDecodeJointTypicality:
         z = np.zeros(8, dtype=int)
         with pytest.raises(ValueError, match="cap"):
             decode_joint_typicality(books, z, z, 0, 0, 0.05, joint)
+
+
+class TestPassBoundCache:
+    """The decoder computes its pass bounds once per (joint content, m_eff,
+    epsilon): a second epsilon, a second n - d1 and a joint table changed
+    in place each get fresh ones."""
+
+    def test_each_new_key_computes_fresh_bounds(self, monkeypatch):
+        calls = []
+        pass_bounds = coding._pass_bounds
+
+        def counted(p, m_eff, epsilon):
+            calls.append((m_eff, epsilon))
+            return pass_bounds(p, m_eff, epsilon)
+
+        monkeypatch.setattr(coding, "_pass_bounds", counted)
+        coding._cell_bounds.cache_clear()
+        chain, channel, policy = two_state(), xor_bsc_channel(2, (0.1, 0.4)), uniform_policy(2, nu=2)
+        n, d2, rng = 16, 0, np.random.default_rng(0)
+        books = generate_codebooks(policy, n, (2, 2, 2), rng)
+        s = sample_state_path(chain, n, rng)
+        y = coding._sample_outputs(channel, *encode(books, 1, 0, 1, s, 1, d2), s, rng)
+        joint = assemble_joint(delayed_state_joint(chain, 1, d2), policy, channel)
+        other = assemble_joint(delayed_state_joint(two_state(0.4, 0.02), 1, d2), policy, channel)
+        masks = []
+
+        def decode(d1, eps):
+            res = decode_joint_typicality(books, y, s, d1, d2, eps, joint)
+            ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
+            assert res == _decode_result(ref), (d1, eps)
+            masks.append(ref)
+
+        decode(1, 0.08)
+        decode(1, 0.08)  # the same key: the cached bounds
+        assert calls == [(15, 0.08)]
+        decode(1, 0.12)
+        decode(2, 0.12)
+        assert calls == [(15, 0.08), (15, 0.12), (14, 0.12)]
+        joint.table[...] = other.table  # the same object, another law
+        decode(2, 0.12)
+        assert calls == [(15, 0.08), (15, 0.12), (14, 0.12), (14, 0.12)]
+        # each new key changes the decision, so stale bounds would show
+        assert len({m.tobytes() for m in masks}) == 4
+        lo, hi = coding._cell_bounds(joint.table, 14, 0.12)
+        assert not (lo.flags.writeable or hi.flags.writeable)  # shared, so read-only
+
+
+class TestTrialCallContract:
+    """Each trial calls the module attributes sample_state_path, encode and
+    decode_joint_typicality once each, in that order: perfbench's tracer
+    wraps them and pairs each encode with the decode after it."""
+
+    @pytest.mark.parametrize("pipeline", ["common", "conferencing"])
+    def test_one_call_each_per_trial_in_order(self, monkeypatch, pipeline):
+        log = []
+        for name in ("sample_state_path", "encode", "decode_joint_typicality"):
+            def counted(*args, _fn=getattr(coding, name), _name=name):
+                result = _fn(*args)
+                log.append((_name, args, result))
+                return result
+
+            monkeypatch.setattr(coding, name, counted)
+        chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
+        policy, n, eps, trials = uniform_policy(2, nu=2), 16, 0.15, 7
+        if pipeline == "common":
+            est = estimate_error_rate(
+                chain, channel, policy, (1 / 16, 1 / 16, 1 / 16), n, eps, trials, seed=5, d1=1
+            )
+        else:
+            est = conferencing_error_rate(
+                chain, channel, policy, (0.125, 0.125), ConferencingConfig(0.0625, 0.0), n, eps,
+                trials, seed=8, d1=1, d2=1,
+            )
+        names = ["sample_state_path", "encode", "decode_joint_typicality"]
+        assert [entry[0] for entry in log] == names * trials
+        errors = 0
+        for (_, _, s), (_, enc, _), (_, dec, result) in zip(*[iter(log)] * 3):
+            books, m0, m1, m2, path = enc[:5]
+            assert path is s and dec[2] is s and dec[0] is books  # one trial's arrays
+            errors += result.triplet != (m0, m1, m2)
+        assert errors == est.errors  # the outcomes the tracer sums
 
 
 def _sparse_rows(rng, shape, zero_share):
@@ -700,6 +782,35 @@ def _rows(rng, shape, quarter):
     return _sparse_rows(rng, shape, 0.3)
 
 
+def _check_chunked_draws(monkeypatch, chunk):
+    """Books drawn with _DRAW_CHUNK set from `chunk` against the per-row
+    oracle, on random tables of several rows."""
+    rng = np.random.default_rng(19)
+    for trial in range(6):
+        k, nu = int(rng.integers(2, 4)), int(rng.integers(1, 3))  # several rows per table
+        nx1, nx2 = (int(v) for v in rng.integers(1, 4, size=2))
+        n = int(rng.integers(1, 12))
+        counts = tuple(int(v) for v in rng.integers(1, 6, size=3))
+        policy = InputPolicy(
+            _sparse_rows(rng, (k, nu), 0.3),
+            _sparse_rows(rng, (nu, k, nx1), 0.3),
+            _sparse_rows(rng, (nu, k, k, nx2), 0.3),
+        )
+        size = max(counts) * n
+        draw = {
+            "1": 1, "7": 7, "M*n-1": max(size - 1, 1), "M*n+1": size + 1, "2*M*n+1": 2 * size + 1,
+        }[chunk]
+        monkeypatch.setattr(coding, "_DRAW_CHUNK", draw)
+        seed = int(rng.integers(1 << 31))
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        books = generate_codebooks(policy, n, counts, ra)
+        refs = _oracle_books(policy, n, counts, rb)
+        for got, ref in zip((books.t0, books.t1, books.t2), refs):
+            assert got.dtype == np.uint8, (chunk, trial)
+            assert np.array_equal(got, ref), (chunk, trial)
+        assert ra.random() == rb.random(), (chunk, trial)
+
+
 class TestSamplersAgainstOracles:
     def test_trial_draws_match_per_step_samplers(self):
         rng = np.random.default_rng(77)
@@ -747,32 +858,19 @@ class TestSamplersAgainstOracles:
                 assert np.array_equal(got, ref), trial
             assert ra.random() == rb.random(), trial
 
-    @pytest.mark.parametrize("chunk", ["1", "7", "M*n-1", "M*n+1"])
+    @pytest.mark.parametrize("chunk", ["1", "7", "M*n-1", "M*n+1", "2*M*n+1"])
     def test_chunked_draws_keep_the_stream(self, monkeypatch, chunk):
-        # chunks smaller than one row's block, not dividing it, and holding
-        # one row but not two; M*n is the largest book's block
-        rng = np.random.default_rng(19)
-        for trial in range(6):
-            k, nu = int(rng.integers(2, 4)), int(rng.integers(1, 3))  # several rows per table
-            nx1, nx2 = (int(v) for v in rng.integers(1, 4, size=2))
-            n = int(rng.integers(1, 12))
-            counts = tuple(int(v) for v in rng.integers(1, 6, size=3))
-            policy = InputPolicy(
-                _sparse_rows(rng, (k, nu), 0.3),
-                _sparse_rows(rng, (nu, k, nx1), 0.3),
-                _sparse_rows(rng, (nu, k, k, nx2), 0.3),
-            )
-            size = max(counts) * n
-            draw = {"1": 1, "7": 7, "M*n-1": max(size - 1, 1), "M*n+1": size + 1}[chunk]
-            monkeypatch.setattr(coding, "_DRAW_CHUNK", draw)
-            seed = int(rng.integers(1 << 31))
-            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-            books = generate_codebooks(policy, n, counts, ra)
-            refs = _oracle_books(policy, n, counts, rb)
-            for got, ref in zip((books.t0, books.t1, books.t2), refs):
-                assert got.dtype == np.uint8, (chunk, trial)
-                assert np.array_equal(got, ref), (chunk, trial)
-            assert ra.random() == rb.random(), (chunk, trial)
+        # chunks smaller than one row's block, not dividing it, holding one
+        # row but not two, and two rows; M*n is the largest book's block
+        _check_chunked_draws(monkeypatch, chunk)
+
+    @pytest.mark.parametrize("book_block", [1, 13])
+    def test_small_comparison_blocks_keep_the_stream(self, monkeypatch, book_block):
+        # small comparison blocks (_BOOK_BLOCK bytes of book rows) split a
+        # chunk of several rows into passes, the last one partial
+        monkeypatch.setattr(coding, "_BOOK_BLOCK", book_block)
+        for chunk in ("1", "7", "M*n-1", "M*n+1", "2*M*n+1"):
+            _check_chunked_draws(monkeypatch, chunk)
 
     def test_large_alphabets(self):
         # 256 symbols of X1 still fit one byte, 257 take two; both through
@@ -802,6 +900,69 @@ class TestSamplersAgainstOracles:
             view = _block_view(books, y, s, d1, d2, joint, eps)
             assert np.array_equal(_grid_mask(books, view), ref), nx
             assert np.array_equal(coding._typical_screened(books, *view), ref), nx
+
+
+    @pytest.mark.parametrize("nx", [2, 3, 257])
+    @pytest.mark.parametrize("layout", ["whole rows", "split rows"])
+    def test_tables_past_the_draw_chunk(self, nx, layout):
+        # tables of more than _DRAW_CHUNK uniforms at its shipped size: as
+        # chunks of several whole rows (M * n <= _DRAW_CHUNK / 2), compared in
+        # blocks of _BOOK_BLOCK book bytes, or with every row split
+        # (M * n > _DRAW_CHUNK); 257 symbols take uint16 books
+        rng = np.random.default_rng(nx)
+        n = 512
+        M = coding._DRAW_CHUNK // (2 * n) if layout == "whole rows" else coding._DRAW_CHUNK // n + 3
+        policy = InputPolicy(
+            _sparse_rows(rng, (2, 2), 0.3),
+            _sparse_rows(rng, (2, 2, nx), 0.3),
+            _sparse_rows(rng, (2, 2, 2, nx), 0.3),
+        )
+        counts = (3, M, M)
+        assert M * n * 8 > coding._DRAW_CHUNK  # t2's 8 rows take several draws
+        assert (2 * M * n <= coding._DRAW_CHUNK) == (layout == "whole rows")
+        seed = int(rng.integers(1 << 31))
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        books = generate_codebooks(policy, n, counts, ra)
+        refs = _oracle_books(policy, n, counts, rb)
+        dtype = np.uint8 if nx <= 256 else np.uint16
+        assert (books.t0.dtype, books.t1.dtype, books.t2.dtype) == (np.uint8, dtype, dtype)
+        for got, ref in zip((books.t0, books.t1, books.t2), refs):
+            assert np.array_equal(got, ref), (nx, layout)
+        assert ra.random() == rb.random()
+
+    @pytest.mark.parametrize("ny", [1, 2, 3, 257])
+    def test_outputs_match_categorical(self, ny):
+        # the channel rows' cumulative masses are cached per table: the
+        # draws are those of markov._categorical on the gathered rows
+        rng = np.random.default_rng(ny)
+        k, nx1, nx2, n = 3, 2, 3, 400
+        channel = DmcChannel(_sparse_rows(rng, (nx1, nx2, k, ny), 0.3))
+        x1, x2, s = rng.integers(0, nx1, n), rng.integers(0, nx2, n), rng.integers(0, k, n)
+        seed = int(rng.integers(1 << 31))
+        y = coding._sample_outputs(channel, x1, x2, s, np.random.default_rng(seed))
+        ref = _categorical(np.random.default_rng(seed).random(n), channel.table[x1, x2, s])
+        assert y.dtype == np.int64
+        assert np.array_equal(y, ref)
+        assert ny == 1 or len(np.unique(y)) > 1
+
+    @pytest.mark.parametrize("jump", [1, 2, 4, 64, None])
+    def test_path_jumps_match_the_walk(self, monkeypatch, jump):
+        # the path from its jump tables, for walks of every stride, against
+        # the per-step walk; None keeps the shipped stride. The lengths
+        # divide the stride, fall short of it and pass it
+        if jump is not None:
+            monkeypatch.setattr(markov, "_PATH_JUMP", jump)
+        rng = np.random.default_rng(jump or 0)
+        for k in (1, 2, 3, 5):
+            K = _sparse_rows(rng, (k, k), 0.0)
+            chain = MarkovChain([f"s{a}" for a in range(k)], K)
+            for n in (1, 2, 5, 64, 130, 1000):
+                seed = int(rng.integers(1 << 31))
+                ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+                s = sample_state_path(chain, n, ra)
+                assert s.dtype == np.int64
+                assert np.array_equal(s, _oracle_path(chain, n, rb)), (jump, k, n)
+                assert ra.random() == rb.random()
 
 
 def _replay(chain, channel, policy, counts, n, d1, d2, eps, trials, seed, draw):

@@ -1,5 +1,9 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from fsmac import (
     DelayedStateJoint,
@@ -9,7 +13,10 @@ from fsmac import (
     n_step_matrix,
     stationary_distribution,
 )
-from fsmac.markov import _categorical
+from fsmac import markov
+from fsmac.markov import _categorical, sample_state_path
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def two_state(g=0.1, b=0.1):
@@ -170,6 +177,66 @@ def test_mixing_horizon_two_state():
     assert 0.5 * np.abs(P - 0.5).sum(axis=1).max() < 1e-9
     P_prev = n_step_matrix(chain, d - 1)
     assert 0.5 * np.abs(P_prev - 0.5).sum(axis=1).max() >= 1e-9
+
+
+def _linear_horizon(chain, tol, max_steps):
+    """The horizon by one product of K per step, or None past max_steps:
+    the oracle for mixing_horizon's squaring and bisection."""
+    pi = chain.pi
+    P = np.eye(chain.k)
+    for d in range(max_steps + 1):
+        if 0.5 * np.abs(P - pi).sum(axis=1).max() < tol:
+            return d
+        P = P @ chain.K
+    return None
+
+
+def _horizon_or_none(chain, tol, max_steps):
+    try:
+        return mixing_horizon(chain, tol, max_steps)
+    except RuntimeError:
+        return None
+
+
+class TestMixingHorizon:
+    def test_shipped_chains_match_the_linear_scan(self):
+        chains = [yaml.safe_load(p.read_text()).get("chain") for p in CONFIGS]
+        chains = [MarkovChain(c["states"], c["transition"]) for c in chains if c]
+        assert len(chains) >= 4
+        for chain in chains:
+            assert mixing_horizon(chain, 1e-9) == _linear_horizon(chain, 1e-9, 100_000)
+
+    def test_seeded_chains_match_the_linear_scan(self):
+        # horizons up to a few thousand steps: beyond that the scan's own
+        # rounding, one product per step, reaches a tolerance of 1e-9 and the
+        # two methods can part by a step or more
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(150):
+            k = int(rng.integers(1, 6))
+            K = rng.random((k, k)) ** rng.choice([1, 4, 12])  # sparse and slow ones too
+            try:
+                chain = MarkovChain([f"s{a}" for a in range(k)], K / K.sum(axis=1, keepdims=True))
+            except ValueError:  # not irreducible and aperiodic
+                continue
+            for tol in (1e-6, 1e-9):
+                d = _linear_horizon(chain, tol, 3000)
+                if d is None:
+                    continue
+                checked += 1
+                assert mixing_horizon(chain, tol) == d
+                # the step cap: the horizon itself passes, one step less does not
+                assert _horizon_or_none(chain, tol, d) == d
+                if d > 0:
+                    assert _horizon_or_none(chain, tol, d - 1) is None
+        assert checked >= 150
+
+    def test_slow_chain_rejected_quickly(self):
+        chain = two_state(1e-6, 1e-6)  # horizon about 1e7 steps at 1e-9
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="did not mix"):
+            mixing_horizon(chain, 1e-9)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCategorical:
