@@ -57,15 +57,6 @@ _PAIR_LIST_MAX_ENTRIES = 1 << 19
 # drawn and counted in chunks, which give the same stream because
 # Generator.random fills in C order
 _DRAW_CHUNK = 1 << 16
-# book bytes per comparison pass over a chunk of several rows: each pass
-# writes one column of the book, so its rows should stay in the L1 cache
-# until the next pass. On a 2-core x86 box (numpy 2.4), comparing 2 rows x
-# 2048 positions straight into the book took 5-8 us against 14-20 us
-# through a transposed copy, and 64 rows x 1024 positions 151 us in one
-# pass, 89 us in blocks of 16 KB and 98 us through the copy. A single row
-# is faster through a contiguous comparison and a copy (64768 positions:
-# 38 us against 53-89 us straight into its column)
-_BOOK_BLOCK = 1 << 14
 FILL_SYMBOL = 0
 
 
@@ -86,11 +77,13 @@ def message_count(n: int, rate: float) -> int:
 class Codebooks:
     """The three codeword arrays over delayed-state-indexed super-alphabets.
 
-    t0[m0, i, a]          common-message symbol component for observed state a
-    t1[m1, i, u, a]       encoder-1 component for auxiliary symbol u, state a
-    t2[m2, i, u, a, b]    encoder-2 component for (u, state a, state b)
+    t0[a, m0, i]          common-message symbol component for observed state a
+    t1[u, a, m1, i]       encoder-1 component for auxiliary symbol u, state a
+    t2[u, a, b, m2, i]    encoder-2 component for (u, state a, state b)
 
-    Components are drawn i.i.d. from the policy conditionals; drawing again
+    Components are drawn i.i.d. from the policy conditionals, and each book
+    is stored in the order of its draws, so its flat offset of message m at
+    position i of component row r is r * M * n + m * n + i. Drawing again
     from a generator in the same state is bit-identical. Drawn books hold
     each symbol in the smallest unsigned type of its alphabet (one byte up
     to 256 symbols); hand-built ones may use any integer type.
@@ -105,50 +98,44 @@ class Codebooks:
 
     @property
     def sizes(self) -> tuple[int, int, int]:
-        return self.t0.shape[0], self.t1.shape[0], self.t2.shape[0]
+        return self.t0.shape[-2], self.t1.shape[-2], self.t2.shape[-2]
 
 
 def generate_codebooks(
     policy: InputPolicy, n: int, counts: tuple[int, int, int], rng: np.random.Generator
 ) -> Codebooks:
     """Random codebooks of (M0, M1, M2) messages, each component drawn from
-    its policy conditional: t0, then t1, then t2, each component in the
-    C order of its observed-state (and auxiliary) indices. Each book holds
-    its symbols in the smallest unsigned type of its alphabet: uint8 up to
-    256 symbols, uint16 above."""
+    its policy conditional: t0, then t1, then t2, each component row (in
+    the C order of its observed-state and auxiliary indices) as one (M, n)
+    block of uniforms. They are drawn in chunks of at most _DRAW_CHUNK,
+    whole rows or pieces of one, and counted by `_inverse_cdf` straight
+    into the book, in the smallest unsigned type of its alphabet: uint8 up
+    to 256 symbols, uint16 above."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     books = []
     for table, M in zip((policy.pU, policy.pX1, policy.pX2), counts):
         *rows, nx = table.shape
         cum = _cumulative(table).reshape(math.prod(rows), 1, nx - 1)
-        books.append(_draw_book(cum, M * n, rng).reshape(M, n, *rows))
+        book = np.empty((len(cum), M * n), np.min_scalar_type(nx - 1))
+        per_draw = max(1, _DRAW_CHUNK // (M * n))  # rows
+        span = min(M * n, _DRAW_CHUNK)  # uniforms per row
+        for r in range(0, len(cum), per_draw):
+            for j in range(0, M * n, span):
+                out = book[r:r + per_draw, j:j + span]
+                _inverse_cdf(rng.random(out.shape), cum[r:r + per_draw], out)
+        books.append(book.reshape(*rows, M, n))
     return Codebooks(policy, *books, n)
 
 
-def _draw_book(cum: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, len(cum)) symbols: one block of `size` uniforms per row of
-    thresholds cum (rows, 1, symbols - 1), drawn in row order and counted
-    by `_inverse_cdf`. A table of at most _DRAW_CHUNK uniforms is one draw;
-    a larger one is drawn as whole rows per chunk, or each row in chunks
-    when one row is larger. A chunk of several rows is compared straight
-    into the book, in blocks of positions whose book rows fit in
-    _BOOK_BLOCK bytes; a chunk of one row is compared into a contiguous
-    array, which is then copied into its column."""
-    book = np.empty((size, len(cum)), np.min_scalar_type(cum.shape[-1]))
-    per_draw = max(1, _DRAW_CHUNK // size)  # rows
-    span = min(size, _DRAW_CHUNK)  # uniforms per row
-    block = max(1, _BOOK_BLOCK // book.strides[0])  # positions
-    for r in range(0, len(cum), per_draw):
-        c = cum[r:r + per_draw]
-        for j in range(0, size, span):
-            u = rng.random((len(c), min(span, size - j)))
-            if len(c) == 1:
-                book[j:j + span, r] = _inverse_cdf(u[0], c[0])
-                continue
-            for a in range(0, u.shape[1], block):
-                _inverse_cdf(u[:, a:a + block], c, book[j + a:j + a + block, r:r + per_draw].T)
-    return book
+def _by_message(book: np.ndarray, n: int) -> np.ndarray:
+    """A read-only (M, ...) view of a book whose entry [m, r * M * n + i] is
+    the symbol of message m at position i of component row r."""
+    flat, M = book.ravel(), book.shape[-2]
+    size = flat.itemsize
+    view = np.ndarray((M, flat.size - (M - 1) * n), flat.dtype, flat, 0, (n * size, size))
+    view.flags.writeable = False
+    return view
 
 
 def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,18 +160,19 @@ def encode(
     for name, m, M in (("m0", m0, M0), ("m1", m1, M1), ("m2", m2, M2)):
         if not 0 <= m < M:
             raise ValueError(f"{name}={m} out of range [0, {M})")
-    n, k, nu = books.n, books.policy.n_states, books.policy.n_u
+    n, k = books.n, books.policy.n_states
     if len(s) != n:
         raise ValueError("the state path must have the block length")
     x = np.empty((2, n), dtype=np.int64)
     x[:, :d1] = FILL_SYMBOL
     i, sd1, sd2 = _observed(s, d1, d2)
-    # flat offsets into the codewords t0[m0] (n, k), t1[m1] (n, nu, k) and
-    # t2[m2] (n, nu, k, k)
-    u = books.t0[m0].ravel()[i * k + sd1]
-    off1 = (i * nu + u) * k + sd1
-    x[0, d1:] = books.t1[m1].ravel()[off1]
-    x[1, d1:] = books.t2[m2].ravel()[off1 * k + sd2]
+    # flat offsets r * M * n + m * n + i into t0 (k, M0, n), t1 (nu, k, M1,
+    # n) and t2 (nu, k, k, M2, n), r being the component row a, (u, a) or
+    # (u, a, b); the books' symbols may be bytes, so u is cast to intp
+    u = books.t0.ravel()[sd1 * (M0 * n) + (m0 * n + i)].astype(np.intp)
+    row1 = u * k + sd1
+    x[0, d1:] = books.t1.ravel()[row1 * (M1 * n) + (m1 * n + i)]
+    x[1, d1:] = books.t2.ravel()[(row1 * k + sd2) * (M2 * n) + (m2 * n + i)]
     return x[0], x[1]
 
 
@@ -327,12 +315,15 @@ def _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     axis, and the counts are compared with their cells' pass bounds."""
     nu, n_ctx, nx1, nx2 = lo.shape
     k, n, n_cells = books.policy.n_states, books.n, lo.size
+    M0, M1, M2 = books.sizes
     lo, hi = lo.ravel(), hi.ravel()
     t0, t1, t2 = books.t0.ravel(), books.t1.ravel(), books.t2.ravel()
-    # flat offsets into t0 (M0, n, k), and into t1 (M1, n, nu, k) less the
-    # message's and the auxiliary symbol's terms
-    off0 = i * k + sd1
-    base1 = i * (nu * k) + sd1
+    # flat offsets r * M * n + m * n + i into t0 (k, M0, n), t1 (nu, k, M1,
+    # n) and t2 (nu, k, k, M2, n) less the message's term m * n and, for t1
+    # and t2, the auxiliary symbol's term in r
+    off0 = sd1 * (M0 * n) + i
+    base1 = sd1 * (M1 * n) + i
+    base2 = (sd1 * k + sd2) * (M2 * n) + i
     shape = np.broadcast(*cands).shape
     typical = np.empty(shape, dtype=bool)
     step = max(1, _BINCOUNT_ELEMENTS // (math.prod(shape[1:]) * max(len(i), n_cells)))
@@ -340,10 +331,9 @@ def _count_cells(books, cands, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
         # the chunk's rows of each index array, positions on a last axis
         m0, m1, m2 = (c[r:r + step, ..., None] if len(c) > 1 else c[..., None] for c in cands)
         # the books' symbols may be bytes: index arithmetic on them is in intp
-        u = t0[m0 * (n * k) + off0].astype(np.intp)
-        off1 = u * k + base1  # times k plus sd2: the offsets into t2 (M2, n, nu, k, k)
-        x1 = t1[m1 * (n * nu * k) + off1]
-        x2 = t2[m2 * (n * nu * k * k) + (off1 * k + sd2)]
+        u = t0[m0 * n + off0].astype(np.intp)
+        x1 = t1[m1 * n + (u * (k * M1 * n) + base1)]
+        x2 = t2[m2 * n + (u * (k * k * M2 * n) + base2)]
         cells = ((u * n_ctx + ctx) * nx1 + x1) * nx2 + x2
         rows = cells.shape[:-1]
         n_rows = math.prod(rows)
@@ -377,10 +367,11 @@ def _typical_screened(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     """
     M0, M1, M2 = books.sizes
     nu, n_ctx, nx1, nx2 = lo.shape
-    k = books.policy.n_states
+    k, n = books.policy.n_states, books.n
     n_groups = nu * n_ctx
+    t0, t1, t2 = (_by_message(t, n) for t in (books.t0, books.t1, books.t2))
     # the books' symbols may be bytes: index arithmetic on them is in intp
-    u = books.t0[:, i, sd1].astype(np.intp)  # (M0, m_eff)
+    u = t0[:, sd1 * (M0 * n) + i].astype(np.intp)  # (M0, m_eff)
     group = u * n_ctx + ctx
     size = np.bincount(
         (group + np.arange(M0)[:, None] * n_groups).ravel(), minlength=M0 * n_groups
@@ -394,10 +385,11 @@ def _typical_screened(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
     typical = np.zeros((M0, M1, M2), dtype=bool)
     typical[live] = True
 
-    t1 = books.t1.reshape(M1, -1)
-    t2 = books.t2.reshape(M2, -1)
-    off1 = (i * nu + u) * k + sd1  # flat offsets into t1 (M1, n, nu, k)
-    off2 = off1 * k + sd2  # and into t2 (M2, n, nu, k, k)
+    # offsets into the (M, ...) views of t1 and t2: r * M * n + i for
+    # component row r = (u, sd1) and (u, sd1, sd2)
+    row1 = u * k + sd1
+    off1 = row1 * (M1 * n) + i
+    off2 = (row1 * k + sd2) * (M2 * n) + i
     for m0 in np.flatnonzero(live & active.any(axis=1)):
         groups = np.flatnonzero(active[m0])
         # positions of the active groups, ordered by group, with each one's
@@ -426,8 +418,9 @@ def _typical_screened(books, i, sd1, sd2, ctx, lo, hi) -> np.ndarray:
 
 def _screen(forbidden, t1, t2, pos1, pos2) -> np.ndarray:
     """(M1, M2) mask of the pairs that put no position into a forbidden
-    cell. forbidden is (positions, nx1, nx2), t1 and t2 are the books as
-    (M, flat) arrays and pos1, pos2 the flat offsets of the positions.
+    cell. forbidden is (positions, nx1, nx2), t1 and t2 are the books'
+    (M, ...) views of `_by_message` and pos1, pos2 the positions' offsets
+    in them.
 
     For each position j and x1 symbol a, the m2 whose x2 symbol makes
     (a, x2) forbidden at j are one bit set over m2; the sets that each m1's
@@ -459,9 +452,9 @@ def _onehot(t: np.ndarray, off: np.ndarray, rows: np.ndarray, n_rows: int, nx: i
 
 
 def _count_groups(t1, t2, pos1, pos2, e, lo, hi) -> np.ndarray:
-    """(M1, M2) mask of the pairs of rows of the (M, flat) books t1 and t2
-    that pass the test on their group cells, pos1 and pos2 being the flat
-    offsets of the positions, e their group ranks (sorted) and lo, hi the
+    """(M1, M2) mask of the pairs of rows of the (M, ...) book views t1 and
+    t2 that pass the test on their group cells, pos1 and pos2 being the
+    positions' offsets in them, e their group ranks (sorted) and lo, hi the
     (groups, nx1, nx2) pass bounds.
 
     Within group g the count of cell (a, b) for every pair is the product

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, n_step_matrix
+from .markov import MarkovChain, delayed_state_joint, n_step_matrix
 from .regions import ConferencingConfig, RateBounds, RatePoint, best_weighted_point, check_weights
 
 __all__ = [
@@ -86,9 +86,9 @@ class GaussianMacSpec:
         self.d1 = int(d1)
         self.d2 = int(d2)
         self.convention = convention
-        pi = chain.pi
-        self._w2 = pi[:, None] * n_step_matrix(chain, d1 - d2)
-        self._w3 = self._w2[:, :, None] * n_step_matrix(chain, d2)[None, :, :]
+        # not _w3 summed over s, which would round differently
+        self._w2 = chain.pi[:, None] * n_step_matrix(chain, d1 - d2)
+        self._w3 = delayed_state_joint(chain, d1, d2).table
 
     @property
     def n_sub(self) -> int:

@@ -109,9 +109,9 @@ class TestGenerateCodebooks:
         policy = uniform_policy(2, nu=2)
         books = generate_codebooks(policy, 16, (4, 16, 16), np.random.default_rng(0))
         assert books.sizes == (4, 16, 16)
-        assert books.t0.shape == (4, 16, 2)
-        assert books.t1.shape == (16, 16, 2, 2)
-        assert books.t2.shape == (16, 16, 2, 2, 2)
+        assert books.t0.shape == (2, 4, 16)
+        assert books.t1.shape == (2, 2, 16, 16)
+        assert books.t2.shape == (2, 2, 2, 16, 16)
 
     def test_zero_rates_single_codeword(self):
         books = generate_codebooks(uniform_policy(2), 8, (1, 1, 1), np.random.default_rng(1))
@@ -130,8 +130,34 @@ class TestGenerateCodebooks:
         a = generate_codebooks(p, 16, (1, 16, 16), np.random.default_rng(3))
         b = generate_codebooks(p, 16, (1, 16, 16), np.random.default_rng(99))
         assert np.array_equal(a.t1, b.t1)  # degenerate sampling ignores the seed
-        assert np.array_equal(a.t1[:, :, 0, 0], np.zeros_like(a.t1[:, :, 0, 0]))
-        assert np.array_equal(a.t1[:, :, 0, 1], np.ones_like(a.t1[:, :, 0, 1]))
+        assert np.array_equal(a.t1[0, 0], np.zeros_like(a.t1[0, 0]))
+        assert np.array_equal(a.t1[0, 1], np.ones_like(a.t1[0, 1]))
+
+    def test_the_array_layout_is_the_stream_layout(self):
+        # t0, t1 and t2, raveled in turn, are the inverse-CDF draws of one
+        # rng.random(total) call cut into consecutive rows of M * n
+        # uniforms, one per component row, t0's first; t2's 8 rows of
+        # M2 * n uniforms take several draws of _DRAW_CHUNK
+        rng = np.random.default_rng(20)
+        k, nu, n, counts = 2, 2, 100, (3, 40, 90)
+        policy = InputPolicy(
+            _sparse_rows(rng, (k, nu), 0.3),
+            _sparse_rows(rng, (nu, k, 3), 0.3),
+            _sparse_rows(rng, (nu, k, k, 4), 0.3),
+        )
+        tables = (policy.pU, policy.pX1, policy.pX2)
+        assert 8 * counts[2] * n > coding._DRAW_CHUNK
+        books = generate_codebooks(policy, n, counts, np.random.default_rng(5))
+        total = sum(t[..., 0].size * M * n for t, M in zip(tables, counts))
+        u = np.random.default_rng(5).random(total).reshape(-1, n)
+        refs, start = [], 0
+        for table, M in zip(tables, counts):
+            for row in table.reshape(-1, table.shape[-1]):
+                refs.append(markov._inverse_cdf(u[start:start + M], np.cumsum(row)[:-1]).ravel())
+                start += M
+        got = np.concatenate([b.ravel() for b in (books.t0, books.t1, books.t2)])
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.concatenate(refs))
 
     def test_empirical_row_frequencies(self):
         # each codeword component is i.i.d. from its conditional row
@@ -142,7 +168,7 @@ class TestGenerateCodebooks:
         n = 10_000
         books = generate_codebooks(policy, n, (1, 1, 1), np.random.default_rng(5))
         for a in range(2):
-            freq1 = (books.t1[0, :, 0, a] == 1).mean()
+            freq1 = (books.t1[0, a, 0, :] == 1).mean()
             p = pX1[0, a, 1]
             assert abs(freq1 - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
@@ -158,25 +184,25 @@ class TestEncode:
         books = generate_codebooks(uniform_policy(1), 12, (1, 8, 8), np.random.default_rng(2))
         x1, x2 = encode(books, 0, 2, 1, np.zeros(12, dtype=int), 0, 0)
         pos = np.arange(12)
-        u = books.t0[0, pos, 0]
-        assert np.array_equal(x1, books.t1[2, pos, u, 0])
-        assert np.array_equal(x2, books.t2[1, pos, u, 0, 0])
+        u = books.t0[0, 0, pos]
+        assert np.array_equal(x1, books.t1[u, 0, 2, pos])
+        assert np.array_equal(x2, books.t2[u, 0, 0, 1, pos])
 
     def test_manual_trace_two_states(self):
         # written-out codebooks, one message each, n = 3, delays (1, 0)
         policy = uniform_policy(2, nu=2)
-        t0 = np.array([[[0, 1], [1, 0], [1, 1]]])          # t0[0, i, observed]
-        t1 = np.zeros((1, 3, 2, 2), dtype=np.int64)        # t1[0, i, u, observed]
-        t1[0, 1, 1, 1] = 1                                  # the one consulted cell at i=1
-        t1[0, 2, 1, 0] = 1                                  # consulted at i=2
-        t2 = np.zeros((1, 3, 2, 2, 2), dtype=np.int64)
-        t2[0, 1, 1, 1, 0] = 1
-        t2[0, 2, 1, 0, 1] = 0
+        t0 = np.array([[[0, 1, 1]], [[1, 0, 1]]])          # t0[observed, 0, i]
+        t1 = np.zeros((2, 2, 1, 3), dtype=np.int64)        # t1[u, observed, 0, i]
+        t1[1, 1, 0, 1] = 1                                  # the one consulted cell at i=1
+        t1[1, 0, 0, 2] = 1                                  # consulted at i=2
+        t2 = np.zeros((2, 2, 2, 1, 3), dtype=np.int64)
+        t2[1, 1, 0, 0, 1] = 1
+        t2[1, 0, 1, 0, 2] = 0
         books = Codebooks(policy, t0, t1, t2, 3)
         x1, x2 = encode(books, 0, 0, 0, np.array([1, 0, 1]), 1, 0)
-        # i=0: fill. i=1: observed=s[0]=1, u=t0[0,1,1]=0 -> x1=t1[0,1,0,1]=0,
-        # x2=t2[0,1,0,1,0]=0. i=2: observed=s[1]=0, u=t0[0,2,0]=1 ->
-        # x1=t1[0,2,1,0]=1, x2=t2[0,2,1,0,1]=0.
+        # i=0: fill. i=1: observed=s[0]=1, u=t0[1,0,1]=0 -> x1=t1[0,1,0,1]=0,
+        # x2=t2[0,1,0,0,1]=0. i=2: observed=s[1]=0, u=t0[0,0,2]=1 ->
+        # x1=t1[1,0,0,2]=1, x2=t2[1,0,1,0,2]=0.
         assert np.array_equal(x1, [0, 0, 1])
         assert np.array_equal(x2, [0, 0, 0])
 
@@ -253,8 +279,8 @@ def _brute_force_typical(books, y, s, d1, d2, eps, joint):
         counts = {}
         for i in range(d1, n):
             a, b = s[i - d1], s[i - d2]
-            u = books.t0[m0, i, a]
-            x1, x2 = books.t1[m1, i, u, a], books.t2[m2, i, u, a, b]
+            u = books.t0[a, m0, i]
+            x1, x2 = books.t1[u, a, m1, i], books.t2[u, a, b, m2, i]
             key = (u, x1, x2, s[i], a, b, y[i])
             counts[key] = counts.get(key, 0) + 1
         typical[m0, m1, m2] = all(
@@ -598,7 +624,7 @@ class TestDecoderKernels:
             y = coding._sample_outputs(channel, x1, x2, s, rng)
             joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
             view = _block_view(books, y, s, d1, d2, joint, eps)
-            assert (books.t0[:, view[0], view[1]] == nu - 1).any()  # u * 135 > 255
+            assert (books.t0[view[1], :, view[0]] == nu - 1).any()  # u * 135 > 255
             ref = _brute_force_typical(books, y, s, d1, d2, eps, joint)
             assert ref[sent], seed  # noiseless: the sent triplet is typical
             if counts[1] * counts[2] < coding._MATMUL_MIN_PAIRS:
@@ -653,7 +679,7 @@ class TestDecoderKernels:
         pos = np.arange(len(i))  # the symbol arrays below are their own books
         keeps = []
         for m0 in range(M0):
-            u = books.t0[m0, i, sd1]
+            u = books.t0[sd1, m0, i]
             forbidden = hi[u, ctx] <= 0  # (positions, nx1, nx2)
             x1 = np.array([encode(books, m0, m1, 0, s, d1, d2)[0][d1:] for m1 in range(M1)])
             x2 = np.array([encode(books, m0, 0, m2, s, d1, d2)[1][d1:] for m2 in range(M2)])
@@ -737,18 +763,18 @@ def _oracle_rows(rng, probs, shape):
 def _oracle_books(policy, n, counts, rng):
     k, nu = policy.n_states, policy.n_u
     m0, m1, m2 = counts
-    t0 = np.empty((m0, n, k), dtype=np.int64)
+    t0 = np.empty((k, m0, n), dtype=np.int64)
     for a in range(k):
-        t0[:, :, a] = _oracle_rows(rng, policy.pU[a], (m0, n))
-    t1 = np.empty((m1, n, nu, k), dtype=np.int64)
+        t0[a] = _oracle_rows(rng, policy.pU[a], (m0, n))
+    t1 = np.empty((nu, k, m1, n), dtype=np.int64)
     for u in range(nu):
         for a in range(k):
-            t1[:, :, u, a] = _oracle_rows(rng, policy.pX1[u, a], (m1, n))
-    t2 = np.empty((m2, n, nu, k, k), dtype=np.int64)
+            t1[u, a] = _oracle_rows(rng, policy.pX1[u, a], (m1, n))
+    t2 = np.empty((nu, k, k, m2, n), dtype=np.int64)
     for u in range(nu):
         for a in range(k):
             for b in range(k):
-                t2[:, :, u, a, b] = _oracle_rows(rng, policy.pX2[u, a, b], (m2, n))
+                t2[u, a, b] = _oracle_rows(rng, policy.pX2[u, a, b], (m2, n))
     return t0, t1, t2
 
 
@@ -864,14 +890,6 @@ class TestSamplersAgainstOracles:
         # row but not two, and two rows; M*n is the largest book's block
         _check_chunked_draws(monkeypatch, chunk)
 
-    @pytest.mark.parametrize("book_block", [1, 13])
-    def test_small_comparison_blocks_keep_the_stream(self, monkeypatch, book_block):
-        # small comparison blocks (_BOOK_BLOCK bytes of book rows) split a
-        # chunk of several rows into passes, the last one partial
-        monkeypatch.setattr(coding, "_BOOK_BLOCK", book_block)
-        for chunk in ("1", "7", "M*n-1", "M*n+1", "2*M*n+1"):
-            _check_chunked_draws(monkeypatch, chunk)
-
     def test_large_alphabets(self):
         # 256 symbols of X1 still fit one byte, 257 take two; both through
         # the grid count and the screened path (which counts a pair list
@@ -906,9 +924,8 @@ class TestSamplersAgainstOracles:
     @pytest.mark.parametrize("layout", ["whole rows", "split rows"])
     def test_tables_past_the_draw_chunk(self, nx, layout):
         # tables of more than _DRAW_CHUNK uniforms at its shipped size: as
-        # chunks of several whole rows (M * n <= _DRAW_CHUNK / 2), compared in
-        # blocks of _BOOK_BLOCK book bytes, or with every row split
-        # (M * n > _DRAW_CHUNK); 257 symbols take uint16 books
+        # chunks of several whole rows (M * n <= _DRAW_CHUNK / 2), or with
+        # every row split (M * n > _DRAW_CHUNK); 257 symbols take uint16 books
         rng = np.random.default_rng(nx)
         n = 512
         M = coding._DRAW_CHUNK // (2 * n) if layout == "whole rows" else coding._DRAW_CHUNK // n + 3
