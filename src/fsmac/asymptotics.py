@@ -131,7 +131,8 @@ def correlation_profile_numeric(
     powers) at each SNR and record rho* = sqrt(1 - gamma/P).
 
     The sum-rate objective is symmetric in the two encoders, so the solver
-    ties them to one allocation and a single private fraction is read off.
+    ends with one allocation for both, up to rounding, and encoder 1's
+    private fraction is read off.
     `rho_star` is the exact value; this profile is the solver's check
     against it.
     """

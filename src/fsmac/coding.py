@@ -90,6 +90,12 @@ class Codebooks:
     """
 
     def __init__(self, policy: InputPolicy, t0, t1, t2, n: int) -> None:
+        k, nu = policy.pU.shape
+        for name, book, lead in (("t0", t0, (k,)), ("t1", t1, (nu, k)), ("t2", t2, (nu, k, k))):
+            if book.ndim != len(lead) + 2 or book.shape[:-2] != lead or book.shape[-1] != n:
+                raise ValueError(
+                    f"{name} must have shape {(*lead, 'M', n)}, got {book.shape}"
+                )
         self.policy = policy
         self.t0 = t0
         self.t1 = t1

@@ -1,6 +1,7 @@
 """Capacity region of the diagonal-vector Gaussian channel with cooperating
 encoders and delayed state observations, as a concave program over power and
-correlation allocations, solved by projected supergradient ascent."""
+correlation allocations, solved by a batched log-barrier Newton method on its
+conic (kappa) form (Boyd & Vandenberghe, Convex Optimization, 11.3)."""
 
 from __future__ import annotations
 
@@ -32,9 +33,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _FEAS_SLACK = 1e-9
-# a start still improving by more than this in its last round flags its
-# problem's result as budget-exhausted
-_FLAG_TOL = 1e-9
+_GAP = 1e-9          # the barrier stops once its surrogate gap m/t is this small, in bits
+_DECREMENT = 1e-10   # a centering ends at this relative Newton decrement
+_SNAP = 1e-6         # a private or common part below this share of its cell reads as zero
+_LADDER = np.concatenate([[0.0], 0.5 ** np.arange(16)])  # step sizes, after the current point
+_FLAGS = ("converged", "budget-exhausted", "stalled")
 
 
 class FeasibilityError(ValueError):
@@ -171,108 +174,26 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-class _Kernel:
-    """Constants of the bounds kernel for one spec and its link offsets
-    (scalars, or one per batch row), hoisted out of the solver step.
-
-    A batch of T allocations is an array of shape (T, 2, 2m), m = k*k*n_sub.
-    Row 0 holds encoder 1's gamma cells [a1, n], zero-padded from k*n_sub to
-    m, then its delta cells, padded alike; row 1 holds encoder 2's gamma then
-    delta cells [a1, a2, n]. Padding cells have zero weight and stay at zero.
-    Bounds are sums over the flat grid [a1, a2, s, n] of observed states,
-    true state and subchannel; per-bound arrays lead with the bound axis.
-    """
-
-    def __init__(self, spec: GaussianMacSpec, c12: float, c21: float) -> None:
-        k, N = spec.k, spec.n_sub
-        self.k, self.N, self.m1, self.m = k, N, k * N, k * k * N
-        m = self.m
-        w2, w3 = spec.state_weights()
-        a1, a2, s, n = np.indices((k, k, k, N)).reshape(4, -1)
-        # where gamma1, gamma2, delta1, delta2 of each grid cell sit in a batch row
-        gammas = np.array([a1 * N + n, 2 * m + (a1 * k + a2) * N + n])
-        self.at = np.concatenate([gammas, gammas + m])[:, None, :]
-        w = w3[a1, a2, s]
-        g1, g2 = spec.gains1[s, n], spec.gains2[s, n]
-        C = spec.log_factor / _LN2
-        self.gsq = np.array([g1 * g1, g2 * g2, g1 * g1, g2 * g2])[:, None, :]
-        self.gg2 = 2.0 * g1 * g2
-        self.Lw = spec.log_factor * w
-        # an encoder with no budget is pinned at zero and gets no supergradient:
-        # its floored cross-term slope (~1e150) would shrink every step to 0
-        live = (np.array([spec.pbar1, spec.pbar2]) > 0)[:, None, None]
-        self.Cwgsq = C * w * self.gsq[:2] * live
-        self.Cwgg = C * w * g1 * g2 * live
-        self.off = np.array(np.broadcast_arrays(c12, c21, np.add(c12, c21), 0.0)).reshape(4, -1)
-        # budget weight of each cell of a batch row
-        cells1 = np.concatenate([np.repeat(spec.chain.pi, N), np.zeros(m - self.m1)])
-        cells2 = np.repeat(w2.ravel(), N)
-        self.w = np.array([np.tile(cells1, 2), np.tile(cells2, 2)])
-        # -1/w, 0 where w = 0: sorting x * neg_inv_w orders cells by x/w, largest first
-        self.neg_inv_w = -np.divide(1.0, self.w, out=np.zeros_like(self.w), where=self.w > 0)
-        self.budget = np.array([spec.pbar1, spec.pbar2])[:, None]
-        self._index: dict[int, tuple] = {}
-
-    def index(self, T: int):
-        """Flat positions in a batch of T: of each variable at each grid cell
-        (4, T, grid), of each row start (T, 2, 1); and the weights of each
-        batch cell."""
-        if T not in self._index:
-            rows = np.arange(0, 4 * self.m * T, 2 * self.m).reshape(T, 2, 1)
-            self._index[T] = (self.at + rows[:, 0], rows, np.tile(self.w, (T, 1, 1)))
-        return self._index[T]
-
-    def pack(self, parts) -> np.ndarray:
-        """Batch from a list of (gamma1, delta1, gamma2, delta2) tuples."""
-        X = np.zeros((len(parts), 2, 2 * self.m))
-        for x, (g1, d1, g2, d2) in zip(X, parts):
-            x[0, : self.m1] = np.ravel(g1)
-            x[0, self.m : self.m + self.m1] = np.ravel(d1)
-            x[1, : self.m] = np.ravel(g2)
-            x[1, self.m :] = np.ravel(d2)
-        return X
-
-    def allocation(self, x: np.ndarray) -> Allocation:
-        """The allocation of one batch row."""
-        k, N, m1, m = self.k, self.N, self.m1, self.m
-        g1, d1 = x[0, :m1].reshape(k, N), x[0, m : m + m1].reshape(k, N)
-        g2, d2 = x[1, :m].reshape(k, k, N), x[1, m:].reshape(k, k, N)
-        return Allocation(g1 + d1, g1.copy(), g2 + d2, g2.copy())
-
-
-def _bounds_and_grads(kern: _Kernel, X: np.ndarray, grads: bool = True):
-    """The four rate caps of a batch of allocations, with supergradients.
-
-    Returns b of shape (4, T), rows (b1, b2, b12, bsum), and, when `grads`,
-    a function mapping bound weights c of shape (4, T) to a supergradient of
-    sum_i c_i b_i in the batch layout. The square-root cross term has an
-    unbounded derivative as delta -> 0, so gradient ratios are evaluated at
-    an interior point floored at 1e-9 * P. The cells of an encoder with no
-    power budget get a zero supergradient.
-    """
-    at, _, _ = kern.index(len(X))
-    V = X.take(at)  # gamma1, gamma2, delta1, delta2 at each grid cell
-    U = kern.gsq * V
-    A = np.empty_like(V)  # arguments of the logs of b1, b2, b12, bsum
-    np.add(U[:2], 1.0, out=A[:2])
-    np.add(A[1], U[0], out=A[2])
-    np.add(A[2], U[2] + U[3], out=A[3])
-    A[3] += kern.gg2 * np.sqrt(V[2] * V[3])
-    b = (np.log2(A) * kern.Lw).sum(axis=2) + kern.off
-    if not grads:
-        return b, None
-    floored = np.maximum(V[2:], 1e-9 * (V[:2] + V[2:]) + 1e-300)
-    Kd = kern.Cwgsq + kern.Cwgg * np.sqrt(floored[::-1] / floored)
-
-    def grad(c):
-        ci = c[:, :, None] / A
-        Q = np.empty_like(V)
-        # each gamma enters three caps; the deltas enter bsum alone
-        np.multiply(ci[:2] + (ci[2] + ci[3]), kern.Cwgsq, out=Q[:2])
-        np.multiply(Kd, ci[3], out=Q[2:])
-        return np.bincount(at.ravel(), Q.ravel(), X.size).reshape(X.shape)
-
-    return b, grad
+def _bounds(spec: GaussianMacSpec, c12, c21, gamma1, delta1, gamma2, delta2) -> np.ndarray:
+    """The four rate caps (4, T), rows (b1, b2, b12, bsum), of allocation
+    parts with a leading batch axis; c12 and c21 are scalars or one per row.
+    Each cap is a sum over the grid [a1, a2, s, n] of observed states, true
+    state and subchannel."""
+    _, w3 = spec.state_weights()
+    T, k, N = len(gamma1), spec.k, spec.n_sub
+    grid = (T, k, k, k, N)
+    g1, d1 = (np.broadcast_to(x[:, :, None, None, :], grid) for x in (gamma1, delta1))
+    g2, d2 = (np.broadcast_to(x[:, :, :, None, :], grid) for x in (gamma2, delta2))
+    h1, h2 = spec.gains1, spec.gains2  # [s, n], the grid's last two axes
+    A = np.empty((4, *grid))  # the arguments of the logs of b1, b2, b12, bsum
+    np.add(1.0, h1 * h1 * g1, out=A[0])
+    np.add(1.0, h2 * h2 * g2, out=A[1])
+    np.add(A[1], h1 * h1 * g1, out=A[2])
+    np.add(A[2], h1 * h1 * d1 + h2 * h2 * d2, out=A[3])
+    A[3] += 2.0 * h1 * h2 * np.sqrt(d1 * d2)
+    Lw = spec.log_factor * w3[:, :, :, None]
+    off = np.array(np.broadcast_arrays(c12, c21, np.add(c12, c21), 0.0)).reshape(4, -1)
+    return (np.log2(A) * Lw).reshape(4, T, -1).sum(axis=2) + off
 
 
 def rate_bounds_gaussian(spec: GaussianMacSpec, alloc: Allocation) -> RateBounds:
@@ -289,12 +210,9 @@ def _alloc_bounds(spec, alloc, c12, c21) -> RateBounds:
     report = feasible(spec, alloc)
     if not report:
         raise FeasibilityError(report.violation)
-    kern = _Kernel(spec, c12, c21)
-    X = kern.pack([(
-        alloc.gamma1, np.maximum(alloc.P1 - alloc.gamma1, 0.0),
-        alloc.gamma2, np.maximum(alloc.P2 - alloc.gamma2, 0.0),
-    )])
-    b, _ = _bounds_and_grads(kern, X, grads=False)
+    b = _bounds(spec, c12, c21,
+                alloc.gamma1[None], np.maximum(alloc.P1 - alloc.gamma1, 0.0)[None],
+                alloc.gamma2[None], np.maximum(alloc.P2 - alloc.gamma2, 0.0)[None])
     return RateBounds(*(float(v) for v in b[:, 0]))
 
 
@@ -302,71 +220,154 @@ def _alloc_bounds(spec, alloc, c12, c21) -> RateBounds:
 # solver internals
 # ---------------------------------------------------------------------------
 
-def _dual_vertices(mus) -> np.ndarray:
-    """Dual vertices of the rate LP for each weight pair, shape (4, 5, D).
+_RATES = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])  # r1, r2 in each cap slack
 
-    Vertex j weighs the caps (b1, b2, b12, bsum); the LP value is the least
-    candidate y_j . b. Where b12 and bsum tie, the bsum vertex comes first.
+
+class _Barrier:
+    """The kappa form of a batch of problems on one spec, and its log barrier.
+
+    A point z is flat: gamma1 and delta1 per live [a1, n] cell, then gamma2,
+    delta2 and kappa per live [a1, a2, n] cell, then r1 and r2. A cell is
+    live when its encoder has power and the cell has budget weight; the rest
+    stay at zero. With kappa^2 <= delta1 delta2, bsum's log argument
+    1 + g1^2 (gamma1 + delta1) + g2^2 (gamma2 + delta2) + 2 g1 g2 kappa is
+    affine in z, as are the other caps', so cap j is a weighted sum of
+    log(1 + E[j] z) over the grid cells of positive weight.
+
+    Trajectory i minimizes -t mu_i.r - sum log(slack) over its slacks: the
+    caps whose offset is finite, both budgets, gamma, delta and the live
+    rates, and the cones delta1 delta2 - kappa^2. A rate is live when every
+    finite cap over it is positive at the start; otherwise it stays at 0.
     """
-    Y = []
-    for mu1, mu2 in mus:
-        if mu1 >= mu2:
-            lo, hi, d = mu2, mu1, (mu1 - mu2, 0.0)
-        else:
-            lo, hi, d = mu1, mu2, (0.0, mu2 - mu1)
-        Y.append([
-            (mu1, mu2, 0.0, 0.0),
-            (*d, 0.0, lo), (*d, lo, 0.0),
-            (0.0, 0.0, 0.0, hi), (0.0, 0.0, hi, 0.0),
-        ])
-    return np.array(Y, dtype=float).transpose(2, 1, 0).copy()
 
+    def __init__(self, spec: GaussianMacSpec, problems: np.ndarray) -> None:
+        k, N = spec.k, spec.n_sub
+        w2, w3 = spec.state_weights()
+        weights = [np.broadcast_to(spec.chain.pi[:, None], (k, N)),
+                   np.broadcast_to(w2[:, :, None], (k, k, N))]
+        self.live = [(w > 0) & (p > 0) for w, p in zip(weights, (spec.pbar1, spec.pbar2))]
+        n1, n2 = (int(live.sum()) for live in self.live)
+        n3 = n2 if n1 else 0
+        o = self.o = np.cumsum([0, n1, n1, n2, n2, n3])  # gamma1, delta1, gamma2, delta2, kappa
+        nv = o[5] + 2
+        at1, at2 = (np.cumsum(live).reshape(live.shape) - 1 for live in self.live)  # live cells' ranks
+        a1, a2, s, n = np.nonzero(np.broadcast_to((w3 > 0)[..., None], (k, k, k, N)))
+        g1, g2 = spec.gains1[s, n], spec.gains2[s, n]
+        E, grid = np.zeros((4, len(a1), nv)), np.arange(len(a1))
+        for v, caps, cell, coef in ((0, (0, 2, 3), at1[a1, n], g1 * g1),
+                                    (1, (3,), at1[a1, n], g1 * g1),
+                                    (2, (1, 2, 3), at2[a1, a2, n], g2 * g2),
+                                    (3, (3,), at2[a1, a2, n], g2 * g2),
+                                    (4, (3,), at2[a1, a2, n], 2.0 * g1 * g2)):
+            if o[v + 1] > o[v]:  # the variable exists
+                E[np.array(caps)[:, None], grid, o[v] + cell] = coef
+        self.E, self.EdT = E, E.reshape(-1, nv).T.copy()
+        self.c = spec.log_factor / _LN2 * w3[a1, a2, s]
+        self.B = np.zeros((2, nv))  # the budget weights
+        for e in (0, 1):
+            self.B[e, o[2 * e]:o[2 * e + 2]] = np.tile(weights[e][self.live[e]], 2)
+        self.pbar = np.array([spec.pbar1, spec.pbar2])
+        self.pos = np.r_[0:o[4], nv - 2, nv - 1]  # the variables kept positive
+        c1, _, cn = np.nonzero(self.live[1])
+        self.cone = (o[1] + at1[c1, cn][:n3], o[3] + np.arange(n3), o[4] + np.arange(n3))
+        self.mu, (c12, c21), self.r0 = problems[:, :2], problems[:, 2:4].T, problems[:, 4]
+        self.off = np.stack([c12, c21, c12 + c21, np.zeros_like(c12)], 1)
 
-def _lp_value_duals(b, Y, r0=0.0):
-    """Value and duals of max mu.r over {r >= 0, r1 <= b1, r2 <= b2,
-    r1 + r2 <= b12, r1 + r2 <= bsum - r0} for a batch.
+    def start(self, X: np.ndarray) -> np.ndarray:
+        """The start points of trajectories d * S + s from the allocation parts
+        X (S, nx) of each start s, each live rate at a quarter of its least
+        finite cap; sets each one's live rates, slacks and parameter m."""
+        S, o = len(X), self.o
+        self.mu, self.off, self.r0 = (np.repeat(x, S, axis=0) for x in (self.mu, self.off, self.r0))
+        T = len(self.mu)
+        Z = np.concatenate([np.tile(X, (T // S, 1)), np.zeros((T, 2))], 1)
+        room = self._slacks(Z, np.arange(T), 1.0 + self._lin(Z))[:, :4]  # inf where the link is
+        least = np.array([room[:, _RATES[:, i] > 0].min(1) for i in (0, 1)]).T
+        self.rlive = least > 0
+        Z[:, -2:] = np.where(self.rlive, 0.25 * least, 0.0)
+        n3 = o[5] - o[4]
+        self.coef = np.concatenate([
+            np.isfinite(room) & (room > 0), np.broadcast_to(self.B.any(1), (T, 2)),
+            np.ones((T, o[4])), self.rlive, np.ones((T, n3)),
+        ], 1).astype(float)
+        self.m = self.coef.sum(1) + n3  # a cone's barrier counts twice
+        # a rate pinned by a cap that allocations move might grow from another start
+        self.unsure = (np.isfinite(room) & (room <= 0) & self.E.any((1, 2))).any(1)
+        return Z
 
-    b is (4, T) as from _bounds_and_grads, Y (4, 5, T) from _dual_vertices
-    and r0 a scalar or (T,). Returns the values (T,) and the minimizing vertices
-    (4, T), first on ties; a vertex weighs each cap by its slope in the value.
-    """
-    B = b.copy()
-    np.maximum(b[3] - r0, 0.0, out=B[3])
-    # 0 * inf must read as 0 when a weight deactivates an unbounded cap
-    prod = np.zeros(Y.shape)
-    np.multiply(Y, B[:, None], out=prod, where=Y != 0.0)
-    cands = prod.sum(axis=0)
-    j = cands.argmin(axis=0)
-    rows = np.arange(len(j))
-    return cands[j, rows], Y[:, j, rows]
+    def _lin(self, Z):
+        return (Z[..., None, :] @ self.EdT)[..., 0, :]
 
+    def _slacks(self, Z, rows, A):
+        """Every slack at points Z (T', ..., nv) whose log arguments are A:
+        the caps, both budgets, the positive variables, the cones."""
+        lead = (len(rows),) + (1,) * (Z.ndim - 2)
+        caps = (self.c * np.log(np.where(A > 0, A, 1.0)).reshape(*A.shape[:-1], 4, -1)).sum(-1)
+        r1, r2 = Z[..., -2], Z[..., -1]
+        i, j, kap = self.cone
+        return np.concatenate([
+            caps + self.off[rows].reshape(*lead, 4)
+            - np.stack([r1, r2, r1 + r2, self.r0[rows].reshape(lead) + r1 + r2], -1),
+            self.pbar - (Z[..., None, :] @ self.B.T)[..., 0, :],
+            Z[..., self.pos],
+            Z[..., i] * Z[..., j] - Z[..., kap] ** 2,
+        ], -1)
 
-def _budget_project_pair(kern: _Kernel, X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each (gamma, delta) row of a batch onto
-    {gamma >= 0, delta >= 0, sum w*(gamma + delta) <= budget}.
+    def ladder(self, Z, dz, rows, t):
+        """The barrier at Z + a dz for each step a of _LADDER, shape (T', L),
+        and whether each of those points is strictly feasible."""
+        a = _LADDER[:, None]
+        L = Z[:, None] + a * dz[:, None]
+        S = self._slacks(L, rows, 1.0 + self._lin(Z)[:, None] + a * self._lin(dz)[:, None])
+        coef = self.coef[rows][:, None]
+        ok = ((S > 0) | (coef == 0)).all(-1)
+        logs = np.log(np.where(ok[..., None] & (coef > 0), S, 1.0))
+        rates = (self.mu[rows][:, None] * L[..., -2:]).sum(-1)
+        return -t[:, None] * rates - (coef * logs).sum(-1), ok
 
-    The projection is max(x - lam*w, 0). With the cells sorted by x/w,
-    largest first, each prefix of j cells would spend the budget exactly at
-    lam_j = (sum w*x - budget) / sum w^2; the budget used at any lam is the
-    largest of these prefix sums, so lam is the largest lam_j, or zero when
-    clipping at zero already fits. Zero-weight cells are only clipped at
-    zero since the budget never sees them.
-    """
-    _, rows, w = kern.index(len(X))
-    order = (X * kern.neg_inv_w).argsort(axis=-1) + rows
-    ws = w.take(order)
-    cwx = (ws * X.take(order)).cumsum(axis=-1)
-    cw2 = (ws * ws).cumsum(axis=-1)
-    lam = ((cwx - kern.budget) / np.maximum(cw2, 1e-300)).max(axis=-1)
-    return np.maximum(X - np.maximum(lam, 0.0)[:, :, None] * kern.w, 0.0)
+    def derivatives(self, Z, rows, t):
+        """Gradient and Hessian of the barrier at points Z (T', nv)."""
+        T, nv = Z.shape
+        A = 1.0 + self._lin(Z)
+        coef = self.coef[rows]
+        inv = coef / np.where(coef > 0, self._slacks(Z, rows, A), 1.0)
+        cA = self.c / A.reshape(T, 4, -1)
+        u = (cA[:, :, None, :] @ self.E)[:, :, 0, :]
+        u[..., -2:] -= _RATES
+        i, j, kap = self.cone
+        Q, cones = np.zeros((T, len(kap), nv)), np.arange(len(kap))
+        Q[:, cones, i], Q[:, cones, j], Q[:, cones, kap] = Z[:, j], Z[:, i], -2.0 * Z[:, kap]
+        # every slack's gradient, in the order of _slacks
+        U = np.concatenate([u, np.broadcast_to(-self.B, (T, 2, nv)),
+                            np.broadcast_to(np.eye(nv)[self.pos], (T, len(self.pos), nv)), Q], 1)
+        g = -(inv[:, None, :] @ U)[:, 0]
+        g[:, -2:] -= t[:, None] * self.mu[rows]
+        # minus each slack's Hessian over the slack: the caps' concave logs, the cones
+        curv = (inv[:, :4, None] * cA / A.reshape(T, 4, -1)).reshape(T, 1, -1)
+        H = (U.transpose(0, 2, 1) * inv[:, None, :] ** 2) @ U + (self.EdT * curv) @ self.EdT.T
+        iq = inv[:, U.shape[1] - len(kap):]
+        H[:, i, j] -= iq
+        H[:, j, i] -= iq
+        H[:, kap, kap] += 2.0 * iq
+        keep = np.concatenate([np.ones((T, nv - 2)), self.rlive[rows]], 1)  # pinned rates stay
+        return g * keep, H * keep[:, :, None] * keep[:, None, :] + (1.0 - keep)[:, :, None] * np.eye(nv)
+
+    def parts(self, Z):
+        """(gamma1, delta1, gamma2, delta2) of each point, zero off the live cells."""
+        out = []
+        for v, live in enumerate(self.live[e] for e in (0, 0, 1, 1)):
+            out.append(np.zeros((len(Z), *live.shape)))
+            out[-1][:, live] = Z[:, self.o[v]:self.o[v + 1]]
+        return out
 
 
 @dataclass
 class SolverConfig:
-    """Budget of the multistart projected supergradient ascent.
+    """Budget and starts of the barrier solver.
 
-    Each start runs `rounds` sweeps of `iterations` target-level steps, with
-    the target gap shrinking geometrically between sweeps.
+    Each problem is solved from an even interior start and from
+    `multistarts` more interior starts drawn from `seed`; the best value is
+    kept. Each start takes at most `iterations * rounds` Newton steps.
     """
 
     iterations: int = 400
@@ -375,7 +376,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # an empty budget would return a start point flagged as converged
+        # an empty budget takes no Newton step
         for name, least in (("rounds", 1), ("iterations", 1), ("multistarts", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -397,106 +398,105 @@ class TracePoint:
     flag: str
 
 
-def _starts(spec: GaussianMacSpec, config: SolverConfig):
-    """The three fixed starts, then the seeded random ones."""
-    k, N = spec.k, spec.n_sub
-    wP1 = spec.chain.pi[:, None]
-    wP2 = spec.state_weights()[0][:, :, None]
-    P1u = np.full((k, N), spec.pbar1 / N)
-    P2u = np.full((k, k, N), spec.pbar2 / N)
-    z1, z2 = np.zeros((k, N)), np.zeros((k, k, N))
-    starts = [
-        (P1u, z1, P2u, z2),   # fully correlated: gamma = P
-        (z1, P1u, z2, P2u),   # fully private: gamma = 0
-        (0.5 * P1u, 0.5 * P1u, 0.5 * P2u, 0.5 * P2u),
-    ]
-    for r_i in range(config.multistarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, r_i)))
-        P1r = rng.random((k, N))
-        s1 = (wP1 * P1r).sum()
-        if s1 > 0:
-            P1r *= spec.pbar1 / s1
-        P2r = rng.random((k, k, N))
-        s2 = (wP2 * P2r).sum()
-        if s2 > 0:
-            P2r *= spec.pbar2 / s2
-        f1 = rng.random((k, N))
-        f2 = rng.random((k, k, N))
-        starts.append((f1 * P1r, (1 - f1) * P1r, f2 * P2r, (1 - f2) * P2r))
-    return starts
+def _starts(bar: _Barrier, config: SolverConfig) -> np.ndarray:
+    """Allocation parts of the even start, then of the seeded ones. Each
+    spends half of every budget, splits each cell's power into private and
+    common parts and puts kappa inside its cone."""
+    o = bar.o
+    cells = [bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]]
+    starts = []
+    for i in range(1 + config.multistarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, i)))
+        draw = rng.uniform if i else (lambda lo, hi, size: np.full(size, (lo + hi) / 2))
+        x = []
+        for w, pbar in zip(cells, bar.pbar):
+            u, f = draw(0.2, 1.0, len(w)), draw(0.2, 0.8, len(w))
+            P = 0.5 * pbar * u / (w * u).sum()
+            x += [f * P, (1.0 - f) * P]
+        i1, i2, _ = bar.cone
+        kappa = draw(0.2, 0.8, len(i1)) * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
+        starts.append(np.concatenate([*x, kappa]))
+    return np.array(starts)
+
+
+def _readings(spec: GaussianMacSpec, parts):
+    """Two readings of final barrier points: as they are, and with each
+    private or common part below _SNAP of its cell's power moved to the
+    other part, since the barrier keeps both 1/t off zero. Both are scaled
+    to spend each budget, less 1e-14 of it for rounding: every cap is
+    nondecreasing in every power, so no value falls."""
+    w2, _ = spec.state_weights()
+    reads = [[], []]
+    for g, d, w, pbar in ((*parts[:2], spec.chain.pi[:, None], spec.pbar1),
+                          (*parts[2:], w2[:, :, None], spec.pbar2)):
+        P = g + d
+        small_d, small_g = d < _SNAP * P, g < _SNAP * P
+        rounded = (np.where(small_d, P, np.where(small_g, 0.0, g)),
+                   np.where(small_d, 0.0, np.where(small_g, P, d)))
+        for read, (x, y) in zip(reads, ((g, d), rounded)):
+            used = (w * (x + y)).reshape(len(x), -1).sum(1)
+            scale = np.divide((1.0 - 1e-14) * pbar, used, out=np.ones_like(used), where=used > 0)
+            read += [v * np.maximum(scale, 1.0).reshape(-1, *(1,) * (v.ndim - 1)) for v in (x, y)]
+    return reads
 
 
 def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[GaussianSolveResult]:
-    """Solve every (mu1, mu2, c12, c21, r0) problem with one batched ascent.
-
-    Trajectory t = d * S + s runs start s for problem d. Each advances as
-    the scalar method would: a trajectory whose supergradient vanishes is
-    frozen for the rest of its round, and each problem keeps its first
-    best start.
-
-    A problem that does not change when the encoders swap (one state, equal
-    budgets and gains, mu1 = mu2) keeps both rows of its trajectories at one
-    shared allocation. Its objective is concave and swap-invariant, so the
-    mean of an optimum and its swap is an optimum: tying loses nothing. Only
-    at k = 1 do the two rows have the same cell layout.
-    """
-    starts = _starts(spec, config)
-    S, D = len(starts), len(problems)
-    mu1s, mu2s, c12, c21, r0s = np.repeat(np.array(problems, dtype=float).T, S, axis=1)
-    kern = _Kernel(spec, c12, c21)
-    symmetric = (spec.k == 1 and spec.pbar1 == spec.pbar2
-                 and np.array_equal(spec.gains1, spec.gains2))
-    tied = np.flatnonzero(mu1s == mu2s) if symmetric else []
-
-    def project(X):
-        X = _budget_project_pair(kern, X)
-        if len(tied):
-            X[tied] = 0.5 * (X[tied, 0] + X[tied, 1])[:, None]
-        return X
-
-    X = project(np.tile(kern.pack(starts), (D, 1, 1)))
-    Y = np.repeat(_dual_vertices([p[:2] for p in problems]), S, axis=2)
-    loc_v, _ = _lp_value_duals(_bounds_and_grads(kern, X, grads=False)[0], Y, r0s)
-    loc_x = X
-    gap = np.maximum(0.05 * np.maximum(np.abs(loc_v), 1e-6), 1e-3)
-    exhausted = np.zeros(len(X), dtype=bool)
-    for _ in range(config.rounds):
-        round_start = loc_v
-        live = np.ones(len(X), dtype=bool)
-        for _ in range(config.iterations):
-            b, grad = _bounds_and_grads(kern, X)
-            v, c = _lp_value_duals(b, Y, r0s)
-            better = v > loc_v
-            loc_v = np.where(better, v, loc_v)
-            loc_x = np.where(better[:, None, None], X, loc_x)
-            G = grad(c)
-            n2 = (G * G).sum(axis=(1, 2))
-            live &= n2 >= 1e-300
-            step = np.divide(loc_v + gap - v, n2, out=np.zeros(len(X)), where=live)
-            X = np.where(live[:, None, None], project(X + step[:, None, None] * G), X)
-        X = loc_x
-        gap = gap * 0.4
-        exhausted = loc_v - round_start > _FLAG_TOL
-    best = np.arange(D) * S + loc_v.reshape(D, S).argmax(axis=1)
-    flags = exhausted.reshape(D, S).any(axis=1)
-    b, _ = _bounds_and_grads(kern, loc_x, grads=False)
+    """Solve every (mu1, mu2, c12, c21, r0) problem with one batched barrier
+    method; trajectory i = d * S + s runs start s of problem d from t = 1.
+    A step is the largest of the ladder 1, 1/2, ..., 2^-15 that is strictly
+    feasible and passes Armijo. A centering ends on a relative Newton
+    decrement of _DECREMENT; t then grows 20-fold until m/t <= _GAP. A
+    trajectory that finishes, stalls (no rate can start, or no step serves)
+    or spends its steps is frozen, so each result equals its own solve."""
+    bar = _Barrier(spec, np.array(problems, dtype=float))
+    Z = bar.start(_starts(bar, config))
+    T, nv = Z.shape
+    t, steps = np.ones(T), np.zeros(T, dtype=int)
+    done = ~bar.rlive.any(1)  # no rate can move: the start is the answer
+    flag = np.where(done & bar.unsure, 2, 0)  # stalled unless no allocation moves the caps
+    while not done.all():
+        act = np.flatnonzero(~done)
+        g, H = bar.derivatives(Z[act], act, t[act])
+        d = 1.0 / np.sqrt(np.diagonal(H, axis1=1, axis2=2))
+        Hs = H * d[:, :, None] * d[:, None, :] + 1e-12 * np.eye(nv)
+        dz = -np.linalg.solve(Hs, (g * d)[..., None])[..., 0] * d
+        lam2 = -(g * dz).sum(1)
+        f, ok = bar.ladder(Z[act], dz, act, t[act])
+        armijo = ok[:, 1:] & (f[:, 1:] <= f[:, :1] - 0.01 * _LADDER[1:] * lam2[:, None])
+        centered = lam2 <= 2 * _DECREMENT * (1.0 + np.abs(f[:, 0]))
+        moved = armijo.any(1) & ~centered
+        Z[act[moved]] += (_LADDER[armijo.argmax(1) + 1, None] * dz)[moved]
+        finished = centered & (bar.m[act] / t[act] <= _GAP)
+        t[act[centered & ~finished]] *= 20.0
+        steps[act] += 1
+        flag[act[~moved & ~centered]] = 2
+        done[act[finished | (~moved & ~centered)]] = True
+        exhausted = ~done & (steps >= config.iterations * config.rounds)
+        flag[exhausted], done[exhausted] = 1, True
+    reads = _readings(spec, bar.parts(Z))
+    b = _bounds(spec, np.tile(bar.off[:, 0], 2), np.tile(bar.off[:, 1], 2),
+                *(np.concatenate(p) for p in zip(*reads)))
+    scored = [
+        best_weighted_point(RateBounds(b1, b2, b12, max(bs - r0, 0.0)), mu1, mu2)
+        for (b1, b2, b12, bs), r0, (mu1, mu2)
+        in zip(b.T.tolist(), 2 * bar.r0.tolist(), 2 * bar.mu.tolist())
+    ]
+    values = np.array([v for v, _ in scored]).reshape(2, T)
+    pick = (values[1] >= values[0]).astype(int)  # the rounded reading on ties
+    kept = values[pick, np.arange(T)].reshape(len(problems), -1)
     results = []
-    for t, flag, (mu1, mu2, _, _, r0) in zip(best, flags, problems):
-        b1, b2, b12, bsum = (float(x) for x in b[:, t])
-        value, point = best_weighted_point(RateBounds(b1, b2, b12, max(bsum - r0, 0.0)), mu1, mu2)
-        results.append(GaussianSolveResult(
-            value=value,
-            point=RatePoint(r0, point.r1, point.r2),
-            alloc=kern.allocation(loc_x[t]),
-            flag="budget-exhausted" if flag else "converged",
-        ))
+    for i, problem in zip(np.arange(len(kept)) * kept.shape[1] + kept.argmax(axis=1), problems):
+        value, point = scored[pick[i] * T + i]
+        g1, d1, g2, d2 = (x[i] for x in reads[pick[i]])
+        results.append(GaussianSolveResult(value, RatePoint(problem[4], point.r1, point.r2),
+                                           Allocation(g1 + d1, g1, g2 + d2, g2), _FLAGS[flag[i]]))
     return results
 
 
 def solve_weighted(
     spec: GaussianMacSpec, problems, config: SolverConfig | None = None
 ) -> list[GaussianSolveResult]:
-    """Solve a list of (mu1, mu2, c12, c21, r0) problems in one batched ascent.
+    """Solve a list of (mu1, mu2, c12, c21, r0) problems in one batched barrier solve.
 
     Problem d maximizes mu1*r1 + mu2*r2 with link capacities (c12, c21) in
     place of spec.conf and the total cap reduced by the common rate r0.
@@ -516,9 +516,8 @@ def maximize_weighted_rate(
 
     The inner linear program over the rate polytope is concave and
     nondecreasing in the four caps, each cap is concave in the allocation, so
-    the multistart supergradient ascent reports a global value up to the step
-    schedule. Deterministic for a fixed seed.
-    """
+    the barrier's path leads to the global optimum; `converged` means a
+    surrogate gap m/t of 1e-9 bits, not a certificate. Deterministic."""
     return solve_weighted(spec, [(mu1, mu2, spec.conf.c12, spec.conf.c21, 0.0)], config)[0]
 
 

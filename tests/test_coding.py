@@ -206,6 +206,22 @@ class TestEncode:
         assert np.array_equal(x1, [0, 0, 1])
         assert np.array_equal(x2, [0, 0, 0])
 
+    @pytest.mark.parametrize("name,shape", [
+        ("t0", (3, 2, 1)), ("t0", (2, 1)),                   # (M, n, k) layout; no state axis
+        ("t1", (2, 2, 3, 1)), ("t1", (2, 2, 1, 4)),          # (M, n) swapped; wrong n
+        ("t2", (2, 2, 2, 3, 1)), ("t2", (1, 2, 2, 1, 3)),    # (M, n) swapped; wrong |U|
+    ])
+    def test_book_shapes_checked(self, name, shape):
+        # books must be (k, M0, n), (nu, k, M1, n) and (nu, k, k, M2, n); a
+        # book in another layout would encode the wrong symbols
+        policy = uniform_policy(2, nu=2)
+        books = {"t0": np.zeros((2, 1, 3), int), "t1": np.zeros((2, 2, 1, 3), int),
+                 "t2": np.zeros((2, 2, 2, 1, 3), int)}
+        Codebooks(policy, *books.values(), 3)
+        books[name] = np.zeros(shape, int)
+        with pytest.raises(ValueError, match=name):
+            Codebooks(policy, *books.values(), 3)
+
     def test_message_out_of_range(self):
         books = generate_codebooks(uniform_policy(2), 8, (1, 2, 2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="m1"):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,14 +23,12 @@ from fsmac import (
     trace_boundary,
 )
 from fsmac import gaussian
+from fsmac.config import load_config
 from fsmac.experiments import run_region_gaussian, run_sweep_sumrate
-from fsmac.gaussian import (
-    _bounds_and_grads,
-    _dual_vertices,
-    _Kernel,
-    _lp_value_duals,
-    _thetas,
-)
+from fsmac.gaussian import _Barrier, _bounds, _thetas
+from fsmac.regions import RateBounds, best_weighted_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_state(g=0.1, b=0.1):
@@ -76,11 +75,8 @@ def random_feasible_alloc(spec, rng):
 
 
 def lp_value(spec, alloc, mu1, mu2):
-    b = rate_bounds_gaussian(spec, alloc)
-    value, _ = _lp_value_duals(
-        np.array([[b.b1], [b.b2], [b.b12], [b.bsum]]), _dual_vertices([(mu1, mu2)])
-    )
-    return value[0]
+    value, _ = best_weighted_point(rate_bounds_gaussian(spec, alloc), mu1, mu2)
+    return value
 
 
 class TestSpecValidation:
@@ -167,11 +163,9 @@ class TestBoundsKernel:
         rng = np.random.default_rng(17)
         for spec in (reference_spec(0.3, 0.1), three_state_spec()):
             allocs = [random_feasible_alloc(spec, rng) for _ in range(6)]
-            kern = _Kernel(spec, spec.conf.c12, spec.conf.c21)
-            batch = kern.pack([
+            b = _bounds(spec, spec.conf.c12, spec.conf.c21, *(np.array(x) for x in zip(*(
                 (a.gamma1, a.P1 - a.gamma1, a.gamma2, a.P2 - a.gamma2) for a in allocs
-            ])
-            b, _ = _bounds_and_grads(kern, batch, grads=False)
+            ))))
             for t, alloc in enumerate(allocs):
                 ref = per_cell_bounds(spec, alloc, spec.conf.c12, spec.conf.c21)
                 single = rate_bounds_gaussian(spec, alloc)
@@ -180,23 +174,32 @@ class TestBoundsKernel:
                     assert abs(getattr(single, name) - ref[i]) <= 1e-12
 
     def test_gradients_match_central_differences(self):
-        spec = three_state_spec()
-        kern = _Kernel(spec, spec.conf.c12, spec.conf.c21)
-        rng = np.random.default_rng(3)
-        k, n_sub = spec.k, spec.n_sub
-        shapes = [(k, n_sub), (k, n_sub), (k, k, n_sub), (k, k, n_sub)]
-        X = kern.pack([tuple(rng.uniform(0.2, 1.0, sh) for sh in shapes) for _ in range(2)])
-        _, grad = _bounds_and_grads(kern, X)
-        h = 1e-6
-        for i in range(4):
-            G = grad(np.eye(4)[:, [i, i]])
-            for cell in np.ndindex(X.shape[1:]):
-                step = np.zeros_like(X)
-                step[(slice(None),) + cell] = h
-                hi, _ = _bounds_and_grads(kern, X + step, grads=False)
-                lo, _ = _bounds_and_grads(kern, X - step, grads=False)
-                numeric = (hi[i] - lo[i]) / (2 * h)
-                assert np.allclose(G[(slice(None),) + cell], numeric, rtol=1e-6, atol=1e-8)
+        # the barrier of the kappa form: finite and infinite links, a common
+        # rate, and an encoder with no power, at several values of t
+        inf = float("inf")
+        problems = np.array([(0.6, 0.8, 0.2, 0.1, 0.0), (1.0, 0.3, inf, 0.1, 0.4),
+                             (0.0, 1.0, 0.5, inf, 0.0)])
+        for spec in (three_state_spec(), GaussianMacSpec(
+                two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
+                0.0, 6.0, ConferencingConfig(), 1, 0, "real")):
+            bar = _Barrier(spec, problems)
+            Z = bar.start(gaussian._starts(bar, SolverConfig(multistarts=2, seed=3)))
+            rows, t = np.arange(len(Z)), np.resize([1.0, 30.0, 7.0], len(Z))
+            g, H = bar.derivatives(Z, rows, t)
+
+            def f(points):
+                return bar.ladder(points, np.zeros_like(points), rows, t)[0][:, 0]
+
+            for v in range(Z.shape[1]):
+                h = 1e-6 * np.maximum(np.abs(Z[:, v]), 1e-3)
+                step = np.zeros_like(Z)
+                step[:, v] = h
+                live = bar.rlive[:, v - Z.shape[1]] if v >= Z.shape[1] - 2 else np.ones(len(Z), bool)
+                numeric = (f(Z + step) - f(Z - step)) / (2 * h)
+                assert np.allclose(g[live, v], numeric[live], rtol=1e-6, atol=1e-6)
+                numeric = (bar.derivatives(Z + step, rows, t)[0]
+                           - bar.derivatives(Z - step, rows, t)[0]) / (2 * h[:, None])
+                assert np.allclose(H[live, v], numeric[live], rtol=1e-5, atol=1e-5)
 
 
 class TestFeasible:
@@ -410,9 +413,7 @@ class TestBatchedSolver:
     ])
     def test_mixed_batch_equals_solo_solves(self, spec, config):
         # problems differing in weights, links and common rate share one
-        # ascent; every result must be exactly the problem's own solve. On
-        # the symmetric scalar spec the (1, 1) problems are tied, so that
-        # batch mixes tied and untied rows.
+        # batched solve; every result must be exactly the problem's own solve
         inf = float("inf")
         problems = [
             (*mu, c12, c21, r0)
@@ -428,11 +429,6 @@ class TestBatchedSolver:
             assert (got.value, got.point, got.flag) == (solo.value, solo.point, solo.flag)
             for name in ("P1", "gamma1", "P2", "gamma2"):
                 assert np.array_equal(getattr(got.alloc, name), getattr(solo.alloc, name))
-        if spec.k == 1 and spec.pbar1 == spec.pbar2:
-            # a free solve may end symmetric too, but not every one does
-            tied = [_is_tied(r.alloc) for r in batch]
-            assert all(t for t, p in zip(tied, problems) if p[0] == p[1])
-            assert not all(tied)
 
     @pytest.mark.parametrize("bad", [
         (0.0, 0.0, 0.0, 0.0, 0.0), (-0.1, 1.0, 0.0, 0.0, 0.0), (float("nan"), 1.0, 0.0, 0.0, 0.0),
@@ -440,7 +436,7 @@ class TestBatchedSolver:
     ])
     def test_bad_problem_rejected_before_solving(self, monkeypatch, bad):
         def unreachable(*args):
-            raise AssertionError("the ascent ran before the problems were checked")
+            raise AssertionError("the solver ran before the problems were checked")
 
         monkeypatch.setattr(gaussian, "_solve", unreachable)
         with pytest.raises(ValueError):
@@ -486,25 +482,28 @@ class TestBatchedSolver:
         pts = trace_boundary(spec, 4, self.CFG)
         assert [p.point.r1 for p in pts] == sorted((p.point.r1 for p in pts), reverse=True)
 
-    def test_symmetric_problem_tied(self, monkeypatch):
-        # one state, equal budgets and gains, mu1 = mu2: both encoders share
-        # one allocation, and the value is the free optimum's. A budget or
-        # gain 1e-9 above the other's breaks the symmetry: those solves are free.
+    def test_symmetric_problem_ends_symmetric(self, monkeypatch):
+        # one state, equal budgets and gains, mu1 = mu2: the barrier's centre
+        # is unique and swap-symmetric, so both encoders end with one
+        # allocation, and the value is the free optimum's. A budget or gain
+        # 1e-9 above the other's moves the value by less than 1e-6.
         cfg = SolverConfig(seed=1, iterations=200, rounds=6)
         spec = scalar_spec(c12=0.2, c21=0.2)
         near = [scalar_spec(p2=10.0 + 1e-9, c12=0.2, c21=0.2),
                 scalar_spec(g2=1.0 + 1e-9, c12=0.2, c21=0.2)]
-        tied = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
-        assert _is_tied(tied.alloc)
-        assert abs(tied.value - _grid_oracle(1, 1, 10, 10, 0.2, 0.2, 1, 1)) <= 1e-3
+        sym = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        assert _is_symmetric(sym.alloc)
+        assert abs(sym.value - _grid_oracle(1, 1, 10, 10, 0.2, 0.2, 1, 1)) <= 1e-3
         for free in (maximize_weighted_rate(s, 1.0, 1.0, cfg) for s in near):
-            assert abs(tied.value - free.value) <= 1e-6
-        # the fixed starts are symmetric, and a free ascent from them stays
-        # so; from one asymmetric start only the tie ends symmetric
-        monkeypatch.setattr(gaussian, "_starts", lambda spec, config: [(2.0, 3.0, 6.0, 1.0)])
-        assert _is_tied(maximize_weighted_rate(spec, 1.0, 1.0, cfg).alloc)
-        for s in near:
-            assert not _is_tied(maximize_weighted_rate(s, 1.0, 1.0, cfg).alloc)
+            assert abs(sym.value - free.value) <= 1e-6
+        # from one asymmetric seeded start alone, the solve ends symmetric too
+        bar = _Barrier(spec, np.array([[1.0, 1.0, 0.2, 0.2, 0.0]]))
+        seeded = gaussian._starts(bar, SolverConfig(multistarts=1, seed=5))[1:]
+        assert seeded[0, 0] != seeded[0, 2] and seeded[0, 1] != seeded[0, 3]  # gamma, delta
+        monkeypatch.setattr(gaussian, "_starts", lambda bar, config: seeded)
+        again = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        assert _is_symmetric(again.alloc)
+        assert abs(again.value - sym.value) <= 1e-9
 
     def test_unequal_weights_not_tied(self):
         # unequal weights make the optimum asymmetric: one shared allocation
@@ -536,9 +535,17 @@ def _is_tied(alloc) -> bool:
     )
 
 
+def _is_symmetric(alloc, rtol=1e-9) -> bool:
+    """Whether a single-state allocation gives both encoders the same cells,
+    up to rounding."""
+    return np.allclose(alloc.P1.ravel(), alloc.P2.ravel(), rtol=rtol, atol=0) and np.allclose(
+        alloc.gamma1.ravel(), alloc.gamma2.ravel(), rtol=rtol, atol=0
+    )
+
+
 class TestZeroBudget:
     """An encoder with no power on the two-state instance at the shipped
-    region budget: its pinned cells must not stall the other encoder's ascent."""
+    region budget: its left-out cells must not stall the other encoder's solve."""
 
     CFG = SolverConfig(iterations=300, rounds=8, multistarts=1)
     R2_ALONE = 0.964242340852  # encoder 2 alone at full power, c12 = 0.3
@@ -565,6 +572,82 @@ class TestZeroBudget:
     def test_no_power_or_no_gain_is_zero(self, pbar, gains):
         # the total cap carries no link offset, so every weight gets value 0
         assert self.values(*pbar, gains=gains) == [0.0, 0.0, 0.0]
+
+
+class TestBarrierEdges:
+    """Instances the former supergradient ascent stopped short on or never ran."""
+
+    def test_near_zero_budget_reaches_the_sum_face(self):
+        # pbar1 = 1e-9 at c12 = 0.3, weights (1, 1): the former ascent stopped at 0.9326
+        spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e-9, 10.0,
+                               ConferencingConfig(0.3, 0.0), 2, 2, "real")
+        res = maximize_weighted_rate(spec, 1.0, 1.0, SolverConfig(iterations=300, rounds=8))
+        assert res.value >= 0.964247 and res.flag == "converged"
+        assert feasible(spec, res.alloc)
+
+    def test_large_budgets_stay_feasible(self):
+        # the readings are scaled up to spend each budget: at 1e8, spending
+        # it exactly rounded past feasible()'s absolute slack of 1e-9
+        spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e8, 1e8,
+                               ConferencingConfig(0.3, 0.1), 2, 1, "real")
+        for mu in ((1.0, 1.0), (1.0, 0.0), (0.3, 1.0)):
+            res = maximize_weighted_rate(spec, *mu, SolverConfig(iterations=300, rounds=8))
+            assert res.flag == "converged" and feasible(spec, res.alloc)
+
+    @pytest.mark.parametrize("spec", [three_state_spec(), three_state_spec(float("inf"), 0.1),
+                                      three_state_spec(float("inf"), float("inf")),
+                                      reference_spec(float("inf"), float("inf"))])
+    def test_solved_whatever_the_starts(self, spec):
+        # k = 3 with two subchannels, and infinite links: every problem
+        # converges, and seeded starts that differ reach the same values
+        problems = [(*mu, spec.conf.c12, spec.conf.c21, r0)
+                    for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (1.0, 1.0)) for r0 in (0.0, 0.2)]
+        runs = [solve_weighted(spec, problems, SolverConfig(seed=seed)) for seed in (0, 40)]
+        for problem, a, b in zip(problems, *runs):
+            assert a.flag == b.flag == "converged"
+            assert abs(a.value - b.value) <= 1e-8
+            assert feasible(spec, a.alloc)
+            bounds = rate_bounds_gaussian(spec, a.alloc)
+            value, _ = best_weighted_point(RateBounds(
+                bounds.b1, bounds.b2, bounds.b12, bounds.bsum - problem[4]), *problem[:2])
+            assert abs(a.value - value) <= 1e-12
+        if math.isinf(spec.conf.c12) and math.isinf(spec.conf.c21):
+            # only the total cap binds: each value is max(mu) times the
+            # sum-rate ceiling less r0
+            ceilings = [res.value / max(p[:2]) + p[4] for p, res in zip(problems, runs[0])]
+            assert max(ceilings) - min(ceilings) <= 1e-8
+
+    def test_every_solver_key_is_used(self):
+        # iterations * rounds caps the Newton steps; multistarts adds seeded
+        # interior starts to the even one, which no seed moves
+        spec = three_state_spec()
+        res = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(iterations=2, rounds=3))
+        assert res.flag == "budget-exhausted" and feasible(spec, res.alloc)
+        bar = _Barrier(spec, np.array([[0.6, 0.8, 0.2, 0.1, 0.0]]))
+        a, b = (gaussian._starts(bar, SolverConfig(multistarts=2, seed=seed)) for seed in (0, 1))
+        assert a.shape[0] == b.shape[0] == 3
+        assert np.array_equal(a[0], b[0]) and not np.array_equal(a[1:], b[1:])
+        for x in (*a, *b):  # strictly inside every budget and cone
+            assert (x[: bar.o[4]] > 0).all() and (bar.B[:, :-2] @ x < bar.pbar).all()
+            i, j, kap = bar.cone
+            assert (x[kap] ** 2 < x[i] * x[j]).all()
+
+    def test_common_rate_above_the_total_cap(self):
+        # no rate pair is strictly feasible at the start: the start is reported
+        spec = reference_spec(0.3, 0.1)
+        res, = solve_weighted(spec, [(1.0, 1.0, 0.3, 0.1, 5.0)])
+        assert res.flag == "stalled" and res.value == 0.0
+
+    def test_region_rows_within_their_axis_maxima(self):
+        # region_gaussian.yaml: no trace point may beat its own spec's max_r1
+        # or max_r2, which the former ascent's short axis solves did by up to 3.7e-4
+        cfg = load_config(str(CONFIGS / "region_gaussian.yaml"))
+        out = run_region_gaussian(cfg)
+        col = {name: i for i, name in enumerate(out.header)}
+        for row in out.rows:
+            assert row[col["r1"]] <= row[col["max_r1"]] + 1e-9
+            assert row[col["r2"]] <= row[col["max_r2"]] + 1e-9
+            assert row[col["flag"]] == "converged"
 
 
 class TestBatchedRunners:
