@@ -5,12 +5,13 @@ present.
 Run:  python demos/state_process.py
 """
 
+import math
+
 import numpy as np
 
 from fsmac import (
     MarkovChain,
     delayed_state_joint,
-    mixing_horizon,
     n_step_matrix,
     stationary_distribution,
 )
@@ -23,14 +24,13 @@ pi = stationary_distribution(chain)
 print("stationary distribution:", dict(zip(chain.states, pi.round(6))))
 
 # How quickly does knowledge of the state age? After d steps the conditional
-# of the current state given a d-old observation is a row of K^d.
-for d in (1, 2, 5, 20):
+# of the current state given a d-old observation is a row of K^d. An
+# infinitely old observation is worthless: every row of K^inf is pi.
+for d in (1, 2, 5, 20, math.inf):
     P = n_step_matrix(chain, d)
     print(f"P(now | seen {d} steps ago):")
     for i, s in enumerate(chain.states):
         print(f"   from {s}: {P[i].round(4)}")
-
-print("steps until the observation is worthless (TV < 1e-9):", mixing_horizon(chain))
 
 # Two encoders see the state with different lags. Their joint law with the
 # current state is the basic object every rate bound averages over.
@@ -46,10 +46,10 @@ for a in range(2):
                     f"now={chain.states[c]}: {p:.4f}"
                 )
 
-# With equal delays the two observations coincide; with a huge first delay
-# encoder 1's observation decouples from everything else.
-far = delayed_state_joint(chain, 500, 1)
-pair = far.table.sum(axis=(1, 2))
-rest = far.table.sum(axis=0)
-gap = np.abs(far.table - pair[:, None, None] * rest[None, :, :]).max()
-print(f"\ndelay-500 observation decoupling residue: {gap:.2e}")
+# With equal delays the two observations coincide; with an infinite first
+# delay encoder 1's observation is independent of everything else: the joint
+# law is pi(obs1) times the law of (obs2, now), states one step apart.
+far = delayed_state_joint(chain, math.inf, 1)
+rest = pi[:, None] * chain.K
+gap = np.abs(far.table - pi[:, None, None] * rest[None, :, :]).max()
+print(f"\ndelay-inf observation decoupling residue: {gap:.2e}")

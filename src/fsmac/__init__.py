@@ -5,7 +5,6 @@ from .markov import (
     DelayedStateJoint,
     MarkovChain,
     delayed_state_joint,
-    mixing_horizon,
     n_step_matrix,
     sample_state_path,
     stationary_distribution,

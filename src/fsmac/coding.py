@@ -536,9 +536,12 @@ def _run_trials(
     """Shared Monte Carlo loop over codebooks of sizes `counts`. Each trial
     derives an independent stream from (seed, trial); `draw(rng)` takes the
     sent triplet from it after the codebooks are drawn. A trial is an error
-    unless the decoder returns exactly the sent triplet."""
+    unless the decoder returns exactly the sent triplet. A block decodes
+    only positions at and after d1, so d1 must be finite and below n."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= d2 <= d1 < n:
+        raise ValueError(f"delays must satisfy 0 <= d2 <= d1 < n, got d1={d1}, d2={d2}, n={n}")
     check_decoder_caps(n, counts)
     joint = assemble_joint(delayed_state_joint(chain, d1, d2), policy, channel)
 

@@ -24,13 +24,11 @@ from .experiments import (
     run_sweep_sumrate,
 )
 from .gaussian import GaussianMacSpec, SolverConfig
-from .markov import MarkovChain, mixing_horizon
+from .markov import MarkovChain
 from .pmf import DmcChannel, InputPolicy, check_compatible
 from .regions import ConferencingConfig, SearchConfig, check_search_size
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "KINDS"]
-
-_INF_HORIZON_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -121,18 +119,14 @@ def _parse_chain(section: dict) -> MarkovChain:
         raise ConfigError(f"chain: {exc}") from exc
 
 
-def _parse_delays(section: dict, chain: MarkovChain) -> tuple[int, int, dict]:
+def _parse_delays(section: dict) -> tuple[float, float, dict]:
     _check_keys(section, {"d1", "d2"}, "delays")
     raw1 = _require(section, "d1", "delays")
     raw2 = _require(section, "d2", "delays")
 
     def resolve(raw, name):
         if raw == "inf":
-            try:
-                return mixing_horizon(chain, _INF_HORIZON_TOL)
-            except RuntimeError as exc:  # no finite surrogate within the step cap
-                raise ConfigError(f"'delays.{name}' is \"inf\" but chain.transition "
-                                  f"mixes too slowly: {exc}") from exc
+            return math.inf
         if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
             raise ConfigError(f"'delays.{name}' must be a nonnegative integer or \"inf\"")
         return raw
@@ -217,7 +211,7 @@ def _parse_policy(section: dict) -> InputPolicy:
 
 def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
     chain = _parse_chain(_require(raw, "chain", "top level"))
-    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"))
     conf_sec = _require(raw, "conferencing", "top level")
     _check_keys(conf_sec, {"c12", "c21"}, "conferencing")
     c12_raw = conf_sec.get("c12", 0.0)
@@ -246,7 +240,7 @@ def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
 
 def _parse_region_discrete(raw: dict, seed: int) -> tuple[dict, dict]:
     chain = _parse_chain(_require(raw, "chain", "top level"))
-    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"))
     channel = _parse_channel(_require(raw, "channel", "top level"))
     conf = _parse_conferencing(raw.get("conferencing", {}) or {})
     search_sec = _require(raw, "search", "top level")
@@ -277,7 +271,7 @@ def _parse_region_discrete(raw: dict, seed: int) -> tuple[dict, dict]:
 
 def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
     chain = _parse_chain(_require(raw, "chain", "top level"))
-    cases = [_parse_delays(c, chain) for c in _items(raw, "delay_cases")]
+    cases = [_parse_delays(c) for c in _items(raw, "delay_cases")]
     c_list = [_capacity(c, "c_list") for c in _items(raw, "c_list")]
     gauss = _require(raw, "gaussian", "top level")
     # each case is solved at every c_list value and once more with unbounded links
@@ -306,7 +300,7 @@ def _parse_sweep_correlation(raw: dict, seed: int) -> tuple[dict, dict]:
 
 def _parse_simulate(raw: dict, seed: int) -> tuple[dict, dict]:
     chain = _parse_chain(_require(raw, "chain", "top level"))
-    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"), chain)
+    d1, d2, dres = _parse_delays(_require(raw, "delays", "top level"))
     channel = _parse_channel(_require(raw, "channel", "top level"))
     policy = _parse_policy(_require(raw, "policy", "top level"))
     try:

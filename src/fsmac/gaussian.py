@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovChain, delayed_state_joint, n_step_matrix
+from .markov import MarkovChain, delayed_state_joint
 from .regions import ConferencingConfig, RateBounds, RatePoint, best_weighted_point, check_weights
 
 __all__ = [
@@ -46,7 +46,9 @@ class FeasibilityError(ValueError):
 
 class GaussianMacSpec:
     """Problem instance: per-state subchannel gain magnitudes, power budgets,
-    conferencing link capacities, the state chain and the observation delays.
+    conferencing link capacities, the state chain and the observation delays
+    d1 >= d2 >= 0, either of which may be inf. The pair and triple weight
+    tables are those of `delayed_state_joint`.
 
     Noise is normalized to unit variance, so gains are relative amplitudes.
     `convention` selects the rate unit: "complex" uses log2(1 + x) per
@@ -61,8 +63,8 @@ class GaussianMacSpec:
         pbar1: float,
         pbar2: float,
         conf: ConferencingConfig,
-        d1: int,
-        d2: int,
+        d1: float,
+        d2: float,
         convention: str = "real",
     ) -> None:
         gains1 = np.atleast_2d(np.asarray(gains1, dtype=float))
@@ -76,8 +78,6 @@ class GaussianMacSpec:
                         ("pbar1", pbar1), ("pbar2", pbar2)):
             if not np.all((v >= 0) & np.isfinite(v)):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if d2 < 0 or d2 > d1:
-            raise ValueError(f"delay ordering violated: d1 >= d2 >= 0 required, got ({d1}, {d2})")
         if convention not in ("real", "complex"):
             raise ValueError(f"unknown log convention {convention!r}")
         self.chain = chain
@@ -86,12 +86,11 @@ class GaussianMacSpec:
         self.pbar1 = float(pbar1)
         self.pbar2 = float(pbar2)
         self.conf = conf
-        self.d1 = int(d1)
-        self.d2 = int(d2)
+        self.d1 = d1
+        self.d2 = d2
         self.convention = convention
-        # not _w3 summed over s, which would round differently
-        self._w2 = chain.pi[:, None] * n_step_matrix(chain, d1 - d2)
-        self._w3 = delayed_state_joint(chain, d1, d2).table
+        joint = delayed_state_joint(chain, d1, d2)  # checks d1 >= d2 >= 0
+        self._w2, self._w3 = joint.pair, joint.table
 
     @property
     def n_sub(self) -> int:

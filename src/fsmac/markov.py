@@ -4,6 +4,7 @@ distribution of the current state with its delayed observations."""
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -14,7 +15,6 @@ __all__ = [
     "stationary_distribution",
     "n_step_matrix",
     "delayed_state_joint",
-    "mixing_horizon",
     "sample_state_path",
 ]
 
@@ -99,10 +99,15 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     return pi / pi.sum()
 
 
-def n_step_matrix(chain: MarkovChain, d: int) -> np.ndarray:
-    """d-step transition matrix K^d (K^0 is the identity)."""
+def n_step_matrix(chain: MarkovChain, d: float) -> np.ndarray:
+    """d-step transition matrix K^d (K^0 is the identity). d may be inf: the
+    chain is primitive, so K^d tends to K^inf = 1 pi, whose every row is the
+    stationary law (Levin, Peres & Wilmer, Markov Chains and Mixing Times,
+    Thm 4.9)."""
     if d < 0:
         raise ValueError("number of steps d must be >= 0")
+    if d == math.inf:
+        return np.tile(chain.pi, (chain.k, 1))
     return np.linalg.matrix_power(chain.K, d)
 
 
@@ -112,9 +117,14 @@ class DelayedStateJoint:
     ``table[a, b, c]`` is the stationary probability that the state seen by
     encoder 1 (lagging by d1 steps) is ``a``, the state seen by encoder 2
     (lagging by d2 <= d1 steps) is ``b``, and the current state is ``c``.
+    ``pair[a, b]`` is the law of the two observed states: the table's
+    marginal over ``c``, passed as it was built (pi(a) K^(d1-d2)[a, b] in
+    `delayed_state_joint`), since the sum over ``c`` rounds differently.
+    Either delay may be inf.
     """
 
-    def __init__(self, chain: MarkovChain, d1: int, d2: int, table: np.ndarray) -> None:
+    def __init__(self, chain: MarkovChain, d1: float, d2: float, table: np.ndarray,
+                 pair: np.ndarray) -> None:
         k = chain.k
         if table.shape != (k, k, k):
             raise ValueError(f"table must be {k}x{k}x{k}, got {table.shape}")
@@ -128,70 +138,37 @@ class DelayedStateJoint:
             raise ValueError("marginal of the encoder-1 state must equal the stationary law")
         if not np.abs(table.sum(axis=(0, 1)) - pi).max() <= _ROW_SUM_TOL:
             raise ValueError("marginal of the current state must equal the stationary law")
+        if not (pair.shape == (k, k) and np.abs(table.sum(axis=2) - pair).max() <= _ROW_SUM_TOL):
+            raise ValueError("pair must be the table's marginal over the current state")
         self.chain = chain
-        self.d1 = int(d1)
-        self.d2 = int(d2)
+        self.d1 = d1
+        self.d2 = d2
         self.table = table
+        self.pair = pair
 
     @property
     def k(self) -> int:
         return self.chain.k
 
-    def marginal_pair(self) -> np.ndarray:
-        """Joint law of the two delayed states, table summed over the current state."""
-        return self.table.sum(axis=2)
 
-
-def delayed_state_joint(chain: MarkovChain, d1: int, d2: int) -> DelayedStateJoint:
+def delayed_state_joint(chain: MarkovChain, d1: float, d2: float) -> DelayedStateJoint:
     """Stationary joint law of the two delayed-state observations and the state.
 
-    table[a, b, c] = pi(a) * K^(d1-d2)[a, b] * K^(d2)[b, c].
-    Requires d1 >= d2 >= 0: encoder 1 sees the older state.
+    pair[a, b] = pi(a) * K^(d1-d2)[a, b] and
+    table[a, b, c] = pair[a, b] * K^(d2)[b, c].
+    Requires d1 >= d2 >= 0: encoder 1 sees the older state. Either delay may
+    be inf. The gap d1 - d2 is 0 when the delays are equal, (inf, inf)
+    included, so both encoders then see one state; it is inf when d1 alone
+    is, so encoder 1's state is then independent of the other two.
     """
     if d2 < 0 or d1 < 0:
         raise ValueError("delays must be >= 0")
     if d2 > d1:
         raise ValueError(f"delay ordering violated: d1 >= d2 required, got d1={d1}, d2={d2}")
     pi = chain.pi
-    K_gap = n_step_matrix(chain, d1 - d2)
-    K_d2 = n_step_matrix(chain, d2)
-    table = pi[:, None, None] * K_gap[:, :, None] * K_d2[None, :, :]
-    return DelayedStateJoint(chain, d1, d2, table)
-
-
-def mixing_horizon(chain: MarkovChain, tol: float = 1e-9, max_steps: int = 100_000) -> int:
-    """Smallest d with max-row total-variation distance of K^d from pi below tol.
-
-    Used to replace an unbounded delay by a finite surrogate. The distance
-    does not grow with d, so repeated squaring brackets the horizon between
-    two powers of 2, and bisection with the squares finds it: about
-    2 * log2(d) products of K's powers instead of d.
-    """
-    pi = chain.pi
-
-    def mixed(P):
-        return 0.5 * np.abs(P - pi).sum(axis=1).max() < tol
-
-    def no_horizon():
-        return RuntimeError(f"chain did not mix to {tol} within {max_steps} steps")
-
-    P = np.eye(chain.k)
-    if mixed(P):
-        return 0
-    squares = [chain.K]  # K^(2^j)
-    while not mixed(squares[-1]):
-        if 1 << (len(squares) - 1) >= max_steps:
-            raise no_horizon()
-        squares.append(squares[-1] @ squares[-1])
-    # the largest d below the horizon, bit by bit from the highest
-    d = 0
-    for j in reversed(range(len(squares) - 1)):
-        Q = P @ squares[j]
-        if not mixed(Q):
-            d, P = d + (1 << j), Q
-    if d + 1 > max_steps:
-        raise no_horizon()
-    return d + 1
+    pair = pi[:, None] * n_step_matrix(chain, 0 if d1 == d2 else d1 - d2)
+    table = pair[:, :, None] * n_step_matrix(chain, d2)[None, :, :]
+    return DelayedStateJoint(chain, d1, d2, table, pair)
 
 
 def _by_content(fn):

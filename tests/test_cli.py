@@ -196,17 +196,18 @@ class TestValidate:
     @pytest.mark.parametrize("d1,n", [(2, 2), (3, 2), ("inf", 64)])
     def test_block_within_delay_rejected(self, tmp_path, capsys, d1, n):
         # no position of a block of n <= d1 is decoded, so every trial would
-        # count as an error; "inf" resolves to this chain's mixing horizon, 90
+        # count as an error; an "inf" delay leaves no position in any block
         payload = simulate_payload(str(tmp_path), n_list=[128, n], r=0.0)
         payload["delays"] = {"d1": d1, "d2": 0}
         cfgp = write_config(tmp_path, payload)
         assert main(["validate", "--config", cfgp]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
-        resolved = 90 if d1 == "inf" else d1
-        assert f"n={n}" in record["message"] and f"delays.d1={resolved}" in record["message"]
-        payload["sim"]["n_list"] = [resolved + 1]  # one decoded position
-        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 0
+        first = 128 if d1 == "inf" else n  # the first entry fails
+        assert f"n={first}" in record["message"] and f"delays.d1={d1}" in record["message"]
+        if d1 != "inf":
+            payload["sim"]["n_list"] = [d1 + 1]  # one decoded position
+            assert main(["validate", "--config", write_config(tmp_path, payload)]) == 0
 
     @pytest.mark.parametrize("section,field,value", [
         ("sim", "trials", 0), ("sim", "epsilon", 0.0), ("rates", "r1", -0.1),
@@ -288,8 +289,6 @@ class TestValidate:
         ("region-discrete", "channel.table", ONE_STATE_CHANNEL),
         ("simulate", "channel.table", ONE_STATE_CHANNEL),
         ("simulate", "policy.pX1", [[[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]]),
-        # a chain too slow to mix for the "inf" delay of a delay case
-        ("sweep-sumrate", "chain.transition", [[0.999999, 1e-6], [1e-6, 0.999999]]),
     ])
     def test_unrunnable_input_rejected(self, tmp_path, capsys, kind, field, value):
         payload = PAYLOADS[kind](str(tmp_path))
@@ -322,15 +321,29 @@ class TestValidate:
         out = capsys.readouterr().out
         cases = yaml.safe_load(out[: out.rindex("ok")])["delay_cases"]
         assert [(c["d1_raw"], c["d2_raw"], c["d2"]) for c in cases] == [(2, 1, 1), ("inf", 0, 0)]
-        assert cases[0]["d1"] == 2 and cases[1]["d1"] > 2
+        assert cases[0]["d1"] == 2 and cases[1]["d1"] == float("inf")
 
-    def test_slow_chain_rejects_an_inf_delay_by_name(self, tmp_path, capsys):
+    def test_inf_delay_is_longer_than_any_finite_one(self, tmp_path, capsys):
+        payload = gaussian_payload(str(tmp_path))
+        payload["delays"] = {"d1": "inf", "d2": 95}
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 0
+        delays = yaml.safe_load(capsys.readouterr().out.rsplit("ok", 1)[0])["delays"]
+        assert (delays["d1"], delays["d2"]) == (float("inf"), 95)
+        payload["delays"] = {"d1": 95, "d2": "inf"}
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+        assert "d1 must be >= d2" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_slow_chain_accepts_an_inf_delay(self, tmp_path, capsys):
+        # no finite power of this chain is within 1e-9 of stationary before
+        # about 1e7 steps; an infinite delay needs none
         payload = gaussian_payload(str(tmp_path))
         payload["chain"]["transition"] = [[0.999999, 1e-6], [1e-6, 0.999999]]
-        payload["delays"] = {"d1": 3, "d2": "inf"}
-        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "ConfigError" and "'delays.d2'" in record["message"]
+        payload["delays"] = {"d1": "inf", "d2": 3}
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 0
+        assert main(["region-gaussian", "--config", cfgp, "--no-plots"]) == 0
+        rows = read_rows(tmp_path / "reg.csv")
+        assert rows and all(r["flag"] == "converged" for r in rows)
 
     def test_validate_never_writes(self, tmp_path):
         out_dir = tmp_path / "results"

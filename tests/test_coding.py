@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -1124,6 +1126,22 @@ class TestDecoderCaps:
             )
         with pytest.raises(ValueError, match="blocklength"):
             estimate_error_rate(chain, channel, policy, (0.0, 0.0, 0.0), 1024, 0.1, 1, seed=0)
+
+    @pytest.mark.parametrize("d1,d2", [(8, 0), (9, 2), (math.inf, 0), (1, 2), (2, -1)])
+    def test_error_rates_reject_a_block_within_the_delay(self, monkeypatch, d1, d2):
+        # a block of n <= d1 decodes no position, so every trial would be an
+        # error: n = 8, d1 = 8 read p_e = 1.0 from 5 trials, all `none`
+        def fail(*args, **kwargs):
+            raise AssertionError("codebooks were allocated")
+
+        monkeypatch.setattr(coding, "generate_codebooks", fail)
+        chain, channel, policy = two_state(), xor_bsc_channel(2, (0.1, 0.4)), uniform_policy(2)
+        with pytest.raises(ValueError, match=f"d1={d1}"):
+            estimate_error_rate(chain, channel, policy, (0.0, 0.0, 0.0), 8, 0.1, 5, seed=0,
+                                d1=d1, d2=d2)
+        with pytest.raises(ValueError, match=f"d1={d1}"):
+            conferencing_error_rate(chain, channel, policy, (0.0, 0.0), ConferencingConfig(),
+                                    8, 0.1, 5, seed=0, d1=d1, d2=d2)
 
     def test_split_counts_are_the_conferencing_books(self):
         # 2^(64*0.25) messages per user; c = 0.125 shares 2^8 cells of each

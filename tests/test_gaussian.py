@@ -92,6 +92,43 @@ class TestSpecValidation:
             GaussianMacSpec(two_state(), conf=ConferencingConfig(), d1=1, d2=0, **args)
 
 
+    def test_delay_ordering_rejected(self):
+        gains = [[1.0], [0.1]]
+        with pytest.raises(ValueError, match="d1 >= d2"):
+            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(), 1, 2)
+        with pytest.raises(ValueError, match="d1 >= d2"):
+            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(), 5, math.inf)
+
+
+class TestInfiniteDelay:
+    @staticmethod
+    def spec(d1, d2):
+        gains = [[1.0], [0.1]]
+        return GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0,
+                               ConferencingConfig(0.3, 0.0), d1, d2)
+
+    def test_weights_are_the_exact_limit(self):
+        exact = self.spec(math.inf, 2)
+        assert (exact.d1, exact.d2) == (math.inf, 2)
+        w2, w3 = exact.state_weights()
+        pi = exact.chain.pi
+        assert np.array_equal(w2, pi[:, None] * pi[None, :])
+        assert np.abs(w3 - pi[:, None, None] * w3.sum(axis=0)[None]).max() <= 1e-15
+        # (400, 2) is off the limit by K^398's distance from pi, here rounding
+        tol = np.abs(n_step_matrix(exact.chain, 398) - pi).max() + 1e-15
+        w2_far, w3_far = self.spec(400, 2).state_weights()
+        assert np.abs(w2 - w2_far).max() <= tol and np.abs(w3 - w3_far).max() <= tol
+
+    @pytest.mark.parametrize("d2", [2, math.inf])
+    def test_solves_like_a_long_finite_delay(self, d2):
+        cfg = SolverConfig(iterations=300, rounds=8, multistarts=1)
+        spec = self.spec(math.inf, d2)
+        res = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        far = maximize_weighted_rate(self.spec(400, 400 if d2 == math.inf else d2), 1.0, 1.0, cfg)
+        assert res.flag == "converged" and feasible(spec, res.alloc)
+        assert abs(res.value - far.value) <= 1e-9
+
+
 class TestRateBounds:
     def test_zero_power_gives_offsets_only(self):
         spec = scalar_spec(c12=0.4, c21=0.7)

@@ -1,22 +1,17 @@
-import time
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
-import yaml
 
 from fsmac import (
     DelayedStateJoint,
     MarkovChain,
     delayed_state_joint,
-    mixing_horizon,
     n_step_matrix,
     stationary_distribution,
 )
 from fsmac import markov
 from fsmac.markov import _categorical, sample_state_path
-
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def two_state(g=0.1, b=0.1):
@@ -94,11 +89,19 @@ class TestNStepMatrix:
         with pytest.raises(ValueError):
             n_step_matrix(two_state(), -1)
 
+    def test_infinite_steps_give_pi_in_every_row(self):
+        # a chain too slow for any finite power to reach pi within 1e-9 too
+        chains = [two_state(), two_state(1e-6, 1e-6), random_chain(4, 5)]
+        for chain in chains:
+            P = n_step_matrix(chain, math.inf)
+            assert P.shape == (chain.k, chain.k)
+            assert all(np.array_equal(row, chain.pi) for row in P)
+
 
 class TestDelayedStateJoint:
     def test_equal_delays_collapse(self):
         dsj = delayed_state_joint(two_state(), 3, 3)
-        off_diag = dsj.marginal_pair()[~np.eye(2, dtype=bool)]
+        off_diag = dsj.pair[~np.eye(2, dtype=bool)]
         assert np.abs(off_diag).max() == 0.0
 
     def test_direct_product_cell(self):
@@ -132,6 +135,39 @@ class TestDelayedStateJoint:
     def test_delay_ordering_enforced(self):
         with pytest.raises(ValueError, match="d1 >= d2"):
             delayed_state_joint(two_state(), 1, 2)
+        with pytest.raises(ValueError, match="d1 >= d2"):
+            delayed_state_joint(two_state(), 95, math.inf)
+
+    def test_pair_is_the_product_it_was_built_from(self):
+        for d1, d2 in [(3, 1), (2, 2), (math.inf, 2), (math.inf, math.inf)]:
+            chain = random_chain(3, 4)
+            dsj = delayed_state_joint(chain, d1, d2)
+            gap = 0 if d1 == d2 else d1 - d2
+            assert np.array_equal(dsj.pair, chain.pi[:, None] * n_step_matrix(chain, gap))
+            assert np.abs(dsj.table.sum(axis=2) - dsj.pair).max() <= 1e-15
+
+    def test_both_delays_infinite_match_large_equal_delays(self):
+        for chain in (two_state(), random_chain(3, 1), random_chain(4, 2)):
+            exact = delayed_state_joint(chain, math.inf, math.inf)
+            assert exact.d1 == exact.d2 == math.inf
+            # both encoders see one state, drawn independently of the present
+            assert np.array_equal(exact.pair, np.diag(chain.pi))
+            far = delayed_state_joint(chain, 400, 400)
+            assert np.abs(exact.table - far.table).max() <= 1e-12
+
+    def test_infinite_first_delay_matches_a_large_one(self):
+        # the tables differ by pi(a) (K^398 - 1 pi)[a, b] K^2[b, c], so by at
+        # most K^398's distance from pi; the slow chain keeps that distance
+        # far above rounding (0.98^398, about 3e-4)
+        chains = [two_state(), random_chain(3, 3), two_state(0.01, 0.01)]
+        for chain in chains:
+            exact = delayed_state_joint(chain, math.inf, 2)
+            far = delayed_state_joint(chain, 400, 2)
+            dist = np.abs(n_step_matrix(chain, 398) - chain.pi).max()
+            assert np.abs(exact.table - far.table).max() <= dist + 1e-15
+            # encoder 1's state is independent of the other two
+            rest = exact.table.sum(axis=0)
+            assert np.abs(exact.table - chain.pi[:, None, None] * rest[None]).max() <= 1e-15
 
 
 class TestValidation:
@@ -159,84 +195,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             MarkovChain(["G", "B"], [[0.5, 0.5], [0.1, 0.9 + 1e-9]])
         chain = two_state()
-        table = delayed_state_joint(chain, 1, 0).table.copy()
+        dsj = delayed_state_joint(chain, 1, 0)
+        table = dsj.table.copy()
         table[0, 0, 0] = nan
         with pytest.raises(ValueError, match="nonnegative"):
-            DelayedStateJoint(chain, 1, 0, table)
+            DelayedStateJoint(chain, 1, 0, table, dsj.pair)
+
+    def test_rejects_a_pair_off_the_table(self):
+        chain = two_state()
+        dsj = delayed_state_joint(chain, 2, 1)
+        with pytest.raises(ValueError, match="pair"):
+            DelayedStateJoint(chain, 2, 1, dsj.table, dsj.pair + [[0.0, 1e-9], [0.0, -1e-9]])
+        with pytest.raises(ValueError, match="pair"):
+            DelayedStateJoint(chain, 2, 1, dsj.table, dsj.pair[:1])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             MarkovChain(["a", "b", "c"], np.eye(2))
-
-
-def test_mixing_horizon_two_state():
-    chain = two_state()
-    d = mixing_horizon(chain, tol=1e-9)
-    # second eigenvalue is 0.8, so TV decays like 0.8^d
-    P = n_step_matrix(chain, d)
-    assert 0.5 * np.abs(P - 0.5).sum(axis=1).max() < 1e-9
-    P_prev = n_step_matrix(chain, d - 1)
-    assert 0.5 * np.abs(P_prev - 0.5).sum(axis=1).max() >= 1e-9
-
-
-def _linear_horizon(chain, tol, max_steps):
-    """The horizon by one product of K per step, or None past max_steps:
-    the oracle for mixing_horizon's squaring and bisection."""
-    pi = chain.pi
-    P = np.eye(chain.k)
-    for d in range(max_steps + 1):
-        if 0.5 * np.abs(P - pi).sum(axis=1).max() < tol:
-            return d
-        P = P @ chain.K
-    return None
-
-
-def _horizon_or_none(chain, tol, max_steps):
-    try:
-        return mixing_horizon(chain, tol, max_steps)
-    except RuntimeError:
-        return None
-
-
-class TestMixingHorizon:
-    def test_shipped_chains_match_the_linear_scan(self):
-        chains = [yaml.safe_load(p.read_text()).get("chain") for p in CONFIGS]
-        chains = [MarkovChain(c["states"], c["transition"]) for c in chains if c]
-        assert len(chains) >= 4
-        for chain in chains:
-            assert mixing_horizon(chain, 1e-9) == _linear_horizon(chain, 1e-9, 100_000)
-
-    def test_seeded_chains_match_the_linear_scan(self):
-        # horizons up to a few thousand steps: beyond that the scan's own
-        # rounding, one product per step, reaches a tolerance of 1e-9 and the
-        # two methods can part by a step or more
-        rng = np.random.default_rng(2024)
-        checked = 0
-        for _ in range(150):
-            k = int(rng.integers(1, 6))
-            K = rng.random((k, k)) ** rng.choice([1, 4, 12])  # sparse and slow ones too
-            try:
-                chain = MarkovChain([f"s{a}" for a in range(k)], K / K.sum(axis=1, keepdims=True))
-            except ValueError:  # not irreducible and aperiodic
-                continue
-            for tol in (1e-6, 1e-9):
-                d = _linear_horizon(chain, tol, 3000)
-                if d is None:
-                    continue
-                checked += 1
-                assert mixing_horizon(chain, tol) == d
-                # the step cap: the horizon itself passes, one step less does not
-                assert _horizon_or_none(chain, tol, d) == d
-                if d > 0:
-                    assert _horizon_or_none(chain, tol, d - 1) is None
-        assert checked >= 150
-
-    def test_slow_chain_rejected_quickly(self):
-        chain = two_state(1e-6, 1e-6)  # horizon about 1e7 steps at 1e-9
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="did not mix"):
-            mixing_horizon(chain, 1e-9)
-        assert time.perf_counter() - start < 0.1
 
 
 class TestCategorical:

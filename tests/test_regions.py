@@ -347,22 +347,14 @@ class TestInnerBoundSearch:
     def test_long_delay_reduces_to_decoupled_observation(self):
         # with a huge first delay, encoder 1's observation decouples from
         # (second observation, state); the searched bound then matches the
-        # surrogate model with an exactly independent first observation
-        from fsmac.markov import DelayedStateJoint, n_step_matrix
-
+        # infinite delay, whose first observation is exactly independent
         cfg = SearchConfig(u_size=1, grid_levels=5, restarts=2, seed=2, mu1=1.0, mu2=1.0)
         chan = state_bsc_channel(2, (0.05, 0.45))
         chain = two_state()
         conf = ConferencingConfig(0.0, 0.0)
         d2 = 0
         v_far = inner_bound_search(chain, 500, d2, chan, conf, cfg).value
-        pair = chain.pi[:, None] * n_step_matrix(chain, d2)
-        surrogate = DelayedStateJoint(
-            chain, 500, d2, chain.pi[:, None, None] * pair[None, :, :]
-        )
-        v_decoupled = inner_bound_search(
-            chain, 500, d2, chan, conf, cfg, joint_states=surrogate
-        ).value
+        v_decoupled = inner_bound_search(chain, math.inf, d2, chan, conf, cfg).value
         assert abs(v_far - v_decoupled) <= 0.01
 
         # knowing the state earlier can only help
@@ -420,8 +412,8 @@ def random_instance(rng, max_k=3, max_u=3, max_x=3, max_y=3):
     d2 = int(rng.integers(0, 3))
     dsj = delayed_state_joint(chain, d2 + int(rng.integers(0, 3)), d2)
     if rng.random() < 0.25:
-        pair = dsj.table.sum(axis=0)
-        dsj = DelayedStateJoint(chain, dsj.d1, d2, chain.pi[:, None, None] * pair[None])
+        table = chain.pi[:, None, None] * dsj.table.sum(axis=0)[None]
+        dsj = DelayedStateJoint(chain, dsj.d1, d2, table, table.sum(axis=2))
     if rng.random() < 0.5:
         table = np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))]
     else:
