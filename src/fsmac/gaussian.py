@@ -89,7 +89,7 @@ class GaussianMacSpec:
         self.d1 = d1
         self.d2 = d2
         self.convention = convention
-        joint = delayed_state_joint(chain, d1, d2)  # checks d1 >= d2 >= 0
+        joint = delayed_state_joint(chain, d1, d2)  # checks d1 >= d2 >= 0, integers or inf
         self._w2, self._w3 = joint.pair, joint.table
 
     @property
@@ -362,11 +362,12 @@ class _Barrier:
 
 @dataclass
 class SolverConfig:
-    """Budget and starts of the barrier solver.
+    """Budget and fallback starts of the barrier solver.
 
-    Each problem is solved from an even interior start and from
-    `multistarts` more interior starts drawn from `seed`; the best value is
-    kept. Each start takes at most `iterations * rounds` Newton steps.
+    Each problem is solved from an even interior start. One that this start
+    leaves stalled or budget-exhausted is solved again from `multistarts`
+    interior starts drawn from `seed`, and its best value is kept. Each start
+    takes at most `iterations * rounds` Newton steps.
     """
 
     iterations: int = 400
@@ -397,16 +398,17 @@ class TracePoint:
     flag: str
 
 
-def _starts(bar: _Barrier, config: SolverConfig) -> np.ndarray:
-    """Allocation parts of the even start, then of the seeded ones. Each
-    spends half of every budget, splits each cell's power into private and
-    common parts and puts kappa inside its cone."""
+def _starts(bar: _Barrier, seed: int, which) -> np.ndarray:
+    """Allocation parts of the starts in `which`: start 0 is even, start
+    i >= 1 is drawn from SeedSequence((seed, i)). Each spends half of every
+    budget, splits each cell's power into private and common parts and puts
+    kappa inside its cone."""
     o = bar.o
     cells = [bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]]
     starts = []
-    for i in range(1 + config.multistarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, i)))
-        draw = rng.uniform if i else (lambda lo, hi, size: np.full(size, (lo + hi) / 2))
+    for i in which:
+        draw = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, i))).uniform if i
+                else lambda lo, hi, size: np.full(size, (lo + hi) / 2))
         x = []
         for w, pbar in zip(cells, bar.pbar):
             u, f = draw(0.2, 1.0, len(w)), draw(0.2, 0.8, len(w))
@@ -440,15 +442,36 @@ def _readings(spec: GaussianMacSpec, parts):
 
 
 def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[GaussianSolveResult]:
-    """Solve every (mu1, mu2, c12, c21, r0) problem with one batched barrier
-    method; trajectory i = d * S + s runs start s of problem d from t = 1.
+    """Solve every (mu1, mu2, c12, c21, r0) problem from the even start, in
+    one batch; the central path is unique, so that start serves wherever it
+    converges. The problems it leaves stalled or budget-exhausted are solved
+    again, in a second batch, from the seeded starts 1..multistarts, and
+    each keeps its best value, the even start's on ties. Whether a problem
+    enters that batch depends on its own first result alone, so each result
+    still equals the problem's own solve."""
+    results = _solve_from(spec, problems, config, [0])
+    short = [i for i, res in enumerate(results) if res.flag != "converged"]
+    if short and config.multistarts:
+        seeded = _solve_from(spec, [problems[i] for i in short], config,
+                             range(1, 1 + config.multistarts))
+        for i, res in zip(short, seeded):
+            if res.value > results[i].value:
+                results[i] = res
+    return results
+
+
+def _solve_from(spec: GaussianMacSpec, problems, config: SolverConfig,
+                which) -> list[GaussianSolveResult]:
+    """Solve every problem from each start in `which` with one batched
+    barrier method, keeping each problem's best value, the earliest start's
+    on ties; trajectory i = d * S + s runs start s of problem d from t = 1.
     A step is the largest of the ladder 1, 1/2, ..., 2^-15 that is strictly
     feasible and passes Armijo. A centering ends on a relative Newton
     decrement of _DECREMENT; t then grows 20-fold until m/t <= _GAP. A
     trajectory that finishes, stalls (no rate can start, or no step serves)
     or spends its steps is frozen, so each result equals its own solve."""
     bar = _Barrier(spec, np.array(problems, dtype=float))
-    Z = bar.start(_starts(bar, config))
+    Z = bar.start(_starts(bar, config.seed, which))
     T, nv = Z.shape
     t, steps = np.ones(T), np.zeros(T, dtype=int)
     done = ~bar.rlive.any(1)  # no rate can move: the start is the answer

@@ -99,13 +99,21 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _steps(d, name: str):
+    """d as a number of chain steps: a nonnegative integer, or inf."""
+    if d == math.inf:
+        return d
+    if not (d >= 0 and float(d).is_integer()):
+        raise ValueError(f"{name} must be a nonnegative integer or inf, got {d!r}")
+    return int(d)
+
+
 def n_step_matrix(chain: MarkovChain, d: float) -> np.ndarray:
     """d-step transition matrix K^d (K^0 is the identity). d may be inf: the
     chain is primitive, so K^d tends to K^inf = 1 pi, whose every row is the
     stationary law (Levin, Peres & Wilmer, Markov Chains and Mixing Times,
     Thm 4.9)."""
-    if d < 0:
-        raise ValueError("number of steps d must be >= 0")
+    d = _steps(d, "number of steps d")
     if d == math.inf:
         return np.tile(chain.pi, (chain.k, 1))
     return np.linalg.matrix_power(chain.K, d)
@@ -161,8 +169,7 @@ def delayed_state_joint(chain: MarkovChain, d1: float, d2: float) -> DelayedStat
     included, so both encoders then see one state; it is inf when d1 alone
     is, so encoder 1's state is then independent of the other two.
     """
-    if d2 < 0 or d1 < 0:
-        raise ValueError("delays must be >= 0")
+    d1, d2 = _steps(d1, "delay d1"), _steps(d2, "delay d2")
     if d2 > d1:
         raise ValueError(f"delay ordering violated: d1 >= d2 required, got d1={d1}, d2={d2}")
     pi = chain.pi

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -220,7 +223,7 @@ class TestBoundsKernel:
                 two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
                 0.0, 6.0, ConferencingConfig(), 1, 0, "real")):
             bar = _Barrier(spec, problems)
-            Z = bar.start(gaussian._starts(bar, SolverConfig(multistarts=2, seed=3)))
+            Z = bar.start(gaussian._starts(bar, 3, range(3)))
             rows, t = np.arange(len(Z)), np.resize([1.0, 30.0, 7.0], len(Z))
             g, H = bar.derivatives(Z, rows, t)
 
@@ -519,7 +522,7 @@ class TestBatchedSolver:
         pts = trace_boundary(spec, 4, self.CFG)
         assert [p.point.r1 for p in pts] == sorted((p.point.r1 for p in pts), reverse=True)
 
-    def test_symmetric_problem_ends_symmetric(self, monkeypatch):
+    def test_symmetric_problem_ends_symmetric(self):
         # one state, equal budgets and gains, mu1 = mu2: the barrier's centre
         # is unique and swap-symmetric, so both encoders end with one
         # allocation, and the value is the free optimum's. A budget or gain
@@ -534,11 +537,11 @@ class TestBatchedSolver:
         for free in (maximize_weighted_rate(s, 1.0, 1.0, cfg) for s in near):
             assert abs(sym.value - free.value) <= 1e-6
         # from one asymmetric seeded start alone, the solve ends symmetric too
-        bar = _Barrier(spec, np.array([[1.0, 1.0, 0.2, 0.2, 0.0]]))
-        seeded = gaussian._starts(bar, SolverConfig(multistarts=1, seed=5))[1:]
+        problem = (1.0, 1.0, 0.2, 0.2, 0.0)
+        seeded = gaussian._starts(_Barrier(spec, np.array([problem])), 5, [1])
         assert seeded[0, 0] != seeded[0, 2] and seeded[0, 1] != seeded[0, 3]  # gamma, delta
-        monkeypatch.setattr(gaussian, "_starts", lambda bar, config: seeded)
-        again = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        again, = gaussian._solve_from(spec, [problem], SolverConfig(seed=5, iterations=200, rounds=6),
+                                      [1])
         assert _is_symmetric(again.alloc)
         assert abs(again.value - sym.value) <= 1e-9
 
@@ -636,13 +639,17 @@ class TestBarrierEdges:
                                       reference_spec(float("inf"), float("inf"))])
     def test_solved_whatever_the_starts(self, spec):
         # k = 3 with two subchannels, and infinite links: every problem
-        # converges, and seeded starts that differ reach the same values
+        # converges from the even start, and each seeded start alone reaches
+        # the same value, which the fallback starts rest on
         problems = [(*mu, spec.conf.c12, spec.conf.c21, r0)
                     for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (1.0, 1.0)) for r0 in (0.0, 0.2)]
-        runs = [solve_weighted(spec, problems, SolverConfig(seed=seed)) for seed in (0, 40)]
-        for problem, a, b in zip(problems, *runs):
-            assert a.flag == b.flag == "converged"
-            assert abs(a.value - b.value) <= 1e-8
+        even = gaussian._solve_from(spec, problems, SolverConfig(), [0])
+        seeded = [gaussian._solve_from(spec, problems, SolverConfig(seed=seed), [i])
+                  for seed in (0, 40) for i in (1, 2)]
+        for problem, a, *others in zip(problems, even, *seeded):
+            assert a.flag == "converged"
+            for b in others:
+                assert b.flag == "converged" and abs(a.value - b.value) <= 1e-8
             assert feasible(spec, a.alloc)
             bounds = rate_bounds_gaussian(spec, a.alloc)
             value, _ = best_weighted_point(RateBounds(
@@ -651,17 +658,36 @@ class TestBarrierEdges:
         if math.isinf(spec.conf.c12) and math.isinf(spec.conf.c21):
             # only the total cap binds: each value is max(mu) times the
             # sum-rate ceiling less r0
-            ceilings = [res.value / max(p[:2]) + p[4] for p, res in zip(problems, runs[0])]
+            ceilings = [res.value / max(p[:2]) + p[4] for p, res in zip(problems, even)]
             assert max(ceilings) - min(ceilings) <= 1e-8
+
+    def test_criterion_3_instances_solved_whatever_the_starts(self):
+        # acceptance criterion 3's 20 scalar instances at their seeds: each
+        # seeded start alone converges to the even start's value
+        rng = np.random.default_rng(42)
+        for trial in range(20):
+            g1, g2, p1, p2 = (float(rng.uniform(*bounds))
+                              for bounds in ((0.2, 2.0), (0.2, 2.0), (0.5, 20.0), (0.5, 20.0)))
+            c12 = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+            c21 = float(rng.choice([0.0, 0.3, 0.9]))
+            mu = rng.uniform(0.05, 1.0, 2)
+            spec = scalar_spec(g1, g2, p1, p2, c12, c21)
+            problem = [(float(mu[0]), float(mu[1]), c12, c21, 0.0)]
+            config = SolverConfig(seed=trial)
+            even, = gaussian._solve_from(spec, problem, config, [0])
+            assert even.flag == "converged"
+            for i in (1, 2):
+                res, = gaussian._solve_from(spec, problem, config, [i])
+                assert res.flag == "converged" and abs(res.value - even.value) <= 1e-8
 
     def test_every_solver_key_is_used(self):
         # iterations * rounds caps the Newton steps; multistarts adds seeded
-        # interior starts to the even one, which no seed moves
+        # fallback starts to the even one, which no seed moves
         spec = three_state_spec()
         res = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(iterations=2, rounds=3))
         assert res.flag == "budget-exhausted" and feasible(spec, res.alloc)
         bar = _Barrier(spec, np.array([[0.6, 0.8, 0.2, 0.1, 0.0]]))
-        a, b = (gaussian._starts(bar, SolverConfig(multistarts=2, seed=seed)) for seed in (0, 1))
+        a, b = (gaussian._starts(bar, seed, range(3)) for seed in (0, 1))
         assert a.shape[0] == b.shape[0] == 3
         assert np.array_equal(a[0], b[0]) and not np.array_equal(a[1:], b[1:])
         for x in (*a, *b):  # strictly inside every budget and cone
@@ -685,6 +711,92 @@ class TestBarrierEdges:
             assert row[col["r1"]] <= row[col["max_r1"]] + 1e-9
             assert row[col["r2"]] <= row[col["max_r2"]] + 1e-9
             assert row[col["flag"]] == "converged"
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(problems, start indices) of every batch the solver draws starts for."""
+    batches, starts = [], gaussian._starts
+
+    def recording(bar, seed, which):
+        batches.append((len(bar.mu), list(which)))
+        return starts(bar, seed, which)
+
+    monkeypatch.setattr(gaussian, "_starts", recording)
+    return batches
+
+
+class TestFallbackStarts:
+    """Seeded starts run only for the problems the even start leaves short
+    of converged, and keep their value only where it is higher."""
+
+    SHORT = SolverConfig(iterations=2, rounds=3)  # budget-exhausted on three_state_spec
+
+    @staticmethod
+    def best_of_each_start(spec, problem, config):
+        runs = [gaussian._solve_from(spec, [problem], config, [i])[0]
+                for i in range(1 + config.multistarts)]
+        return runs[int(np.argmax([res.value for res in runs]))]  # the first on ties
+
+    def test_converged_batch_draws_no_seeded_start(self, drawn):
+        spec = reference_spec(0.3, 0.1)
+        problems = [(math.cos(t), math.sin(t), 0.3, 0.1, r0) for t in _thetas(4) for r0 in (0.0, 0.2)]
+        assert all(res.flag == "converged" for res in solve_weighted(spec, problems))
+        assert drawn == [(8, [0])]
+
+    def test_converged_run_never_imports_numpy_random(self):
+        code = ("import sys; from fsmac import maximize_weighted_rate, GaussianMacSpec, "
+                "ConferencingConfig, MarkovChain\n"
+                "chain = MarkovChain(['G', 'B'], [[0.9, 0.1], [0.1, 0.9]])\n"
+                "spec = GaussianMacSpec(chain, [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0, "
+                "ConferencingConfig(0.3, 0.1), 2, 2)\n"
+                "assert maximize_weighted_rate(spec, 0.6, 0.8).flag == 'converged'\n"
+                "print('numpy.random' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+    def test_budget_exhausted_problem_gets_seeded_starts(self, drawn):
+        spec = three_state_spec()
+        problems = [(0.6, 0.8, 0.2, 0.1, 0.0), (1.0, 0.0, 0.2, 0.1, 0.3)]
+        got = solve_weighted(spec, problems, self.SHORT)
+        assert drawn == [(2, [0]), (2, [1, 2])]
+        even, = gaussian._solve_from(spec, problems[:1], self.SHORT, [0])
+        assert got[0].value > even.value  # a seeded start's value is kept
+        for problem, res in zip(problems, got):
+            best = self.best_of_each_start(spec, problem, self.SHORT)
+            assert (res.value, res.point, res.flag) == (best.value, best.point, best.flag)
+            assert feasible(spec, res.alloc)
+
+    def test_even_start_wins_ties(self, monkeypatch):
+        # both phases reach one value: the even start's result stays
+        def solve_from(spec, problems, config, which):
+            flag = "budget-exhausted" if list(which) == [0] else "converged"
+            return [gaussian.GaussianSolveResult(1.0, None, None, flag) for _ in problems]
+
+        monkeypatch.setattr(gaussian, "_solve_from", solve_from)
+        res, = solve_weighted(three_state_spec(), [(0.6, 0.8, 0.2, 0.1, 0.0)])
+        assert res.flag == "budget-exhausted"
+
+    def test_stalled_problem_gets_seeded_starts(self, drawn):
+        # test_common_rate_above_the_total_cap's r0 = 5, batched with a
+        # problem that converges: only the stalled one is solved again
+        spec = reference_spec(0.3, 0.1)
+        converged, stalled = solve_weighted(spec, [(1.0, 1.0, 0.3, 0.1, 0.0),
+                                                   (1.0, 1.0, 0.3, 0.1, 5.0)])
+        assert drawn == [(2, [0]), (1, [1, 2])]
+        assert converged.flag == "converged"
+        assert stalled.flag == "stalled" and stalled.value == 0.0
+
+    def test_no_multistarts_no_fallback(self, drawn):
+        spec = three_state_spec()
+        problem = (0.6, 0.8, 0.2, 0.1, 0.0)
+        config = SolverConfig(iterations=2, rounds=3, multistarts=0)
+        res, = solve_weighted(spec, [problem], config)
+        assert drawn == [(1, [0])] and res.flag == "budget-exhausted"
+        even, = gaussian._solve_from(spec, [problem], config, [0])
+        assert (res.value, res.point, res.flag) == (even.value, even.point, even.flag)
 
 
 class TestBatchedRunners:

@@ -138,6 +138,16 @@ class TestDelayedStateJoint:
         with pytest.raises(ValueError, match="d1 >= d2"):
             delayed_state_joint(two_state(), 95, math.inf)
 
+    @pytest.mark.parametrize("delays,name", [
+        ((2.5, 0), "delay d1"), ((math.nan, 0), "delay d1"), ((3, math.nan), "delay d2"),
+        ((1.5,), "number of steps d"),
+    ], ids=["d1-fraction", "d1-nan", "d2-nan", "steps-fraction"])
+    def test_fractional_or_nan_delay_named(self, delays, name):
+        # matrix_power used to raise a TypeError that named no delay
+        call = delayed_state_joint if len(delays) == 2 else n_step_matrix
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer or inf"):
+            call(two_state(), *delays)
+
     def test_pair_is_the_product_it_was_built_from(self):
         for d1, d2 in [(3, 1), (2, 2), (math.inf, 2), (math.inf, math.inf)]:
             chain = random_chain(3, 4)
