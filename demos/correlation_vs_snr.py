@@ -20,7 +20,7 @@ for c in (0.1, 0.3, 0.5):
     print(f"   infinite-SNR correlation: {rho_infinity(c, c):.4f}")
 
 print("\nnumeric profile at c12 = c21 = 0.3:")
-cfg = SolverConfig(iterations=250, rounds=8, multistarts=1, seed=0)
+cfg = SolverConfig(max_steps=4000)
 grid = [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0, 40.0]
 profile = correlation_profile_numeric(0.3, 0.3, grid, cfg)
 for s_db, rho in zip(profile.snr_db, profile.rho):

@@ -24,7 +24,7 @@ def spec(c12, c21):
     )
 
 
-cfg = SolverConfig(seed=0, iterations=250, rounds=8, multistarts=1)
+cfg = SolverConfig(max_steps=4000)
 
 print("boundary points for symmetric links:")
 for c in (0.0, 0.3, 0.9):

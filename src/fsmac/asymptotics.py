@@ -5,7 +5,7 @@ and the numerical cross-check against the allocation solver."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gaussian import GaussianMacSpec, SolverConfig, maximize_weighted_rate
 from .markov import MarkovChain
@@ -134,18 +134,18 @@ def correlation_profile_numeric(
     ends with one allocation for both, up to rounding, and encoder 1's
     private fraction is read off.
     `rho_star` is the exact value; this profile is the solver's check
-    against it.
+    against it. Every SNR is solved with the one `config`, and the solve
+    draws no random start, so no point depends on its place in the grid.
     """
-    base_cfg = config or SolverConfig()
     chain = MarkovChain(["s0"], [[1.0]])
     conf = ConferencingConfig(c12, c21)
     rhos: list[float] = []
-    for i, s_db in enumerate(snr_db):
+    for s_db in snr_db:
         p = 10.0 ** (s_db / 10.0)
         spec = GaussianMacSpec(
             chain, [[1.0]], [[1.0]], p, p, conf, d1=0, d2=0, convention=_CONVENTION
         )
-        res = maximize_weighted_rate(spec, 1.0, 1.0, replace(base_cfg, seed=base_cfg.seed + i))
+        res = maximize_weighted_rate(spec, 1.0, 1.0, config)
         power = res.alloc.P1[0, 0]
         beta = res.alloc.gamma1[0, 0] / power if power > 0 else 0.0
         rhos.append(rho_from_beta(min(max(beta, 0.0), 1.0)))

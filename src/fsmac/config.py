@@ -146,18 +146,20 @@ def _parse_conferencing(section: dict) -> ConferencingConfig:
     )
 
 
-def _parse_solver(raw: dict, seed: int) -> SolverConfig:
+def _parse_solver(raw: dict) -> SolverConfig:
+    """The step budget, iterations * rounds * (1 + multistarts) Newton steps,
+    so that the keys and the config hashes of existing files stay valid. An
+    omitted key keeps 400, 10 or 2."""
     section = raw.get("solver", {}) or {}
     _check_keys(section, {"iterations", "rounds", "multistarts"}, "solver")
-    # an omitted key keeps the SolverConfig default
-    budget = {
-        name: _int(section[name], f"solver.{name}")
-        for name in ("iterations", "rounds", "multistarts") if name in section
-    }
-    try:
-        return SolverConfig(seed=seed, **budget)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    budget = {"iterations": 400, "rounds": 10, "multistarts": 2}
+    budget.update((name, _int(section[name], f"solver.{name}"))
+                  for name in ("iterations", "rounds", "multistarts") if name in section)
+    # an empty budget takes no Newton step
+    for name, least in (("rounds", 1), ("iterations", 1), ("multistarts", 0)):
+        if budget[name] < least:
+            raise ConfigError(f"solver: {name} must be >= {least}, got {budget[name]}")
+    return SolverConfig(budget["iterations"] * budget["rounds"] * (1 + budget["multistarts"]))
 
 
 def _parse_gaussian(section: dict, chain, conf, d1, d2) -> GaussianMacSpec:
@@ -233,7 +235,7 @@ def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
     resolved = dict(delays=dres, c12_values=c12_vals, c21=c21, n_directions=n_directions,
                     convention=specs[0].convention)
     return resolved, {
-        "specs": specs, "n_directions": n_directions, "solver": _parse_solver(raw, seed),
+        "specs": specs, "n_directions": n_directions, "solver": _parse_solver(raw),
         "c12_values": c12_vals,
     }
 
@@ -281,7 +283,7 @@ def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
                     for c in [*c_list, math.inf]])
             for d1, d2, dres in cases
         ],
-        "c_list": c_list, "solver": _parse_solver(raw, seed),
+        "c_list": c_list, "solver": _parse_solver(raw),
     }
 
 

@@ -273,13 +273,11 @@ class _Barrier:
         self.off = np.stack([c12, c21, c12 + c21, np.zeros_like(c12)], 1)
 
     def start(self, X: np.ndarray) -> np.ndarray:
-        """The start points of trajectories d * S + s from the allocation parts
-        X (S, nx) of each start s, each live rate at a quarter of its least
-        finite cap; sets each one's live rates, slacks and parameter m."""
-        S, o = len(X), self.o
-        self.mu, self.off, self.r0 = (np.repeat(x, S, axis=0) for x in (self.mu, self.off, self.r0))
-        T = len(self.mu)
-        Z = np.concatenate([np.tile(X, (T // S, 1)), np.zeros((T, 2))], 1)
+        """The start points of the trajectories from allocation parts X, one
+        row for all or one per trajectory, each live rate at a quarter of its
+        least finite cap; sets each one's live rates, slacks and parameter m."""
+        T, o = len(self.mu), self.o
+        Z = np.concatenate([np.broadcast_to(X, (T, o[5])), np.zeros((T, 2))], 1)
         room = self._slacks(Z, np.arange(T), 1.0 + self._lin(Z))[:, :4]  # inf where the link is
         least = np.array([room[:, _RATES[:, i] > 0].min(1) for i in (0, 1)]).T
         self.rlive = least > 0
@@ -290,7 +288,8 @@ class _Barrier:
             np.ones((T, o[4])), self.rlive, np.ones((T, n3)),
         ], 1).astype(float)
         self.m = self.coef.sum(1) + n3  # a cone's barrier counts twice
-        # a rate pinned by a cap that allocations move might grow from another start
+        # a rate pinned by a cap that allocations move might grow from a start
+        # with room under that cap
         self.unsure = (np.isfinite(room) & (room <= 0) & self.E.any((1, 2))).any(1)
         return Z
 
@@ -362,24 +361,16 @@ class _Barrier:
 
 @dataclass
 class SolverConfig:
-    """Budget and fallback starts of the barrier solver.
+    """Step budget of the barrier solver: each problem runs from the even
+    start until it converges or stalls, or for at most `max_steps` Newton
+    steps, when it reads budget-exhausted."""
 
-    Each problem is solved from an even interior start. One that this start
-    leaves stalled or budget-exhausted is solved again from `multistarts`
-    interior starts drawn from `seed`, and its best value is kept. Each start
-    takes at most `iterations * rounds` Newton steps.
-    """
-
-    iterations: int = 400
-    rounds: int = 10
-    multistarts: int = 2
-    seed: int = 0
+    max_steps: int = 12_000
 
     def __post_init__(self) -> None:
         # an empty budget takes no Newton step
-        for name, least in (("rounds", 1), ("iterations", 1), ("multistarts", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -398,26 +389,19 @@ class TracePoint:
     flag: str
 
 
-def _starts(bar: _Barrier, seed: int, which) -> np.ndarray:
-    """Allocation parts of the starts in `which`: start 0 is even, start
-    i >= 1 is drawn from SeedSequence((seed, i)). Each spends half of every
-    budget, splits each cell's power into private and common parts and puts
-    kappa inside its cone."""
+def _even_start(bar: _Barrier) -> np.ndarray:
+    """Allocation parts of the even start: half of every budget, the same
+    power in each of an encoder's cells, split evenly into private and common
+    parts, and kappa at half its cone."""
     o = bar.o
-    cells = [bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]]
-    starts = []
-    for i in which:
-        draw = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, i))).uniform if i
-                else lambda lo, hi, size: np.full(size, (lo + hi) / 2))
-        x = []
-        for w, pbar in zip(cells, bar.pbar):
-            u, f = draw(0.2, 1.0, len(w)), draw(0.2, 0.8, len(w))
-            P = 0.5 * pbar * u / (w * u).sum()
-            x += [f * P, (1.0 - f) * P]
-        i1, i2, _ = bar.cone
-        kappa = draw(0.2, 0.8, len(i1)) * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
-        starts.append(np.concatenate([*x, kappa]))
-    return np.array(starts)
+    x = []
+    for w, pbar in zip((bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]), bar.pbar):
+        u = np.full(len(w), 0.6)  # inside the sum, 0.6 fixes how it rounds
+        P = 0.5 * pbar * u / (w * u).sum()
+        x += [0.5 * P, 0.5 * P]
+    i1, i2, _ = bar.cone
+    kappa = 0.5 * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
+    return np.concatenate([*x, kappa])
 
 
 def _readings(spec: GaussianMacSpec, parts):
@@ -441,37 +425,19 @@ def _readings(spec: GaussianMacSpec, parts):
     return reads
 
 
-def _solve(spec: GaussianMacSpec, problems, config: SolverConfig) -> list[GaussianSolveResult]:
-    """Solve every (mu1, mu2, c12, c21, r0) problem from the even start, in
-    one batch; the central path is unique, so that start serves wherever it
-    converges. The problems it leaves stalled or budget-exhausted are solved
-    again, in a second batch, from the seeded starts 1..multistarts, and
-    each keeps its best value, the even start's on ties. Whether a problem
-    enters that batch depends on its own first result alone, so each result
-    still equals the problem's own solve."""
-    results = _solve_from(spec, problems, config, [0])
-    short = [i for i, res in enumerate(results) if res.flag != "converged"]
-    if short and config.multistarts:
-        seeded = _solve_from(spec, [problems[i] for i in short], config,
-                             range(1, 1 + config.multistarts))
-        for i, res in zip(short, seeded):
-            if res.value > results[i].value:
-                results[i] = res
-    return results
-
-
-def _solve_from(spec: GaussianMacSpec, problems, config: SolverConfig,
-                which) -> list[GaussianSolveResult]:
-    """Solve every problem from each start in `which` with one batched
-    barrier method, keeping each problem's best value, the earliest start's
-    on ties; trajectory i = d * S + s runs start s of problem d from t = 1.
-    A step is the largest of the ladder 1, 1/2, ..., 2^-15 that is strictly
-    feasible and passes Armijo. A centering ends on a relative Newton
-    decrement of _DECREMENT; t then grows 20-fold until m/t <= _GAP. A
-    trajectory that finishes, stalls (no rate can start, or no step serves)
-    or spends its steps is frozen, so each result equals its own solve."""
+def _solve(spec: GaussianMacSpec, problems, config: SolverConfig,
+           start=_even_start) -> list[GaussianSolveResult]:
+    """Solve every (mu1, mu2, c12, c21, r0) problem with one batched barrier
+    method; trajectory i runs problem i from t = 1 and the allocation parts
+    start(barrier) gives, one row for all or one per problem: the even start
+    unless a caller checks another. The central path is unique, so one start
+    serves. A step is the largest of the ladder 1, 1/2, ..., 2^-15 that is
+    strictly feasible and passes Armijo. A centering ends on a relative
+    Newton decrement of _DECREMENT; t then grows 20-fold until m/t <= _GAP.
+    A trajectory that finishes, stalls (no rate can start, or no step serves)
+    or spends its max_steps is frozen, so each result equals its own solve."""
     bar = _Barrier(spec, np.array(problems, dtype=float))
-    Z = bar.start(_starts(bar, config.seed, which))
+    Z = bar.start(start(bar))
     T, nv = Z.shape
     t, steps = np.ones(T), np.zeros(T, dtype=int)
     done = ~bar.rlive.any(1)  # no rate can move: the start is the answer
@@ -493,7 +459,7 @@ def _solve_from(spec: GaussianMacSpec, problems, config: SolverConfig,
         steps[act] += 1
         flag[act[~moved & ~centered]] = 2
         done[act[finished | (~moved & ~centered)]] = True
-        exhausted = ~done & (steps >= config.iterations * config.rounds)
+        exhausted = ~done & (steps >= config.max_steps)
         flag[exhausted], done[exhausted] = 1, True
     reads = _readings(spec, bar.parts(Z))
     b = _bounds(spec, np.tile(bar.off[:, 0], 2), np.tile(bar.off[:, 1], 2),
@@ -505,9 +471,8 @@ def _solve_from(spec: GaussianMacSpec, problems, config: SolverConfig,
     ]
     values = np.array([v for v, _ in scored]).reshape(2, T)
     pick = (values[1] >= values[0]).astype(int)  # the rounded reading on ties
-    kept = values[pick, np.arange(T)].reshape(len(problems), -1)
     results = []
-    for i, problem in zip(np.arange(len(kept)) * kept.shape[1] + kept.argmax(axis=1), problems):
+    for i, problem in enumerate(problems):
         value, point = scored[pick[i] * T + i]
         g1, d1, g2, d2 = (x[i] for x in reads[pick[i]])
         results.append(GaussianSolveResult(value, RatePoint(problem[4], point.r1, point.r2),
@@ -539,7 +504,9 @@ def maximize_weighted_rate(
     The inner linear program over the rate polytope is concave and
     nondecreasing in the four caps, each cap is concave in the allocation, so
     the barrier's path leads to the global optimum; `converged` means a
-    surrogate gap m/t of 1e-9 bits, not a certificate. Deterministic."""
+    surrogate gap m/t of 1e-9 bits, not a certificate. The solve runs from
+    one even start with no seed, so it is deterministic. A `stalled` or
+    `budget-exhausted` value is a feasible lower bound, not the optimum."""
     return solve_weighted(spec, [(mu1, mu2, spec.conf.c12, spec.conf.c21, 0.0)], config)[0]
 
 

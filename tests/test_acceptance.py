@@ -141,7 +141,7 @@ def test_criterion_03_gaussian_solver_vs_grid_oracle():
         spec = GaussianMacSpec(
             chain, [[g1]], [[g2]], p1, p2, ConferencingConfig(c12, c21), 0, 0, "real"
         )
-        res = maximize_weighted_rate(spec, float(mu[0]), float(mu[1]), SolverConfig(seed=trial))
+        res = maximize_weighted_rate(spec, float(mu[0]), float(mu[1]))
         oracle = _scalar_grid_oracle(g1, g2, p1, p2, c12, c21, float(mu[0]), float(mu[1]))
         worst = max(worst, abs(res.value - oracle))
     ok = worst <= 1e-3
@@ -155,9 +155,7 @@ def test_criterion_04_single_link_max_r2_constant():
     results = {}
     for convention in ("real", "complex"):
         vals = [
-            maximize_weighted_rate(
-                reference_gaussian_spec(c12, 0.0, convention), 0.0, 1.0, SolverConfig(seed=4)
-            ).value
+            maximize_weighted_rate(reference_gaussian_spec(c12, 0.0, convention), 0.0, 1.0).value
             for c12 in c12_values
         ]
         results[convention] = vals
@@ -181,7 +179,7 @@ def test_criterion_04_single_link_max_r2_constant():
 def test_criterion_05_sumrate_saturation():
     c_values = [0.0, 0.3, 0.6, 0.9, 1.3, 2.0, 3.0]
     vals = [
-        maximize_weighted_rate(reference_gaussian_spec(c, c), 1.0, 1.0, SolverConfig(seed=5)).value
+        maximize_weighted_rate(reference_gaussian_spec(c, c), 1.0, 1.0).value
         for c in c_values
     ]
     nondecreasing = all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
@@ -198,7 +196,7 @@ def test_criterion_05_sumrate_saturation():
 
 
 def test_criterion_06_correlation_asymptotics():
-    cfg = SolverConfig(iterations=300, rounds=9, multistarts=1, seed=6)
+    cfg = SolverConfig(max_steps=5400)
     details = []
     ok = True
     for c in (0.1, 0.3, 0.5):
@@ -232,7 +230,7 @@ def test_criterion_07_region_reductions():
             *(abs(getattr(b_conf, f) - getattr(b_comm, f)) for f in ("b1", "b2", "b12", "bsum")),
         )
     spec_inf = reference_gaussian_spec(float("inf"), float("inf"))
-    points = trace_boundary(spec_inf, 6, SolverConfig(seed=7, iterations=250, rounds=8))
+    points = trace_boundary(spec_inf, 6, SolverConfig(max_steps=6000))
     sums = [p.point.r1 + p.point.r2 for p in points]
     line_dev = max(sums) - min(sums)
     ok = worst_gap <= 1e-9 and line_dev <= 5e-3

@@ -116,7 +116,7 @@ def _beta_exact(p: float, c: float) -> float:
 
 
 # the solver budget and seed sweep_correlation.yaml ran its numeric profile with
-SHIPPED_SOLVER = SolverConfig(iterations=300, rounds=8, multistarts=1, seed=3)
+SHIPPED_SOLVER = SolverConfig(max_steps=4800)
 
 
 def _shipped_correlation_config():
@@ -235,7 +235,7 @@ class TestRhoFromBeta:
 
 
 class TestNumericProfile:
-    CFG = SolverConfig(iterations=250, rounds=8, multistarts=1, seed=0)
+    CFG = SolverConfig(max_steps=4000)
 
     def test_zero_links_uncorrelated_everywhere(self):
         prof = correlation_profile_numeric(0.0, 0.0, [-5.0, 5.0, 20.0], self.CFG)
@@ -266,7 +266,7 @@ class TestNumericProfile:
 
     def test_nonincreasing_beyond_critical_on_capacity_grid(self):
         # every link pair on the {0, 0.1, ..., 0.5}^2 grid
-        cfg = SolverConfig(iterations=120, rounds=5, multistarts=0, seed=1)
+        cfg = SolverConfig(max_steps=600)
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
         for c12 in grid:
             for c21 in grid:

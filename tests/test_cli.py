@@ -229,6 +229,18 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 2
         assert field in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("solver,max_steps", [
+        ({"iterations": 300, "rounds": 8, "multistarts": 1}, 4800),
+        ({}, 12000),  # the omitted keys keep 400, 10 and 2
+        ({"iterations": 60, "rounds": 3, "multistarts": 0}, 180),
+    ])
+    def test_solver_keys_map_to_max_steps(self, tmp_path, solver, max_steps):
+        # iterations * rounds steps for each of 1 + multistarts starts
+        payload = gaussian_payload(str(tmp_path))
+        payload["solver"] = solver
+        assert load_config(write_config(tmp_path, payload)).objects["solver"] == SolverConfig(
+            max_steps=max_steps)
+
     @pytest.mark.parametrize("search,field", [
         ({"u_size": 35}, "u_size"),  # the ceiling |X1|·|X2|·k³ + 2 is 34
         ({"u_size": 100}, "u_size"),
@@ -311,7 +323,7 @@ class TestValidate:
         payload = gaussian_payload(str(tmp_path))
         del payload["solver"]
         solver = load_config(write_config(tmp_path, payload)).objects["solver"]
-        assert solver == SolverConfig(seed=payload["seed"])
+        assert solver == SolverConfig()
 
     def test_sweep_sumrate_echoes_each_delay_case(self, tmp_path, capsys):
         payload = sumrate_payload(str(tmp_path))

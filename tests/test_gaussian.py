@@ -26,7 +26,7 @@ from fsmac import (
     trace_boundary,
 )
 from fsmac import gaussian
-from fsmac.config import load_config
+from fsmac.config import _parse_solver, load_config
 from fsmac.experiments import run_region_gaussian, run_sweep_sumrate
 from fsmac.gaussian import _Barrier, _bounds, _thetas
 from fsmac.regions import RateBounds, best_weighted_point
@@ -77,6 +77,27 @@ def random_feasible_alloc(spec, rng):
     return Allocation(P1, rng.random((k, n)) * P1, P2, rng.random((k, k, n)) * P2)
 
 
+def seeded_start(seed, i):
+    """An interior start drawn from SeedSequence((seed, i)), for the `start`
+    argument of gaussian._solve: half of every budget spread over the cells
+    at random weights, each cell's power split at random into private and
+    common parts, and kappa at a random share of its cone. The solve ends
+    where the even start's does from every such start: that is why one start
+    serves."""
+    def draw(bar):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+        o, x = bar.o, []
+        for w, pbar in zip((bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]), bar.pbar):
+            u, f = rng.uniform(0.2, 1.0, len(w)), rng.uniform(0.2, 0.8, len(w))
+            P = 0.5 * pbar * u / (w * u).sum()
+            x += [f * P, (1.0 - f) * P]
+        i1, i2, _ = bar.cone
+        kappa = rng.uniform(0.2, 0.8, len(i1)) * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
+        return np.concatenate([*x, kappa])
+
+    return draw
+
+
 def lp_value(spec, alloc, mu1, mu2):
     value, _ = best_weighted_point(rate_bounds_gaussian(spec, alloc), mu1, mu2)
     return value
@@ -124,7 +145,7 @@ class TestInfiniteDelay:
 
     @pytest.mark.parametrize("d2", [2, math.inf])
     def test_solves_like_a_long_finite_delay(self, d2):
-        cfg = SolverConfig(iterations=300, rounds=8, multistarts=1)
+        cfg = SolverConfig(max_steps=4800)
         spec = self.spec(math.inf, d2)
         res = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
         far = maximize_weighted_rate(self.spec(400, 400 if d2 == math.inf else d2), 1.0, 1.0, cfg)
@@ -222,8 +243,10 @@ class TestBoundsKernel:
         for spec in (three_state_spec(), GaussianMacSpec(
                 two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
                 0.0, 6.0, ConferencingConfig(), 1, 0, "real")):
-            bar = _Barrier(spec, problems)
-            Z = bar.start(gaussian._starts(bar, 3, range(3)))
+            # each problem from the even start and two seeded ones
+            bar = _Barrier(spec, np.repeat(problems, 3, axis=0))
+            starts = [gaussian._even_start(bar), *(seeded_start(3, i)(bar) for i in (1, 2))]
+            Z = bar.start(np.tile(starts, (len(problems), 1)))
             rows, t = np.arange(len(Z)), np.resize([1.0, 30.0, 7.0], len(Z))
             g, H = bar.derivatives(Z, rows, t)
 
@@ -302,13 +325,13 @@ class TestMaximizeWeightedRate:
             c21 = float(rng.choice([0.0, 0.8]))
             mu1, mu2 = rng.uniform(0.1, 1.0, 2)
             spec = scalar_spec(g1, g2, p1, p2, c12, c21)
-            res = maximize_weighted_rate(spec, mu1, mu2, SolverConfig(seed=trial))
+            res = maximize_weighted_rate(spec, mu1, mu2)
             oracle = _grid_oracle(g1, g2, p1, p2, c12, c21, mu1, mu2)
             assert abs(res.value - oracle) <= 1e-3
 
     def test_deterministic_in_seed(self):
         spec = reference_spec(0.3, 0.1)
-        cfg = SolverConfig(seed=42, iterations=120, rounds=4)
+        cfg = SolverConfig(max_steps=1440)
         a = maximize_weighted_rate(spec, 0.6, 1.0, cfg)
         b = maximize_weighted_rate(spec, 0.6, 1.0, cfg)
         assert a.value == b.value
@@ -316,7 +339,7 @@ class TestMaximizeWeightedRate:
         assert a.flag in ("converged", "budget-exhausted")
 
     def test_monotone_in_budgets_and_links(self):
-        cfg = SolverConfig(seed=0, iterations=150, rounds=5)
+        cfg = SolverConfig(max_steps=2250)
         base = dict(p1=4.0, p2=4.0, c12=0.1, c21=0.1)
         val0 = maximize_weighted_rate(
             scalar_spec(1, 1, base["p1"], base["p2"], base["c12"], base["c21"]), 1, 1, cfg
@@ -330,14 +353,14 @@ class TestMaximizeWeightedRate:
             assert val >= val0 - 1e-6
 
 
-def _grid_oracle(g1, g2, p1, p2, c12, c21, mu1, mu2, n=1001):
+def _grid_oracle(g1, g2, p1, p2, c12, c21, mu1, mu2, n=1001, r0=0.0):
     def value(gam1, gam2):
         b1 = 0.5 * np.log2(1 + g1 * g1 * gam1) + c12
         b2 = 0.5 * np.log2(1 + g2 * g2 * gam2) + c21
         b12 = 0.5 * np.log2(1 + g1 * g1 * gam1 + g2 * g2 * gam2) + c12 + c21
         bs = 0.5 * np.log2(
             1 + g1 * g1 * p1 + g2 * g2 * p2 + 2 * g1 * g2 * np.sqrt((p1 - gam1) * (p2 - gam2))
-        )
+        ) - r0
         cap = np.minimum(b12, bs)
         if mu1 >= mu2:
             return np.minimum(
@@ -405,7 +428,7 @@ class TestConcavityAndScaling:
 class TestTraceBoundary:
     def test_infinite_links_trace_on_total_line(self):
         spec = reference_spec(float("inf"), float("inf"))
-        points = trace_boundary(spec, 6, SolverConfig(seed=1, iterations=200, rounds=6))
+        points = trace_boundary(spec, 6, SolverConfig(max_steps=3600))
         values = [p.point.r1 + p.point.r2 for p in points]
         assert max(values) - min(values) <= 2e-3
         assert abs(max(values) - 1.498077) <= 0.01
@@ -414,7 +437,7 @@ class TestTraceBoundary:
         # even direction count: mirrored weight pairs, no exact diagonal whose
         # vertex tie-break would deliberately pick the r1-heavy corner
         spec = reference_spec(0.3, 0.3)
-        pts = trace_boundary(spec, 6, SolverConfig(seed=3, iterations=200, rounds=6))
+        pts = trace_boundary(spec, 6, SolverConfig(max_steps=3600))
         got = sorted((p.point.r1, p.point.r2) for p in pts)
         mirrored = sorted((b, a) for a, b in got)
         for (a1, a2), (b1, b2) in zip(got, mirrored):
@@ -425,8 +448,19 @@ class TestTraceBoundary:
             trace_boundary(reference_spec(0, 0), 1)
 
 
+def mixed_problems():
+    """40 problems differing in weights, links and common rate."""
+    inf = float("inf")
+    return [
+        (*mu, c12, c21, r0)
+        for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (math.cos(1.2), math.sin(1.2)), (1.0, 1.0))
+        for c12, c21 in ((0.0, 0.0), (0.3, 0.1), (inf, inf), (0.9, 0.0))
+        for r0 in (0.0, 0.3)
+    ]
+
+
 class TestBatchedSolver:
-    CFG = SolverConfig(seed=4, iterations=60, rounds=3, multistarts=2)
+    CFG = SolverConfig(max_steps=540)
 
     @pytest.mark.parametrize("spec", [reference_spec(0.3, 0.1), three_state_spec()])
     def test_trace_points_equal_solo_solves(self, spec):
@@ -449,19 +483,12 @@ class TestBatchedSolver:
         (reference_spec(0.3, 0.1), CFG),
         (three_state_spec(), CFG),
         (scalar_spec(p1=0.0, p2=10.0, c12=0.2, c21=0.1), CFG),
-        (scalar_spec(), SolverConfig(seed=4, iterations=60, rounds=3)),
+        (scalar_spec(), SolverConfig(max_steps=540)),
     ])
     def test_mixed_batch_equals_solo_solves(self, spec, config):
         # problems differing in weights, links and common rate share one
         # batched solve; every result must be exactly the problem's own solve
-        inf = float("inf")
-        problems = [
-            (*mu, c12, c21, r0)
-            for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (math.cos(1.2), math.sin(1.2)),
-                       (1.0, 1.0))
-            for c12, c21 in ((0.0, 0.0), (0.3, 0.1), (inf, inf), (0.9, 0.0))
-            for r0 in (0.0, 0.3)
-        ]
+        problems = mixed_problems()
         batch = solve_weighted(spec, problems, config)
         assert len(batch) == len(problems)
         for problem, got in zip(problems, batch):
@@ -527,7 +554,7 @@ class TestBatchedSolver:
         # is unique and swap-symmetric, so both encoders end with one
         # allocation, and the value is the free optimum's. A budget or gain
         # 1e-9 above the other's moves the value by less than 1e-6.
-        cfg = SolverConfig(seed=1, iterations=200, rounds=6)
+        cfg = SolverConfig(max_steps=3600)
         spec = scalar_spec(c12=0.2, c21=0.2)
         near = [scalar_spec(p2=10.0 + 1e-9, c12=0.2, c21=0.2),
                 scalar_spec(g2=1.0 + 1e-9, c12=0.2, c21=0.2)]
@@ -538,10 +565,9 @@ class TestBatchedSolver:
             assert abs(sym.value - free.value) <= 1e-6
         # from one asymmetric seeded start alone, the solve ends symmetric too
         problem = (1.0, 1.0, 0.2, 0.2, 0.0)
-        seeded = gaussian._starts(_Barrier(spec, np.array([problem])), 5, [1])
-        assert seeded[0, 0] != seeded[0, 2] and seeded[0, 1] != seeded[0, 3]  # gamma, delta
-        again, = gaussian._solve_from(spec, [problem], SolverConfig(seed=5, iterations=200, rounds=6),
-                                      [1])
+        seeded = seeded_start(5, 1)(_Barrier(spec, np.array([problem])))
+        assert seeded[0] != seeded[2] and seeded[1] != seeded[3]  # gamma, delta
+        again, = gaussian._solve(spec, [problem], cfg, seeded_start(5, 1))
         assert _is_symmetric(again.alloc)
         assert abs(again.value - sym.value) <= 1e-9
 
@@ -549,7 +575,7 @@ class TestBatchedSolver:
         # unequal weights make the optimum asymmetric: one shared allocation
         # reaches only 2.1477 of about 2.208 bits here
         spec = scalar_spec(c12=0.3, c21=0.3)
-        res = maximize_weighted_rate(spec, 1.0, 0.6, SolverConfig(seed=1, iterations=300, rounds=8))
+        res = maximize_weighted_rate(spec, 1.0, 0.6, SolverConfig(max_steps=7200))
         assert not _is_tied(res.alloc)
         assert abs(res.value - _grid_oracle(1, 1, 10, 10, 0.3, 0.3, 1.0, 0.6)) <= 1e-3
 
@@ -587,7 +613,7 @@ class TestZeroBudget:
     """An encoder with no power on the two-state instance at the shipped
     region budget: its left-out cells must not stall the other encoder's solve."""
 
-    CFG = SolverConfig(iterations=300, rounds=8, multistarts=1)
+    CFG = SolverConfig(max_steps=4800)
     R2_ALONE = 0.964242340852  # encoder 2 alone at full power, c12 = 0.3
 
     def values(self, pbar1, pbar2, gains=((1.0,), (0.1,))):
@@ -621,7 +647,7 @@ class TestBarrierEdges:
         # pbar1 = 1e-9 at c12 = 0.3, weights (1, 1): the former ascent stopped at 0.9326
         spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e-9, 10.0,
                                ConferencingConfig(0.3, 0.0), 2, 2, "real")
-        res = maximize_weighted_rate(spec, 1.0, 1.0, SolverConfig(iterations=300, rounds=8))
+        res = maximize_weighted_rate(spec, 1.0, 1.0, SolverConfig(max_steps=7200))
         assert res.value >= 0.964247 and res.flag == "converged"
         assert feasible(spec, res.alloc)
 
@@ -631,7 +657,7 @@ class TestBarrierEdges:
         spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e8, 1e8,
                                ConferencingConfig(0.3, 0.1), 2, 1, "real")
         for mu in ((1.0, 1.0), (1.0, 0.0), (0.3, 1.0)):
-            res = maximize_weighted_rate(spec, *mu, SolverConfig(iterations=300, rounds=8))
+            res = maximize_weighted_rate(spec, *mu, SolverConfig(max_steps=7200))
             assert res.flag == "converged" and feasible(spec, res.alloc)
 
     @pytest.mark.parametrize("spec", [three_state_spec(), three_state_spec(float("inf"), 0.1),
@@ -640,12 +666,14 @@ class TestBarrierEdges:
     def test_solved_whatever_the_starts(self, spec):
         # k = 3 with two subchannels, and infinite links: every problem
         # converges from the even start, and each seeded start alone reaches
-        # the same value, which the fallback starts rest on
+        # the same value, which the one start rests on
         problems = [(*mu, spec.conf.c12, spec.conf.c21, r0)
                     for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (1.0, 1.0)) for r0 in (0.0, 0.2)]
-        even = gaussian._solve_from(spec, problems, SolverConfig(), [0])
-        seeded = [gaussian._solve_from(spec, problems, SolverConfig(seed=seed), [i])
+        even = gaussian._solve(spec, problems, SolverConfig())
+        seeded = [gaussian._solve(spec, problems, SolverConfig(), seeded_start(seed, i))
                   for seed in (0, 40) for i in (1, 2)]
+        for run in seeded:  # each start takes its own path, to its own final bits
+            assert any(not np.array_equal(a.alloc.P2, b.alloc.P2) for a, b in zip(even, run))
         for problem, a, *others in zip(problems, even, *seeded):
             assert a.flag == "converged"
             for b in others:
@@ -673,24 +701,33 @@ class TestBarrierEdges:
             mu = rng.uniform(0.05, 1.0, 2)
             spec = scalar_spec(g1, g2, p1, p2, c12, c21)
             problem = [(float(mu[0]), float(mu[1]), c12, c21, 0.0)]
-            config = SolverConfig(seed=trial)
-            even, = gaussian._solve_from(spec, problem, config, [0])
+            even, = gaussian._solve(spec, problem, SolverConfig())
             assert even.flag == "converged"
             for i in (1, 2):
-                res, = gaussian._solve_from(spec, problem, config, [i])
+                res, = gaussian._solve(spec, problem, SolverConfig(), seeded_start(trial, i))
                 assert res.flag == "converged" and abs(res.value - even.value) <= 1e-8
 
-    def test_every_solver_key_is_used(self):
-        # iterations * rounds caps the Newton steps; multistarts adds seeded
-        # fallback starts to the even one, which no seed moves
+    def test_every_solver_key_is_used(self, monkeypatch):
+        # max_steps caps the Newton steps, one derivatives call each, and
+        # every key of the YAML solver section moves max_steps
         spec = three_state_spec()
-        res = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(iterations=2, rounds=3))
-        assert res.flag == "budget-exhausted" and feasible(spec, res.alloc)
+        calls = []
+        derivatives = _Barrier.derivatives
+        monkeypatch.setattr(_Barrier, "derivatives",
+                            lambda bar, *args: calls.append(1) or derivatives(bar, *args))
+        for steps in (1, 6, 18):
+            calls.clear()
+            res = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(max_steps=steps))
+            assert res.flag == "budget-exhausted" and feasible(spec, res.alloc)
+            assert len(calls) == steps
+        base = {"iterations": 300, "rounds": 8, "multistarts": 1}
+        steps = _parse_solver({"solver": base}).max_steps
+        for key in base:
+            assert _parse_solver({"solver": {**base, key: base[key] + 1}}).max_steps != steps
+        # the even start and the seeded ones are strictly inside every budget and cone
         bar = _Barrier(spec, np.array([[0.6, 0.8, 0.2, 0.1, 0.0]]))
-        a, b = (gaussian._starts(bar, seed, range(3)) for seed in (0, 1))
-        assert a.shape[0] == b.shape[0] == 3
-        assert np.array_equal(a[0], b[0]) and not np.array_equal(a[1:], b[1:])
-        for x in (*a, *b):  # strictly inside every budget and cone
+        for x in (gaussian._even_start(bar), *(seeded_start(seed, i)(bar)
+                                                 for seed in (0, 1) for i in (1, 2))):
             assert (x[: bar.o[4]] > 0).all() and (bar.B[:, :-2] @ x < bar.pbar).all()
             i, j, kap = bar.cone
             assert (x[kap] ** 2 < x[i] * x[j]).all()
@@ -700,6 +737,17 @@ class TestBarrierEdges:
         spec = reference_spec(0.3, 0.1)
         res, = solve_weighted(spec, [(1.0, 1.0, 0.3, 0.1, 5.0)])
         assert res.flag == "stalled" and res.value == 0.0
+
+    @pytest.mark.parametrize("r0", [2.0, 2.5])
+    def test_common_rate_with_no_room_at_the_start_reads_stalled(self, r0):
+        # P = 10, c = 0: the even start spends half of each budget, so
+        # bsum - r0 <= 0 there and both rates stay pinned. At r0 = 2 the row
+        # reads 0.4771 of an optimum of 0.6523: a stalled value is a feasible
+        # lower bound, not the optimum
+        spec = scalar_spec()
+        res, = solve_weighted(spec, [(1.0, 1.0, 0.0, 0.0, r0)])
+        assert res.flag == "stalled" and feasible(spec, res.alloc)
+        assert res.value <= _grid_oracle(1, 1, 10, 10, 0, 0, 1, 1, n=401, r0=r0)
 
     def test_region_rows_within_their_axis_maxima(self):
         # region_gaussian.yaml: no trace point may beat its own spec's max_r1
@@ -713,97 +761,58 @@ class TestBarrierEdges:
             assert row[col["flag"]] == "converged"
 
 
-@pytest.fixture
-def drawn(monkeypatch):
-    """(problems, start indices) of every batch the solver draws starts for."""
-    batches, starts = [], gaussian._starts
+class TestOneStart:
+    """One start and one step budget: a problem left short of converged
+    continues on its own path, and a converged one never reaches its cap."""
 
-    def recording(bar, seed, which):
-        batches.append((len(bar.mu), list(which)))
-        return starts(bar, seed, which)
+    BUDGETS = (6, 18, 60, 180, 540, 2160)
 
-    monkeypatch.setattr(gaussian, "_starts", recording)
-    return batches
+    @pytest.fixture(scope="class")
+    def solves(self):
+        spec = three_state_spec()
+        return {steps: solve_weighted(spec, mixed_problems(), SolverConfig(max_steps=steps))
+                for steps in self.BUDGETS}
 
+    def test_converged_results_never_reach_their_cap(self, solves):
+        # a converged result is bit-identical under any larger budget
+        longest = solves[self.BUDGETS[-1]]
+        for steps in self.BUDGETS[:-1]:
+            for res, far in zip(solves[steps], longest):
+                if res.flag == "converged":
+                    assert (res.value, res.point, res.flag) == (far.value, far.point, far.flag)
+                    for name in ("P1", "gamma1", "P2", "gamma2"):
+                        assert np.array_equal(getattr(res.alloc, name), getattr(far.alloc, name))
 
-class TestFallbackStarts:
-    """Seeded starts run only for the problems the even start leaves short
-    of converged, and keep their value only where it is higher."""
-
-    SHORT = SolverConfig(iterations=2, rounds=3)  # budget-exhausted on three_state_spec
-
-    @staticmethod
-    def best_of_each_start(spec, problem, config):
-        runs = [gaussian._solve_from(spec, [problem], config, [i])[0]
-                for i in range(1 + config.multistarts)]
-        return runs[int(np.argmax([res.value for res in runs]))]  # the first on ties
-
-    def test_converged_batch_draws_no_seeded_start(self, drawn):
-        spec = reference_spec(0.3, 0.1)
-        problems = [(math.cos(t), math.sin(t), 0.3, 0.1, r0) for t in _thetas(4) for r0 in (0.0, 0.2)]
-        assert all(res.flag == "converged" for res in solve_weighted(spec, problems))
-        assert drawn == [(8, [0])]
+    def test_more_steps_lower_no_value(self, solves):
+        # measured on this instance: each budget continues the shorter one's
+        # path, and all 40 problems converge within 540 steps
+        for short, more in zip(self.BUDGETS, self.BUDGETS[1:-1]):
+            for a, b in zip(solves[short], solves[more]):
+                assert b.value >= a.value
+        assert all(res.flag == "converged" for res in solves[540])
 
     def test_converged_run_never_imports_numpy_random(self):
+        # no solve draws a random start, converged or left short
         code = ("import sys; from fsmac import maximize_weighted_rate, GaussianMacSpec, "
-                "ConferencingConfig, MarkovChain\n"
+                "ConferencingConfig, MarkovChain, SolverConfig\n"
                 "chain = MarkovChain(['G', 'B'], [[0.9, 0.1], [0.1, 0.9]])\n"
                 "spec = GaussianMacSpec(chain, [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0, "
                 "ConferencingConfig(0.3, 0.1), 2, 2)\n"
                 "assert maximize_weighted_rate(spec, 0.6, 0.8).flag == 'converged'\n"
+                "short = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(max_steps=2))\n"
+                "assert short.flag == 'budget-exhausted'\n"
                 "print('numpy.random' in sys.modules)")
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
-    def test_budget_exhausted_problem_gets_seeded_starts(self, drawn):
-        spec = three_state_spec()
-        problems = [(0.6, 0.8, 0.2, 0.1, 0.0), (1.0, 0.0, 0.2, 0.1, 0.3)]
-        got = solve_weighted(spec, problems, self.SHORT)
-        assert drawn == [(2, [0]), (2, [1, 2])]
-        even, = gaussian._solve_from(spec, problems[:1], self.SHORT, [0])
-        assert got[0].value > even.value  # a seeded start's value is kept
-        for problem, res in zip(problems, got):
-            best = self.best_of_each_start(spec, problem, self.SHORT)
-            assert (res.value, res.point, res.flag) == (best.value, best.point, best.flag)
-            assert feasible(spec, res.alloc)
-
-    def test_even_start_wins_ties(self, monkeypatch):
-        # both phases reach one value: the even start's result stays
-        def solve_from(spec, problems, config, which):
-            flag = "budget-exhausted" if list(which) == [0] else "converged"
-            return [gaussian.GaussianSolveResult(1.0, None, None, flag) for _ in problems]
-
-        monkeypatch.setattr(gaussian, "_solve_from", solve_from)
-        res, = solve_weighted(three_state_spec(), [(0.6, 0.8, 0.2, 0.1, 0.0)])
-        assert res.flag == "budget-exhausted"
-
-    def test_stalled_problem_gets_seeded_starts(self, drawn):
-        # test_common_rate_above_the_total_cap's r0 = 5, batched with a
-        # problem that converges: only the stalled one is solved again
-        spec = reference_spec(0.3, 0.1)
-        converged, stalled = solve_weighted(spec, [(1.0, 1.0, 0.3, 0.1, 0.0),
-                                                   (1.0, 1.0, 0.3, 0.1, 5.0)])
-        assert drawn == [(2, [0]), (1, [1, 2])]
-        assert converged.flag == "converged"
-        assert stalled.flag == "stalled" and stalled.value == 0.0
-
-    def test_no_multistarts_no_fallback(self, drawn):
-        spec = three_state_spec()
-        problem = (0.6, 0.8, 0.2, 0.1, 0.0)
-        config = SolverConfig(iterations=2, rounds=3, multistarts=0)
-        res, = solve_weighted(spec, [problem], config)
-        assert drawn == [(1, [0])] and res.flag == "budget-exhausted"
-        even, = gaussian._solve_from(spec, [problem], config, [0])
-        assert (res.value, res.point, res.flag) == (even.value, even.point, even.flag)
-
 
 class TestBatchedRunners:
     """The runners' one-call rows against the loop they replaced: a trace
     and two axis solves per c12, one solve per (delay case, c)."""
 
-    CFG = SolverConfig(seed=2, iterations=40, rounds=2, multistarts=1)
+    CFG = SolverConfig(max_steps=160)
 
     def test_region_gaussian_rows_equal_per_spec_loop(self):
         c12s = [0.0, 0.5, float("inf")]
@@ -867,7 +876,7 @@ class TestCommonMessageRegion:
         # allocation
         c12, c21 = 0.25, 0.4
         spec = reference_spec(c12, c21)
-        res = maximize_weighted_rate(spec, 1.0, 1.0, SolverConfig(seed=9))
+        res = maximize_weighted_rate(spec, 1.0, 1.0)
         r1, r2 = res.point.r1, res.point.r2
         assert r1 >= c12 and r2 >= c21  # the regime the substitution targets
         r0_t = c12 + c21
@@ -881,7 +890,7 @@ class TestCommonMessageRegion:
 
     def test_r0_slice_shrinks_region(self):
         spec = reference_spec(0.0, 0.0)
-        cfg = SolverConfig(seed=2, iterations=150, rounds=5)
+        cfg = SolverConfig(max_steps=2250)
 
         def best_sum(r0):
             problems = [(math.cos(t), math.sin(t), 0.0, 0.0, r0) for t in _thetas(4)]
