@@ -40,10 +40,12 @@ _CHUNK_CELL_LIMIT = 8_000_000
 # int64 entries of the cell counter's cell array and histogram per chunk
 _BINCOUNT_ELEMENTS = 1 << 16
 # candidate pairs (m1, m2) per m0 from which the decoder screens each m0's
-# pairs before it counts them (fixed cost about 0.3 ms per m0) instead of
-# counting every triplet. Set at the crossover measured for group matrix
-# products at n = 128..512 on a 2-core x86 box (numpy 2.4, OpenBLAS):
-# 64-144 pairs for a per-m0 bincount, 144-256 for one per chunk.
+# pairs before it counts them (fixed cost about 0.2-0.3 ms per m0) instead of
+# counting every triplet on the grid. Both ways timed on a 2-core x86 box
+# (numpy 2.4, OpenBLAS), gated-parity and full-support xor-BSC channels,
+# n = 128..512, M0 = 1 and 4, M1 * M2 = 16..1024: the grid wins up to 64-256
+# pairs, the most at small n and M0 = 1, and any value from 96 to 144 costs
+# the same over those 108 cases
 _MATMUL_MIN_PAIRS = 128
 # bytes of gathered bit sets per position chunk in the screen
 _SCREEN_BYTES = 1 << 21

@@ -227,16 +227,14 @@ def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
     n_directions = _int(trace_sec.get("n_directions", 16), "trace.n_directions")
     if n_directions < 2:
         raise ConfigError("'trace.n_directions' must be >= 2")
-    specs = [
-        _parse_gaussian(_require(raw, "gaussian", "top level"), chain,
-                        ConferencingConfig(c12, c21), d1, d2)
-        for c12 in c12_vals
-    ]
+    # the links shift the rate caps, not the channel: one spec, one link pair per c12
+    spec = _parse_gaussian(_require(raw, "gaussian", "top level"), chain,
+                           ConferencingConfig(), d1, d2)
     resolved = dict(delays=dres, c12_values=c12_vals, c21=c21, n_directions=n_directions,
-                    convention=specs[0].convention)
+                    convention=spec.convention)
     return resolved, {
-        "specs": specs, "n_directions": n_directions, "solver": _parse_solver(raw),
-        "c12_values": c12_vals,
+        "spec": spec, "links": [(c12, c21) for c12 in c12_vals],
+        "n_directions": n_directions, "solver": _parse_solver(raw),
     }
 
 
@@ -276,13 +274,9 @@ def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
     cases = [_parse_delays(c) for c in _items(raw, "delay_cases")]
     c_list = [_capacity(c, "c_list") for c in _items(raw, "c_list")]
     gauss = _require(raw, "gaussian", "top level")
-    # each case is solved at every c_list value and once more with unbounded links
     return dict(delay_cases=[dres for _, _, dres in cases], c_list=c_list), {
-        "cases": [
-            (dres, [_parse_gaussian(gauss, chain, ConferencingConfig(c, c), d1, d2)
-                    for c in [*c_list, math.inf]])
-            for d1, d2, dres in cases
-        ],
+        "cases": [(dres, _parse_gaussian(gauss, chain, ConferencingConfig(), d1, d2))
+                  for d1, d2, dres in cases],
         "c_list": c_list, "solver": _parse_solver(raw),
     }
 

@@ -91,22 +91,21 @@ def run_experiment(cfg: ExperimentConfig, plots: bool = True) -> RunReport:
 
 def run_region_gaussian(cfg: ExperimentConfig) -> Computed:
     obj = cfg.objects
+    spec, links = obj["spec"], obj["links"]
     thetas = _thetas(obj["n_directions"])
-    # each spec's trace directions, then its two axis maxima; the specs
-    # differ only in their links, so one batched solve takes them all
+    # each link pair's trace directions, then its two axis maxima, in one batched solve
     mus = [(math.cos(t), math.sin(t)) for t in thetas] + [(1.0, 0.0), (0.0, 1.0)]
-    results = solve_weighted(obj["specs"][0], [
-        (*mu, spec.conf.c12, spec.conf.c21, 0.0) for spec in obj["specs"] for mu in mus
-    ], obj["solver"])
-    per_spec = [results[i: i + len(mus)] for i in range(0, len(results), len(mus))]
+    results = solve_weighted(spec, [(*mu, *link, 0.0) for link in links for mu in mus],
+                             obj["solver"])
     rows = []
     polygons = []
-    for c12, spec, res in zip(obj["c12_values"], obj["specs"], per_spec):
+    for j, (c12, c21) in enumerate(links):
+        res = results[j * len(mus): (j + 1) * len(mus)]
         trace = _non_dominated(thetas, res[:-2])
         max_r1, max_r2 = res[-2].value, res[-1].value
         for tp in trace:
             rows.append([
-                c12, spec.conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value,
+                c12, c21, tp.theta, tp.point.r1, tp.point.r2, tp.value,
                 tp.flag, max_r1, max_r2, spec.convention,
             ])
         pts = sorted(((tp.point.r1, tp.point.r2) for tp in trace))
@@ -150,16 +149,13 @@ def run_sweep_sumrate(cfg: ExperimentConfig) -> Computed:
     rows = []
     curves = []
     hlines = []
-    for dres, specs in obj["cases"]:
+    cs = [*obj["c_list"], math.inf]  # every c_list entry, then the unbounded links
+    for dres, spec in obj["cases"]:
         label = f"d1={dres['d1_raw']}, d2={dres['d2_raw']}"
-        # one spec per c_list entry, then the unbounded links; they differ
-        # only in their links, so one batched solve takes the whole case
-        results = solve_weighted(specs[0], [
-            (1.0, 1.0, spec.conf.c12, spec.conf.c21, 0.0) for spec in specs
-        ], obj["solver"])
+        results = solve_weighted(spec, [(1.0, 1.0, c, c, 0.0) for c in cs], obj["solver"])
         values = [res.value for res in results]
-        for spec, res in zip(specs, results):
-            rows.append([dres["d1_raw"], dres["d2_raw"], spec.conf.c12, res.value, res.flag])
+        for c, res in zip(cs, results):
+            rows.append([dres["d1_raw"], dres["d2_raw"], c, res.value, res.flag])
         curves.append(Series(list(obj["c_list"]), values[:-1], label=label, marker=True))
         hlines.append((values[-1], f"unbounded links ({label})"))
     return Computed(

@@ -173,11 +173,11 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-def _bounds(spec: GaussianMacSpec, c12, c21, gamma1, delta1, gamma2, delta2) -> np.ndarray:
+def _bounds(spec: GaussianMacSpec, off, gamma1, delta1, gamma2, delta2) -> np.ndarray:
     """The four rate caps (4, T), rows (b1, b2, b12, bsum), of allocation
-    parts with a leading batch axis; c12 and c21 are scalars or one per row.
-    Each cap is a sum over the grid [a1, a2, s, n] of observed states, true
-    state and subchannel."""
+    parts with a leading batch axis, plus the offsets off: one row (c12, c21,
+    c12 + c21, -r0), or one per batch row. Each cap sums over the grid
+    [a1, a2, s, n] of observed states, true state and subchannel."""
     _, w3 = spec.state_weights()
     T, k, N = len(gamma1), spec.k, spec.n_sub
     grid = (T, k, k, k, N)
@@ -191,7 +191,7 @@ def _bounds(spec: GaussianMacSpec, c12, c21, gamma1, delta1, gamma2, delta2) -> 
     np.add(A[2], h1 * h1 * d1 + h2 * h2 * d2, out=A[3])
     A[3] += 2.0 * h1 * h2 * np.sqrt(d1 * d2)
     Lw = spec.log_factor * w3[:, :, :, None]
-    off = np.array(np.broadcast_arrays(c12, c21, np.add(c12, c21), 0.0)).reshape(4, -1)
+    off = np.reshape(np.transpose(off), (4, -1))
     return (np.log2(A) * Lw).reshape(4, T, -1).sum(axis=2) + off
 
 
@@ -209,7 +209,7 @@ def _alloc_bounds(spec, alloc, c12, c21) -> RateBounds:
     report = feasible(spec, alloc)
     if not report:
         raise FeasibilityError(report.violation)
-    b = _bounds(spec, c12, c21,
+    b = _bounds(spec, (c12, c21, c12 + c21, 0.0),
                 alloc.gamma1[None], np.maximum(alloc.P1 - alloc.gamma1, 0.0)[None],
                 alloc.gamma2[None], np.maximum(alloc.P2 - alloc.gamma2, 0.0)[None])
     return RateBounds(*(float(v) for v in b[:, 0]))
@@ -269,8 +269,9 @@ class _Barrier:
         self.pos = np.r_[0:o[4], nv - 2, nv - 1]  # the variables kept positive
         c1, _, cn = np.nonzero(self.live[1])
         self.cone = (o[1] + at1[c1, cn][:n3], o[3] + np.arange(n3), o[4] + np.arange(n3))
-        self.mu, (c12, c21), self.r0 = problems[:, :2], problems[:, 2:4].T, problems[:, 4]
-        self.off = np.stack([c12, c21, c12 + c21, np.zeros_like(c12)], 1)
+        # each cap's offset: the links lift b1, b2 and b12, the common rate lowers bsum
+        self.mu, (c12, c21, r0) = problems[:, :2], problems[:, 2:].T
+        self.off = np.stack([c12, c21, c12 + c21, -r0], 1)
 
     def start(self, X: np.ndarray) -> np.ndarray:
         """The start points of the trajectories from allocation parts X, one
@@ -304,8 +305,7 @@ class _Barrier:
         r1, r2 = Z[..., -2], Z[..., -1]
         i, j, kap = self.cone
         return np.concatenate([
-            caps + self.off[rows].reshape(*lead, 4)
-            - np.stack([r1, r2, r1 + r2, self.r0[rows].reshape(lead) + r1 + r2], -1),
+            caps + self.off[rows].reshape(*lead, 4) - np.stack([r1, r2, r1 + r2, r1 + r2], -1),
             self.pbar - (Z[..., None, :] @ self.B.T)[..., 0, :],
             Z[..., self.pos],
             Z[..., i] * Z[..., j] - Z[..., kap] ** 2,
@@ -462,12 +462,10 @@ def _solve(spec: GaussianMacSpec, problems, config: SolverConfig,
         exhausted = ~done & (steps >= config.max_steps)
         flag[exhausted], done[exhausted] = 1, True
     reads = _readings(spec, bar.parts(Z))
-    b = _bounds(spec, np.tile(bar.off[:, 0], 2), np.tile(bar.off[:, 1], 2),
-                *(np.concatenate(p) for p in zip(*reads)))
+    b = _bounds(spec, np.tile(bar.off, (2, 1)), *(np.concatenate(p) for p in zip(*reads)))
     scored = [
-        best_weighted_point(RateBounds(b1, b2, b12, max(bs - r0, 0.0)), mu1, mu2)
-        for (b1, b2, b12, bs), r0, (mu1, mu2)
-        in zip(b.T.tolist(), 2 * bar.r0.tolist(), 2 * bar.mu.tolist())
+        best_weighted_point(RateBounds(b1, b2, b12, max(bs, 0.0)), mu1, mu2)
+        for (b1, b2, b12, bs), (mu1, mu2) in zip(b.T.tolist(), 2 * bar.mu.tolist())
     ]
     values = np.array([v for v, _ in scored]).reshape(2, T)
     pick = (values[1] >= values[0]).astype(int)  # the rounded reading on ties
@@ -485,8 +483,8 @@ def solve_weighted(
 ) -> list[GaussianSolveResult]:
     """Solve a list of (mu1, mu2, c12, c21, r0) problems in one batched barrier solve.
 
-    Problem d maximizes mu1*r1 + mu2*r2 with link capacities (c12, c21) in
-    place of spec.conf and the total cap reduced by the common rate r0.
+    Problem d maximizes mu1*r1 + mu2*r2 with its own links (c12, c21), not
+    spec.conf's, and the total cap reduced by the common rate r0.
     Trajectories never mix, so each result equals the problem's own solve.
     """
     for mu1, mu2, c12, c21, r0 in problems:

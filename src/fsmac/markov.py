@@ -70,17 +70,10 @@ class MarkovChain:
 
 
 def _is_primitive(K: np.ndarray) -> bool:
-    """Whether some power of K up to k^2 has all entries strictly positive."""
-    k = K.shape[0]
-    reach = K > 0
-    if reach.all():
-        return True
-    step = K > 0
-    for _ in range(k * k - 1):
-        reach = reach @ step
-        if reach.all():
-            return True
-    return False
+    """Whether some power of K has all entries strictly positive. By
+    Wielandt's bound (Horn & Johnson, Matrix Analysis, 8.5) the power
+    (k - 1)^2 + 1 is positive whenever any power is."""
+    return bool(np.linalg.matrix_power(K > 0, (K.shape[0] - 1) ** 2 + 1).all())
 
 
 def stationary_distribution(chain: MarkovChain) -> np.ndarray:

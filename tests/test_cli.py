@@ -636,7 +636,7 @@ class TestConfigLoader:
         payload = gaussian_payload(str(tmp_path), c12="inf")
         cfgp = write_config(tmp_path, payload)
         cfg = load_config(cfgp)
-        assert cfg.objects["c12_values"][0] == float("inf")
+        assert cfg.objects["links"][0][0] == float("inf")
 
     def test_bad_kind(self, tmp_path):
         cfgp = write_config(tmp_path, {"kind": "nonsense"})

@@ -224,7 +224,8 @@ class TestBoundsKernel:
         rng = np.random.default_rng(17)
         for spec in (reference_spec(0.3, 0.1), three_state_spec()):
             allocs = [random_feasible_alloc(spec, rng) for _ in range(6)]
-            b = _bounds(spec, spec.conf.c12, spec.conf.c21, *(np.array(x) for x in zip(*(
+            c12, c21 = spec.conf.c12, spec.conf.c21
+            b = _bounds(spec, (c12, c21, c12 + c21, 0.0), *(np.array(x) for x in zip(*(
                 (a.gamma1, a.P1 - a.gamma1, a.gamma2, a.P2 - a.gamma2) for a in allocs
             ))))
             for t, alloc in enumerate(allocs):
@@ -750,7 +751,7 @@ class TestBarrierEdges:
         assert res.value <= _grid_oracle(1, 1, 10, 10, 0, 0, 1, 1, n=401, r0=r0)
 
     def test_region_rows_within_their_axis_maxima(self):
-        # region_gaussian.yaml: no trace point may beat its own spec's max_r1
+        # region_gaussian.yaml: no trace point may beat its own links' max_r1
         # or max_r2, which the former ascent's short axis solves did by up to 3.7e-4
         cfg = load_config(str(CONFIGS / "region_gaussian.yaml"))
         out = run_region_gaussian(cfg)
@@ -759,6 +760,21 @@ class TestBarrierEdges:
             assert row[col["r1"]] <= row[col["max_r1"]] + 1e-9
             assert row[col["r2"]] <= row[col["max_r2"]] + 1e-9
             assert row[col["flag"]] == "converged"
+
+    def test_sweep_rows_rise_with_c_to_the_unbounded_row(self):
+        # sweep_sumrate.yaml, per delay case: the sum rate is nondecreasing in
+        # c, and no finite link beats the unbounded links
+        cfg = load_config(str(CONFIGS / "sweep_sumrate.yaml"))
+        rows = run_sweep_sumrate(cfg).rows
+        per_case = len(cfg.objects["c_list"]) + 1
+        assert len(rows) == per_case * len(cfg.objects["cases"])
+        for i in range(0, len(rows), per_case):
+            case = rows[i: i + per_case]
+            assert [row[2] for row in case] == [*cfg.objects["c_list"], math.inf]
+            sums = [row[3] for row in case]
+            assert all(b >= a - 1e-9 for a, b in zip(sums, sums[1:]))
+            assert all(s <= sums[-1] + 1e-9 for s in sums[:-1])
+            assert all(row[4] == "converged" for row in case)
 
 
 class TestOneStart:
@@ -809,19 +825,21 @@ class TestOneStart:
 
 
 class TestBatchedRunners:
-    """The runners' one-call rows against the loop they replaced: a trace
-    and two axis solves per c12, one solve per (delay case, c)."""
+    """The runners' one-call rows on one spec with no links against the loop
+    they replaced: a trace and two axis solves per c12, one solve per
+    (delay case, c), each on a spec that carries its own links."""
 
     CFG = SolverConfig(max_steps=160)
 
     def test_region_gaussian_rows_equal_per_spec_loop(self):
         c12s = [0.0, 0.5, float("inf")]
-        specs = [reference_spec(c12, 0.1) for c12 in c12s]
         cfg = SimpleNamespace(objects={
-            "specs": specs, "n_directions": 3, "solver": self.CFG, "c12_values": c12s,
+            "spec": reference_spec(0.0, 0.0), "links": [(c12, 0.1) for c12 in c12s],
+            "n_directions": 3, "solver": self.CFG,
         })
         oracle = []
-        for c12, spec in zip(c12s, specs):
+        for c12 in c12s:
+            spec = reference_spec(c12, 0.1)
             trace = trace_boundary(spec, 3, self.CFG)
             max_r1 = maximize_weighted_rate(spec, 1.0, 0.0, self.CFG).value
             max_r2 = maximize_weighted_rate(spec, 0.0, 1.0, self.CFG).value
@@ -834,21 +852,33 @@ class TestBatchedRunners:
 
     def test_sweep_sumrate_rows_equal_per_c_loop(self):
         c_list = [0.0, 0.2]
-        cases = [
-            ({"d1_raw": d1, "d2_raw": d2}, [
-                GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0,
-                                ConferencingConfig(c, c), d1, d2, "real")
-                for c in [*c_list, float("inf")]
-            ])
-            for d1, d2 in ((2, 1), (0, 0))
-        ]
+
+        def spec(c, d1, d2):
+            return GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0,
+                                   ConferencingConfig(c, c), d1, d2, "real")
+
+        delays = ((2, 1), (0, 0))
+        cases = [({"d1_raw": d1, "d2_raw": d2}, spec(0.0, d1, d2)) for d1, d2 in delays]
         cfg = SimpleNamespace(objects={"cases": cases, "c_list": c_list, "solver": self.CFG})
         oracle = []
-        for dres, specs in cases:
-            for spec in specs:
-                res = maximize_weighted_rate(spec, 1.0, 1.0, self.CFG)
-                oracle.append([dres["d1_raw"], dres["d2_raw"], spec.conf.c12, res.value, res.flag])
+        for d1, d2 in delays:
+            for c in [*c_list, float("inf")]:
+                res = maximize_weighted_rate(spec(c, d1, d2), 1.0, 1.0, self.CFG)
+                oracle.append([d1, d2, c, res.value, res.flag])
         assert run_sweep_sumrate(cfg).rows == oracle
+
+    def test_shipped_files_parse_to_one_spec_per_channel(self):
+        # the links are problem data: one spec per experiment or delay case,
+        # and none of them carries links
+        region = load_config(str(CONFIGS / "region_gaussian.yaml")).objects
+        assert isinstance(region["spec"], GaussianMacSpec)
+        assert region["spec"].conf == ConferencingConfig()
+        assert region["links"] == [(c12, 0.0) for c12 in (0.0, 0.1, 0.3, 0.5, 0.9)]
+        cases = load_config(str(CONFIGS / "sweep_sumrate.yaml")).objects["cases"]
+        assert len(cases) == 3
+        for dres, spec in cases:
+            assert isinstance(spec, GaussianMacSpec) and spec.conf == ConferencingConfig()
+            assert (spec.d1, spec.d2) == (dres["d1"], dres["d2"])
 
 
 class TestCommonMessageRegion:

@@ -197,6 +197,40 @@ class TestValidation:
         with pytest.raises(ValueError, match="irreducible"):
             MarkovChain(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_primitivity_matches_the_power_loop(self):
+        # the oracle: the chain is primitive when any Boolean power up to k^2 is positive
+        def loop(K):
+            reach = step = K > 0
+            for _ in range(K.shape[0] ** 2):
+                if reach.all():
+                    return True
+                reach = reach @ step
+            return False
+
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(1500):
+            k = int(rng.integers(1, 7))
+            K = (rng.random((k, k)) < rng.uniform(0.1, 0.6)).astype(float)
+            seen.add(loop(K))
+            assert markov._is_primitive(K) == loop(K)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_wielandt_matrix_accepted_its_cycle_rejected(self, k):
+        # Wielandt's matrix, the cycle 0 -> 1 -> ... -> k-1 -> 0 plus the
+        # edge k-1 -> 1, first turns positive at the power (k - 1)^2 + 1; the
+        # cycle alone is periodic
+        cycle = np.roll(np.eye(k), 1, axis=1)
+        wielandt = cycle.copy()
+        wielandt[-1, 1] = 1.0
+        assert not np.linalg.matrix_power(wielandt > 0, (k - 1) ** 2).all()
+        assert markov._is_primitive(wielandt) and not markov._is_primitive(cycle)
+        names = [f"s{i}" for i in range(k)]
+        MarkovChain(names, wielandt / wielandt.sum(1, keepdims=True))
+        with pytest.raises(ValueError, match="irreducible"):
+            MarkovChain(names, cycle)
+
     def test_rejects_nan_entries(self):
         # NaN fails every comparison, so each check must be one it fails
         nan = float("nan")
