@@ -36,11 +36,8 @@ from .gaussian import (
     FeasibilityReport,
     GaussianMacSpec,
     GaussianSolveResult,
-    GaussianTripleCovariance,
     SolverConfig,
     TracePoint,
-    check_gaussian_markov,
-    common_message_bounds_gaussian,
     feasible,
     maximize_weighted_rate,
     rate_bounds_gaussian,

@@ -7,9 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import GaussianMacSpec, SolverConfig, maximize_weighted_rate
+from .gaussian import GaussianMacSpec, SolverConfig, solve_weighted
 from .markov import MarkovChain
-from .regions import ConferencingConfig
 
 __all__ = [
     "snr_critical",
@@ -138,14 +137,11 @@ def correlation_profile_numeric(
     draws no random start, so no point depends on its place in the grid.
     """
     chain = MarkovChain(["s0"], [[1.0]])
-    conf = ConferencingConfig(c12, c21)
     rhos: list[float] = []
     for s_db in snr_db:
         p = 10.0 ** (s_db / 10.0)
-        spec = GaussianMacSpec(
-            chain, [[1.0]], [[1.0]], p, p, conf, d1=0, d2=0, convention=_CONVENTION
-        )
-        res = maximize_weighted_rate(spec, 1.0, 1.0, config)
+        spec = GaussianMacSpec(chain, [[1.0]], [[1.0]], p, p, d1=0, d2=0, convention=_CONVENTION)
+        res, = solve_weighted(spec, [(1.0, 1.0, c12, c21, 0.0)], config)
         power = res.alloc.P1[0, 0]
         beta = res.alloc.gamma1[0, 0] / power if power > 0 else 0.0
         rhos.append(rho_from_beta(min(max(beta, 0.0), 1.0)))

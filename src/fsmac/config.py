@@ -162,7 +162,7 @@ def _parse_solver(raw: dict) -> SolverConfig:
     return SolverConfig(budget["iterations"] * budget["rounds"] * (1 + budget["multistarts"]))
 
 
-def _parse_gaussian(section: dict, chain, conf, d1, d2) -> GaussianMacSpec:
+def _parse_gaussian(section: dict, chain, d1, d2) -> GaussianMacSpec:
     _check_keys(
         section, {"n_sub", "gains1", "gains2", "pbar1", "pbar2", "convention"}, "gaussian"
     )
@@ -184,7 +184,7 @@ def _parse_gaussian(section: dict, chain, conf, d1, d2) -> GaussianMacSpec:
     pbar2 = _float(_require(section, "pbar2", "gaussian"), "gaussian.pbar2")
     try:
         return GaussianMacSpec(
-            chain, gains1, gains2, pbar1, pbar2, conf, d1, d2,
+            chain, gains1, gains2, pbar1, pbar2, d1, d2,
             str(section.get("convention", "real")),
         )
     except ValueError as exc:
@@ -228,8 +228,7 @@ def _parse_region_gaussian(raw: dict, seed: int) -> tuple[dict, dict]:
     if n_directions < 2:
         raise ConfigError("'trace.n_directions' must be >= 2")
     # the links shift the rate caps, not the channel: one spec, one link pair per c12
-    spec = _parse_gaussian(_require(raw, "gaussian", "top level"), chain,
-                           ConferencingConfig(), d1, d2)
+    spec = _parse_gaussian(_require(raw, "gaussian", "top level"), chain, d1, d2)
     resolved = dict(delays=dres, c12_values=c12_vals, c21=c21, n_directions=n_directions,
                     convention=spec.convention)
     return resolved, {
@@ -275,7 +274,7 @@ def _parse_sweep_sumrate(raw: dict, seed: int) -> tuple[dict, dict]:
     c_list = [_capacity(c, "c_list") for c in _items(raw, "c_list")]
     gauss = _require(raw, "gaussian", "top level")
     return dict(delay_cases=[dres for _, _, dres in cases], c_list=c_list), {
-        "cases": [(dres, _parse_gaussian(gauss, chain, ConferencingConfig(), d1, d2))
+        "cases": [(dres, _parse_gaussian(gauss, chain, d1, d2))
                   for d1, d2, dres in cases],
         "c_list": c_list, "solver": _parse_solver(raw),
     }

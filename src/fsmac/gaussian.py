@@ -22,13 +22,10 @@ __all__ = [
     "GaussianSolveResult",
     "TracePoint",
     "rate_bounds_gaussian",
-    "common_message_bounds_gaussian",
     "feasible",
     "maximize_weighted_rate",
     "solve_weighted",
     "trace_boundary",
-    "GaussianTripleCovariance",
-    "check_gaussian_markov",
 ]
 
 _LN2 = math.log(2.0)
@@ -38,6 +35,7 @@ _DECREMENT = 1e-10   # a centering ends at this relative Newton decrement
 _SNAP = 1e-6         # a private or common part below this share of its cell reads as zero
 _LADDER = np.concatenate([[0.0], 0.5 ** np.arange(16)])  # step sizes, after the current point
 _FLAGS = ("converged", "budget-exhausted", "stalled")
+_HIGH = 0.98         # the even start's share where half leaves no room under the total cap
 
 
 class FeasibilityError(ValueError):
@@ -45,10 +43,10 @@ class FeasibilityError(ValueError):
 
 
 class GaussianMacSpec:
-    """Problem instance: per-state subchannel gain magnitudes, power budgets,
-    conferencing link capacities, the state chain and the observation delays
-    d1 >= d2 >= 0, either of which may be inf. The pair and triple weight
-    tables are those of `delayed_state_joint`.
+    """The channel: per-state subchannel gain magnitudes, power budgets, the
+    state chain and the observation delays d1 >= d2 >= 0, either of which
+    may be inf; the links, which only shift the rate caps, are each call's.
+    The pair and triple weight tables are those of `delayed_state_joint`.
 
     Noise is normalized to unit variance, so gains are relative amplitudes.
     `convention` selects the rate unit: "complex" uses log2(1 + x) per
@@ -62,7 +60,6 @@ class GaussianMacSpec:
         gains2,
         pbar1: float,
         pbar2: float,
-        conf: ConferencingConfig,
         d1: float,
         d2: float,
         convention: str = "real",
@@ -85,7 +82,6 @@ class GaussianMacSpec:
         self.gains2 = gains2
         self.pbar1 = float(pbar1)
         self.pbar2 = float(pbar2)
-        self.conf = conf
         self.d1 = d1
         self.d2 = d2
         self.convention = convention
@@ -195,21 +191,16 @@ def _bounds(spec: GaussianMacSpec, off, gamma1, delta1, gamma2, delta2) -> np.nd
     return (np.log2(A) * Lw).reshape(4, T, -1).sum(axis=2) + off
 
 
-def rate_bounds_gaussian(spec: GaussianMacSpec, alloc: Allocation) -> RateBounds:
-    """Evaluate the four conferencing-mode rate caps at a feasible allocation."""
-    return _alloc_bounds(spec, alloc, spec.conf.c12, spec.conf.c21)
-
-
-def common_message_bounds_gaussian(spec: GaussianMacSpec, alloc: Allocation) -> RateBounds:
-    """Common-message caps: no link offsets; bsum caps the three-rate total."""
-    return _alloc_bounds(spec, alloc, 0.0, 0.0)
-
-
-def _alloc_bounds(spec, alloc, c12, c21) -> RateBounds:
+def rate_bounds_gaussian(
+    spec: GaussianMacSpec, alloc: Allocation, conf: ConferencingConfig
+) -> RateBounds:
+    """The four conferencing rate caps at a feasible allocation, the links
+    conf lifting b1, b2 and b12. With `ConferencingConfig()` they are the
+    common-message caps, bsum capping the three-rate total."""
     report = feasible(spec, alloc)
     if not report:
         raise FeasibilityError(report.violation)
-    b = _bounds(spec, (c12, c21, c12 + c21, 0.0),
+    b = _bounds(spec, (conf.c12, conf.c21, conf.c12 + conf.c21, 0.0),
                 alloc.gamma1[None], np.maximum(alloc.P1 - alloc.gamma1, 0.0)[None],
                 alloc.gamma2[None], np.maximum(alloc.P2 - alloc.gamma2, 0.0)[None])
     return RateBounds(*(float(v) for v in b[:, 0]))
@@ -276,10 +267,13 @@ class _Barrier:
     def start(self, X: np.ndarray) -> np.ndarray:
         """The start points of the trajectories from allocation parts X, one
         row for all or one per trajectory, each live rate at a quarter of its
-        least finite cap; sets each one's live rates, slacks and parameter m."""
+        least finite cap; sets each one's live rates, slacks and parameter m.
+        Where X leaves one no room under a total cap that allocations move,
+        it starts from the even start at the _HIGH share instead."""
         T, o = len(self.mu), self.o
         Z = np.concatenate([np.broadcast_to(X, (T, o[5])), np.zeros((T, 2))], 1)
-        room = self._slacks(Z, np.arange(T), 1.0 + self._lin(Z))[:, :4]  # inf where the link is
+        Z[(self._room(Z)[:, 3] <= 0) & self.E[3].any(), :o[5]] = _even_start(self, _HIGH)
+        room = self._room(Z)
         least = np.array([room[:, _RATES[:, i] > 0].min(1) for i in (0, 1)]).T
         self.rlive = least > 0
         Z[:, -2:] = np.where(self.rlive, 0.25 * least, 0.0)
@@ -293,6 +287,10 @@ class _Barrier:
         # with room under that cap
         self.unsure = (np.isfinite(room) & (room <= 0) & self.E.any((1, 2))).any(1)
         return Z
+
+    def _room(self, Z):
+        """Each cap's slack at points Z whose rates are 0; inf where its link is."""
+        return self._slacks(Z, np.arange(len(Z)), 1.0 + self._lin(Z))[:, :4]
 
     def _lin(self, Z):
         return (Z[..., None, :] @ self.EdT)[..., 0, :]
@@ -389,18 +387,18 @@ class TracePoint:
     flag: str
 
 
-def _even_start(bar: _Barrier) -> np.ndarray:
-    """Allocation parts of the even start: half of every budget, the same
-    power in each of an encoder's cells, split evenly into private and common
-    parts, and kappa at half its cone."""
+def _even_start(bar: _Barrier, share: float = 0.5) -> np.ndarray:
+    """Allocation parts of an even start: share of every budget, the same
+    power in each of an encoder's cells, share of that common, and kappa at
+    share of its cone."""
     o = bar.o
     x = []
     for w, pbar in zip((bar.B[0, o[0]:o[1]], bar.B[1, o[2]:o[3]]), bar.pbar):
         u = np.full(len(w), 0.6)  # inside the sum, 0.6 fixes how it rounds
-        P = 0.5 * pbar * u / (w * u).sum()
-        x += [0.5 * P, 0.5 * P]
+        P = share * pbar * u / (w * u).sum()
+        x += [(1.0 - share) * P, share * P]
     i1, i2, _ = bar.cone
-    kappa = 0.5 * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
+    kappa = share * np.sqrt(x[1][i1 - o[1]] * x[3][i2 - o[3]])
     return np.concatenate([*x, kappa])
 
 
@@ -483,10 +481,13 @@ def solve_weighted(
 ) -> list[GaussianSolveResult]:
     """Solve a list of (mu1, mu2, c12, c21, r0) problems in one batched barrier solve.
 
-    Problem d maximizes mu1*r1 + mu2*r2 with its own links (c12, c21), not
-    spec.conf's, and the total cap reduced by the common rate r0.
-    Trajectories never mix, so each result equals the problem's own solve.
-    """
+    Problem d maximizes mu1*r1 + mu2*r2 on the channel spec, its links c12,
+    c21 and c12 + c21 lifting b1, b2 and b12 and its common rate r0 lowering
+    bsum. Every cap is concave in the allocation, so the barrier's path leads
+    to the optimum; `converged` means a surrogate gap m/t of 1e-9 bits, not a
+    certificate, and a `stalled` or `budget-exhausted` value is a feasible
+    lower bound. Trajectories never mix, so each result equals the problem's
+    own solve; none draws a random number."""
     for mu1, mu2, c12, c21, r0 in problems:
         check_weights(mu1, mu2)
         if not (r0 >= 0 and c12 >= 0 and c21 >= 0):
@@ -494,27 +495,19 @@ def solve_weighted(
     return _solve(spec, problems, config or SolverConfig()) if problems else []
 
 
-def maximize_weighted_rate(
-    spec: GaussianMacSpec, mu1: float, mu2: float, config: SolverConfig | None = None
-) -> GaussianSolveResult:
-    """Best feasible allocation for the weighted rate mu1*r1 + mu2*r2.
-
-    The inner linear program over the rate polytope is concave and
-    nondecreasing in the four caps, each cap is concave in the allocation, so
-    the barrier's path leads to the global optimum; `converged` means a
-    surrogate gap m/t of 1e-9 bits, not a certificate. The solve runs from
-    one even start with no seed, so it is deterministic. A `stalled` or
-    `budget-exhausted` value is a feasible lower bound, not the optimum."""
-    return solve_weighted(spec, [(mu1, mu2, spec.conf.c12, spec.conf.c21, 0.0)], config)[0]
+def maximize_weighted_rate(spec: GaussianMacSpec, conf: ConferencingConfig, mu1: float,
+                           mu2: float, config: SolverConfig | None = None) -> GaussianSolveResult:
+    """`solve_weighted` for the one problem (mu1, mu2, conf.c12, conf.c21, 0)."""
+    return solve_weighted(spec, [(mu1, mu2, conf.c12, conf.c21, 0.0)], config)[0]
 
 
-def trace_boundary(
-    spec: GaussianMacSpec, n_directions: int, config: SolverConfig | None = None
-) -> list[TracePoint]:
-    """Sweep weight directions over the open quarter circle, all of them in
-    one batched solve, and keep the mutually non-dominated achieved points."""
+def trace_boundary(spec: GaussianMacSpec, conf: ConferencingConfig, n_directions: int,
+                   config: SolverConfig | None = None) -> list[TracePoint]:
+    """Sweep weight directions over the open quarter circle at links conf, all
+    of them in one batched solve, and keep the mutually non-dominated achieved
+    points."""
     thetas = _thetas(n_directions)
-    problems = [(math.cos(t), math.sin(t), spec.conf.c12, spec.conf.c21, 0.0) for t in thetas]
+    problems = [(math.cos(t), math.sin(t), conf.c12, conf.c21, 0.0) for t in thetas]
     return _non_dominated(thetas, solve_weighted(spec, problems, config))
 
 
@@ -549,32 +542,3 @@ def _non_dominated(thetas, results) -> list[TracePoint]:
         kept.append(p)
     return kept
 
-
-# ---------------------------------------------------------------------------
-# Gaussian Markov-chain covariance predicate
-# ---------------------------------------------------------------------------
-
-class GaussianTripleCovariance:
-    """Cross and auto covariances of a jointly Gaussian triple (A, B, C)."""
-
-    def __init__(self, sigma_ab, sigma_bb, sigma_bc, sigma_ac) -> None:
-        self.sigma_ab = np.atleast_2d(np.asarray(sigma_ab, dtype=float))
-        self.sigma_bb = np.atleast_2d(np.asarray(sigma_bb, dtype=float))
-        self.sigma_bc = np.atleast_2d(np.asarray(sigma_bc, dtype=float))
-        self.sigma_ac = np.atleast_2d(np.asarray(sigma_ac, dtype=float))
-        B = self.sigma_bb
-        if B.shape[0] != B.shape[1]:
-            raise ValueError("sigma_bb must be square")
-        if not np.allclose(B, B.T, atol=1e-10):
-            raise ValueError("sigma_bb must be symmetric")
-        try:
-            np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("sigma_bb must be positive definite") from exc
-
-
-def check_gaussian_markov(cov: GaussianTripleCovariance, tol: float) -> bool:
-    """Whether the triple is Markov A - B - C: the AC covariance must factor
-    through B, i.e. Sigma_AC = Sigma_AB Sigma_BB^{-1} Sigma_BC (max-norm tol)."""
-    predicted = cov.sigma_ab @ np.linalg.solve(cov.sigma_bb, cov.sigma_bc)
-    return bool(np.abs(cov.sigma_ac - predicted).max() <= tol)

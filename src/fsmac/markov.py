@@ -225,12 +225,6 @@ def _inverse_cdf(u, cum, out=None) -> np.ndarray:
     return out
 
 
-def _categorical(u, probs) -> np.ndarray:
-    """The inverse-CDF draws of `_inverse_cdf` for the probabilities probs,
-    as C-order int64."""
-    return _inverse_cdf(u, np.cumsum(probs, axis=-1)[..., :-1]).astype(np.int64)
-
-
 def sample_state_path(chain: MarkovChain, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a length-n state-index path started from the stationary law.
 

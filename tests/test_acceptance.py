@@ -15,15 +15,12 @@ from fsmac import (
     ConferencingConfig,
     DmcChannel,
     GaussianMacSpec,
-    GaussianTripleCovariance,
     InputPolicy,
     MarkovChain,
     RateBounds,
     SearchConfig,
     SolverConfig,
     assemble_joint,
-    check_gaussian_markov,
-    common_message_bounds_gaussian,
     conditional_mutual_information,
     correlation_profile_numeric,
     delayed_state_joint,
@@ -49,13 +46,11 @@ def two_state(g=0.1, b=0.1):
     return MarkovChain(["G", "B"], [[1 - b, b], [g, 1 - g]])
 
 
-def reference_gaussian_spec(c12, c21, convention="real"):
+def reference_gaussian_spec(convention="real"):
     # two-state reference instance: per-state power gains 1 (good) and 0.01
     # (bad); GaussianMacSpec stores amplitude magnitudes, hence sqrt(0.01)
     gains = [[1.0], [0.1]]
-    return GaussianMacSpec(
-        two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(c12, c21), 2, 2, convention
-    )
+    return GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, 2, 2, convention)
 
 
 def test_criterion_01_stationary_distribution():
@@ -138,10 +133,8 @@ def test_criterion_03_gaussian_solver_vs_grid_oracle():
         c12 = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
         c21 = float(rng.choice([0.0, 0.3, 0.9]))
         mu = rng.uniform(0.05, 1.0, 2)
-        spec = GaussianMacSpec(
-            chain, [[g1]], [[g2]], p1, p2, ConferencingConfig(c12, c21), 0, 0, "real"
-        )
-        res = maximize_weighted_rate(spec, float(mu[0]), float(mu[1]))
+        spec = GaussianMacSpec(chain, [[g1]], [[g2]], p1, p2, 0, 0, "real")
+        res = maximize_weighted_rate(spec, ConferencingConfig(c12, c21), float(mu[0]), float(mu[1]))
         oracle = _scalar_grid_oracle(g1, g2, p1, p2, c12, c21, float(mu[0]), float(mu[1]))
         worst = max(worst, abs(res.value - oracle))
     ok = worst <= 1e-3
@@ -155,7 +148,8 @@ def test_criterion_04_single_link_max_r2_constant():
     results = {}
     for convention in ("real", "complex"):
         vals = [
-            maximize_weighted_rate(reference_gaussian_spec(c12, 0.0, convention), 0.0, 1.0).value
+            maximize_weighted_rate(reference_gaussian_spec(convention), ConferencingConfig(c12, 0.0),
+                                   0.0, 1.0).value
             for c12 in c12_values
         ]
         results[convention] = vals
@@ -179,7 +173,7 @@ def test_criterion_04_single_link_max_r2_constant():
 def test_criterion_05_sumrate_saturation():
     c_values = [0.0, 0.3, 0.6, 0.9, 1.3, 2.0, 3.0]
     vals = [
-        maximize_weighted_rate(reference_gaussian_spec(c, c), 1.0, 1.0).value
+        maximize_weighted_rate(reference_gaussian_spec(), ConferencingConfig(c, c), 1.0, 1.0).value
         for c in c_values
     ]
     nondecreasing = all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
@@ -213,7 +207,7 @@ def test_criterion_06_correlation_asymptotics():
 
 
 def test_criterion_07_region_reductions():
-    spec0 = reference_gaussian_spec(0.0, 0.0)
+    spec0 = reference_gaussian_spec()
     rng = np.random.default_rng(7)
     worst_gap = 0.0
     for _ in range(10):
@@ -223,14 +217,14 @@ def test_criterion_07_region_reductions():
         w2 = spec0.state_weights()[0]
         P2 *= 10.0 / (w2[:, :, None] * P2).sum()
         alloc = Allocation(P1, rng.random((2, 1)) * P1, P2, rng.random((2, 2, 1)) * P2)
-        b_conf = rate_bounds_gaussian(spec0, alloc)
-        b_comm = common_message_bounds_gaussian(spec0, alloc)
+        b_conf = rate_bounds_gaussian(spec0, alloc, ConferencingConfig(0.0, 0.0))
+        b_comm = rate_bounds_gaussian(spec0, alloc, ConferencingConfig())
         worst_gap = max(
             worst_gap,
             *(abs(getattr(b_conf, f) - getattr(b_comm, f)) for f in ("b1", "b2", "b12", "bsum")),
         )
-    spec_inf = reference_gaussian_spec(float("inf"), float("inf"))
-    points = trace_boundary(spec_inf, 6, SolverConfig(max_steps=6000))
+    points = trace_boundary(spec0, ConferencingConfig(float("inf"), float("inf")), 6,
+                            SolverConfig(max_steps=6000))
     sums = [p.point.r1 + p.point.r2 for p in points]
     line_dev = max(sums) - min(sums)
     ok = worst_gap <= 1e-9 and line_dev <= 5e-3
@@ -265,6 +259,14 @@ def test_criterion_08_polytope_vs_grid_hull():
     assert ok
 
 
+def _gaussian_markov(sig_ab, sig_bb, sig_bc, sig_ac, tol):
+    """Whether a jointly Gaussian triple is Markov A - B - C: its AC
+    covariance factors through B, Sigma_AC = Sigma_AB Sigma_BB^-1 Sigma_BC
+    (max-norm tol)."""
+    predicted = sig_ab @ np.linalg.solve(sig_bb, sig_bc)
+    return bool(np.abs(sig_ac - predicted).max() <= tol)
+
+
 def test_criterion_09_gaussian_markov_predicate():
     rng = np.random.default_rng(9)
     all_pass = True
@@ -277,12 +279,9 @@ def test_criterion_09_gaussian_markov_predicate():
         sig_bb = sig_bb @ sig_bb.T + nb * np.eye(nb)
         F = rng.standard_normal((na, nb))
         G = rng.standard_normal((nc, nb))
-        cov = GaussianTripleCovariance(F @ sig_bb, sig_bb, sig_bb @ G.T, F @ sig_bb @ G.T)
-        all_pass = all_pass and check_gaussian_markov(cov, 1e-8)
-        bad = GaussianTripleCovariance(
-            F @ sig_bb, sig_bb, sig_bb @ G.T, F @ sig_bb @ G.T + 0.05
-        )
-        all_fail = all_fail and not check_gaussian_markov(bad, 1e-8)
+        cov = (F @ sig_bb, sig_bb, sig_bb @ G.T)
+        all_pass = all_pass and _gaussian_markov(*cov, F @ sig_bb @ G.T, 1e-8)
+        all_fail = all_fail and not _gaussian_markov(*cov, F @ sig_bb @ G.T + 0.05, 1e-8)
     ok = all_pass and all_fail
     _report(9, ok, f"100 Markov triples accepted: {all_pass}; all 0.05-perturbed rejected: {all_fail}")
     assert ok

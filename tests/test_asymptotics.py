@@ -283,13 +283,14 @@ class TestNumericProfile:
         # both encoders get the same cells, up to rounding
         obj = _shipped_correlation_config().objects
         results = []
-        solve = asymptotics.maximize_weighted_rate
+        solve = asymptotics.solve_weighted
 
         def recorded(*args):
-            results.append(solve(*args))
-            return results[-1]
+            out = solve(*args)
+            results.extend(out)
+            return out
 
-        monkeypatch.setattr(asymptotics, "maximize_weighted_rate", recorded)
+        monkeypatch.setattr(asymptotics, "solve_weighted", recorded)
         correlation_profile_numeric(obj["conf"].c12, obj["conf"].c21, obj["snr_db"], SHIPPED_SOLVER)
         assert len(results) == len(obj["snr_db"])
         for res in results:

@@ -22,7 +22,6 @@ from fsmac import (
     split_messages,
 )
 from fsmac import coding, markov
-from fsmac.markov import _categorical
 
 
 def two_state(g=0.1, b=0.1):
@@ -769,7 +768,13 @@ class TestDecoderKernels:
 
 
 # The per-step samplers the trial used before it drew everything through
-# markov._categorical; they are the oracles for the vectorized ones.
+# markov._inverse_cdf; they are the oracles for the vectorized ones.
+
+
+def _categorical(u, probs):
+    """Inverse-CDF draws in plain numpy: for each uniform, the number of
+    cumulative masses of its row of probs, less the last, at or below it."""
+    return (u[..., None] >= np.cumsum(probs, axis=-1)[..., :-1]).sum(-1)
 
 
 def _oracle_rows(rng, probs, shape):
@@ -968,7 +973,7 @@ class TestSamplersAgainstOracles:
     @pytest.mark.parametrize("ny", [1, 2, 3, 257])
     def test_outputs_match_categorical(self, ny):
         # the channel rows' cumulative masses are cached per table: the
-        # draws are those of markov._categorical on the gathered rows
+        # draws are the inverse-CDF draws of the gathered rows
         rng = np.random.default_rng(ny)
         k, nx1, nx2, n = 3, 2, 3, 400
         channel = DmcChannel(_sparse_rows(rng, (nx1, nx2, k, ny), 0.3))

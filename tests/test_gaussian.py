@@ -13,11 +13,8 @@ from fsmac import (
     ConferencingConfig,
     FeasibilityError,
     GaussianMacSpec,
-    GaussianTripleCovariance,
     MarkovChain,
     SolverConfig,
-    check_gaussian_markov,
-    common_message_bounds_gaussian,
     feasible,
     maximize_weighted_rate,
     n_step_matrix,
@@ -42,29 +39,27 @@ def single_state():
     return MarkovChain(["s"], [[1.0]])
 
 
-def scalar_spec(g1=1.0, g2=1.0, p1=10.0, p2=10.0, c12=0.0, c21=0.0, convention="real"):
-    return GaussianMacSpec(
-        single_state(), [[g1]], [[g2]], p1, p2, ConferencingConfig(c12, c21), 0, 0, convention
-    )
+def scalar_spec(g1=1.0, g2=1.0, p1=10.0, p2=10.0, convention="real"):
+    return GaussianMacSpec(single_state(), [[g1]], [[g2]], p1, p2, 0, 0, convention)
 
 
-def reference_spec(c12, c21):
+def reference_spec():
     # two-state instance: powers 10/10, per-state power gains 1 and 0.01
     # (amplitudes 1 and 0.1), switching probability 0.1, both delays 2
     gains = [[1.0], [0.1]]
-    return GaussianMacSpec(
-        two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(c12, c21), 2, 2, "real"
-    )
+    return GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, 2, 2, "real")
 
 
-def three_state_spec(c12=0.2, c21=0.1):
+def three_state_spec():
     # three states, two subchannels, distinct delays: every weight table differs
     chain = MarkovChain(["a", "b", "c"], [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
     gains1 = [[1.0, 0.5], [0.3, 0.9], [0.2, 0.1]]
     gains2 = [[0.7, 0.2], [1.1, 0.4], [0.5, 0.5]]
-    return GaussianMacSpec(
-        chain, gains1, gains2, 5.0, 8.0, ConferencingConfig(c12, c21), 3, 1, "complex"
-    )
+    return GaussianMacSpec(chain, gains1, gains2, 5.0, 8.0, 3, 1, "complex")
+
+
+NO_LINKS = ConferencingConfig()
+THREE_LINKS = ConferencingConfig(0.2, 0.1)  # the links three_state_spec is solved at
 
 
 def random_feasible_alloc(spec, rng):
@@ -98,8 +93,8 @@ def seeded_start(seed, i):
     return draw
 
 
-def lp_value(spec, alloc, mu1, mu2):
-    value, _ = best_weighted_point(rate_bounds_gaussian(spec, alloc), mu1, mu2)
+def lp_value(spec, conf, alloc, mu1, mu2):
+    value, _ = best_weighted_point(rate_bounds_gaussian(spec, alloc, conf), mu1, mu2)
     return value
 
 
@@ -113,23 +108,24 @@ class TestSpecValidation:
         args = dict(gains1=[[1.0], [0.1]], gains2=[[1.0], [0.1]], pbar1=10.0, pbar2=10.0)
         args[field] = value
         with pytest.raises(ValueError, match=field):
-            GaussianMacSpec(two_state(), conf=ConferencingConfig(), d1=1, d2=0, **args)
+            GaussianMacSpec(two_state(), d1=1, d2=0, **args)
 
 
     def test_delay_ordering_rejected(self):
         gains = [[1.0], [0.1]]
         with pytest.raises(ValueError, match="d1 >= d2"):
-            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(), 1, 2)
+            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, 1, 2)
         with pytest.raises(ValueError, match="d1 >= d2"):
-            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, ConferencingConfig(), 5, math.inf)
+            GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, 5, math.inf)
 
 
 class TestInfiniteDelay:
+    LINKS = ConferencingConfig(0.3, 0.0)
+
     @staticmethod
     def spec(d1, d2):
         gains = [[1.0], [0.1]]
-        return GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0,
-                               ConferencingConfig(0.3, 0.0), d1, d2)
+        return GaussianMacSpec(two_state(), gains, gains, 10.0, 10.0, d1, d2)
 
     def test_weights_are_the_exact_limit(self):
         exact = self.spec(math.inf, 2)
@@ -147,25 +143,25 @@ class TestInfiniteDelay:
     def test_solves_like_a_long_finite_delay(self, d2):
         cfg = SolverConfig(max_steps=4800)
         spec = self.spec(math.inf, d2)
-        res = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
-        far = maximize_weighted_rate(self.spec(400, 400 if d2 == math.inf else d2), 1.0, 1.0, cfg)
+        res = maximize_weighted_rate(spec, self.LINKS, 1.0, 1.0, cfg)
+        far = maximize_weighted_rate(self.spec(400, 400 if d2 == math.inf else d2), self.LINKS,
+                                     1.0, 1.0, cfg)
         assert res.flag == "converged" and feasible(spec, res.alloc)
         assert abs(res.value - far.value) <= 1e-9
 
 
 class TestRateBounds:
     def test_zero_power_gives_offsets_only(self):
-        spec = scalar_spec(c12=0.4, c21=0.7)
-        b = rate_bounds_gaussian(spec, Allocation.zeros(1, 1))
+        b = rate_bounds_gaussian(scalar_spec(), Allocation.zeros(1, 1), ConferencingConfig(0.4, 0.7))
         assert (b.b1, b.b2, b.b12, b.bsum) == (0.4, 0.7, 1.1, 0.0)
 
     def test_full_correlation_kills_cross_term(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         P1 = np.array([[12.0], [8.0]])
         P2 = np.zeros((2, 2, 1))
         P2[0, 0, 0], P2[1, 1, 0] = 9.0, 11.0
         alloc = Allocation(P1, P1.copy(), P2, P2.copy())
-        b = rate_bounds_gaussian(spec, alloc)
+        b = rate_bounds_gaussian(spec, alloc, NO_LINKS)
         w3 = spec.state_weights()[1]
         g2 = spec.gains1[None, None, :, 0] ** 2
         expect = (
@@ -177,7 +173,7 @@ class TestRateBounds:
     def test_scalar_closed_form(self):
         spec = scalar_spec()
         alloc = Allocation([[10.0]], [[0.0]], [[[10.0]]], [[[0.0]]])
-        b = rate_bounds_gaussian(spec, alloc)
+        b = rate_bounds_gaussian(spec, alloc, NO_LINKS)
         assert abs(b.bsum - 0.5 * math.log2(41.0)) <= 1e-12
         assert abs(0.5 * math.log2(41.0) - 2.679) <= 1e-3
 
@@ -185,12 +181,12 @@ class TestRateBounds:
         spec = scalar_spec()
         bad = Allocation([[10.0]], [[10.1]], [[[10.0]]], [[[0.0]]])
         with pytest.raises(FeasibilityError, match="gamma1"):
-            rate_bounds_gaussian(spec, bad)
+            rate_bounds_gaussian(spec, bad, NO_LINKS)
 
     def test_complex_convention_doubles(self):
         alloc = Allocation([[10.0]], [[0.0]], [[[10.0]]], [[[0.0]]])
-        real = rate_bounds_gaussian(scalar_spec(), alloc)
-        cplx = rate_bounds_gaussian(scalar_spec(convention="complex"), alloc)
+        real = rate_bounds_gaussian(scalar_spec(), alloc, NO_LINKS)
+        cplx = rate_bounds_gaussian(scalar_spec(convention="complex"), alloc, NO_LINKS)
         assert abs(cplx.bsum - 2 * real.bsum) <= 1e-12
 
 
@@ -222,15 +218,16 @@ def per_cell_bounds(spec, alloc, c12, c21):
 class TestBoundsKernel:
     def test_bounds_match_per_cell_reference(self):
         rng = np.random.default_rng(17)
-        for spec in (reference_spec(0.3, 0.1), three_state_spec()):
+        for spec, conf in ((reference_spec(), ConferencingConfig(0.3, 0.1)),
+                           (three_state_spec(), THREE_LINKS)):
             allocs = [random_feasible_alloc(spec, rng) for _ in range(6)]
-            c12, c21 = spec.conf.c12, spec.conf.c21
+            c12, c21 = conf.c12, conf.c21
             b = _bounds(spec, (c12, c21, c12 + c21, 0.0), *(np.array(x) for x in zip(*(
                 (a.gamma1, a.P1 - a.gamma1, a.gamma2, a.P2 - a.gamma2) for a in allocs
             ))))
             for t, alloc in enumerate(allocs):
-                ref = per_cell_bounds(spec, alloc, spec.conf.c12, spec.conf.c21)
-                single = rate_bounds_gaussian(spec, alloc)
+                ref = per_cell_bounds(spec, alloc, c12, c21)
+                single = rate_bounds_gaussian(spec, alloc, conf)
                 for i, name in enumerate(("b1", "b2", "b12", "bsum")):
                     assert abs(b[i, t] - ref[i]) <= 1e-12
                     assert abs(getattr(single, name) - ref[i]) <= 1e-12
@@ -243,7 +240,7 @@ class TestBoundsKernel:
                              (0.0, 1.0, 0.5, inf, 0.0)])
         for spec in (three_state_spec(), GaussianMacSpec(
                 two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
-                0.0, 6.0, ConferencingConfig(), 1, 0, "real")):
+                0.0, 6.0, 1, 0, "real")):
             # each problem from the even start and two seeded ones
             bar = _Barrier(spec, np.repeat(problems, 3, axis=0))
             starts = [gaussian._even_start(bar), *(seeded_start(3, i)(bar) for i in (1, 2))]
@@ -271,7 +268,7 @@ class TestFeasible:
         assert feasible(scalar_spec(), Allocation.zeros(1, 1))
 
     def test_gamma_box_violation_reports_cell(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         alloc = Allocation.zeros(2, 1)
         alloc.gamma1[1, 0] = 0.1
         report = feasible(spec, alloc)
@@ -279,7 +276,7 @@ class TestFeasible:
         assert "gamma1" in report.violation and "(1, 0)" in report.violation
 
     def test_budget_met_with_equality(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         P1 = np.full((2, 1), 10.0)  # pi-weighted sum exactly 10
         P2 = np.zeros((2, 2, 1))
         P2[0, 0, 0] = P2[1, 1, 0] = 10.0
@@ -293,21 +290,19 @@ class TestFeasible:
 
 class TestMaximizeWeightedRate:
     def test_single_user_full_power(self):
-        res = maximize_weighted_rate(scalar_spec(), 1.0, 0.0)
+        res = maximize_weighted_rate(scalar_spec(), NO_LINKS, 1.0, 0.0)
         assert abs(res.value - 0.5 * math.log2(11.0)) <= 1e-6
         assert abs(0.5 * math.log2(11.0) - 1.730) <= 1e-3
         assert abs(res.alloc.gamma1[0, 0] - 10.0) <= 1e-6
 
     def test_zero_budgets(self):
-        spec = GaussianMacSpec(
-            single_state(), [[1.0]], [[1.0]], 0.0, 0.0, ConferencingConfig(), 0, 0, "real"
-        )
-        res = maximize_weighted_rate(spec, 1.0, 1.0)
+        spec = GaussianMacSpec(single_state(), [[1.0]], [[1.0]], 0.0, 0.0, 0, 0, "real")
+        res = maximize_weighted_rate(spec, NO_LINKS, 1.0, 1.0)
         assert res.value == 0.0
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            maximize_weighted_rate(scalar_spec(), 0.0, 0.0)
+            maximize_weighted_rate(scalar_spec(), NO_LINKS, 0.0, 0.0)
 
     def test_non_finite_weights_rejected(self):
         # an infinite weight used to solve to a NaN value
@@ -325,16 +320,16 @@ class TestMaximizeWeightedRate:
             c12 = float(rng.choice([0.0, 0.4]))
             c21 = float(rng.choice([0.0, 0.8]))
             mu1, mu2 = rng.uniform(0.1, 1.0, 2)
-            spec = scalar_spec(g1, g2, p1, p2, c12, c21)
-            res = maximize_weighted_rate(spec, mu1, mu2)
+            spec = scalar_spec(g1, g2, p1, p2)
+            res = maximize_weighted_rate(spec, ConferencingConfig(c12, c21), mu1, mu2)
             oracle = _grid_oracle(g1, g2, p1, p2, c12, c21, mu1, mu2)
             assert abs(res.value - oracle) <= 1e-3
 
     def test_deterministic_in_seed(self):
-        spec = reference_spec(0.3, 0.1)
+        spec, conf = reference_spec(), ConferencingConfig(0.3, 0.1)
         cfg = SolverConfig(max_steps=1440)
-        a = maximize_weighted_rate(spec, 0.6, 1.0, cfg)
-        b = maximize_weighted_rate(spec, 0.6, 1.0, cfg)
+        a = maximize_weighted_rate(spec, conf, 0.6, 1.0, cfg)
+        b = maximize_weighted_rate(spec, conf, 0.6, 1.0, cfg)
         assert a.value == b.value
         assert np.array_equal(a.alloc.P2, b.alloc.P2)
         assert a.flag in ("converged", "budget-exhausted")
@@ -343,13 +338,15 @@ class TestMaximizeWeightedRate:
         cfg = SolverConfig(max_steps=2250)
         base = dict(p1=4.0, p2=4.0, c12=0.1, c21=0.1)
         val0 = maximize_weighted_rate(
-            scalar_spec(1, 1, base["p1"], base["p2"], base["c12"], base["c21"]), 1, 1, cfg
+            scalar_spec(1, 1, base["p1"], base["p2"]),
+            ConferencingConfig(base["c12"], base["c21"]), 1, 1, cfg,
         ).value
         for bump in ("p1", "p2", "c12", "c21"):
             kw = dict(base)
             kw[bump] = kw[bump] + 2.0
             val = maximize_weighted_rate(
-                scalar_spec(1, 1, kw["p1"], kw["p2"], kw["c12"], kw["c21"]), 1, 1, cfg
+                scalar_spec(1, 1, kw["p1"], kw["p2"]), ConferencingConfig(kw["c12"], kw["c21"]),
+                1, 1, cfg,
             ).value
             assert val >= val0 - 1e-6
 
@@ -383,7 +380,7 @@ def _grid_oracle(g1, g2, p1, p2, c12, c21, mu1, mu2, n=1001, r0=0.0):
 
 class TestConcavityAndScaling:
     def test_concavity_certificate(self):
-        spec = reference_spec(0.2, 0.5)
+        spec, conf = reference_spec(), ConferencingConfig(0.2, 0.5)
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = random_feasible_alloc(spec, rng)
@@ -395,14 +392,14 @@ class TestConcavityAndScaling:
                 lam * a.P2 + (1 - lam) * b.P2,
                 lam * a.gamma2 + (1 - lam) * b.gamma2,
             )
-            va = lp_value(spec, a, 0.8, 1.0)
-            vb = lp_value(spec, b, 0.8, 1.0)
-            vm = lp_value(spec, blend, 0.8, 1.0)
+            va = lp_value(spec, conf, a, 0.8, 1.0)
+            vb = lp_value(spec, conf, b, 0.8, 1.0)
+            vm = lp_value(spec, conf, blend, 0.8, 1.0)
             assert vm >= lam * va + (1 - lam) * vb - 1e-9
 
     def test_gain_power_scaling_invariance(self):
         rng = np.random.default_rng(21)
-        spec = reference_spec(0.1, 0.3)
+        spec, conf = reference_spec(), ConferencingConfig(0.1, 0.3)
         alloc = random_feasible_alloc(spec, rng)
         alpha = 3.7
         scaled_spec = GaussianMacSpec(
@@ -411,7 +408,6 @@ class TestConcavityAndScaling:
             alpha * spec.gains2,
             spec.pbar1 / alpha**2,
             spec.pbar2 / alpha**2,
-            spec.conf,
             2,
             2,
             "real",
@@ -420,16 +416,17 @@ class TestConcavityAndScaling:
             alloc.P1 / alpha**2, alloc.gamma1 / alpha**2,
             alloc.P2 / alpha**2, alloc.gamma2 / alpha**2,
         )
-        b0 = rate_bounds_gaussian(spec, alloc)
-        b1 = rate_bounds_gaussian(scaled_spec, scaled)
+        b0 = rate_bounds_gaussian(spec, alloc, conf)
+        b1 = rate_bounds_gaussian(scaled_spec, scaled, conf)
         for name in ("b1", "b2", "b12", "bsum"):
             assert abs(getattr(b0, name) - getattr(b1, name)) <= 1e-9
 
 
 class TestTraceBoundary:
     def test_infinite_links_trace_on_total_line(self):
-        spec = reference_spec(float("inf"), float("inf"))
-        points = trace_boundary(spec, 6, SolverConfig(max_steps=3600))
+        inf = float("inf")
+        points = trace_boundary(reference_spec(), ConferencingConfig(inf, inf), 6,
+                                SolverConfig(max_steps=3600))
         values = [p.point.r1 + p.point.r2 for p in points]
         assert max(values) - min(values) <= 2e-3
         assert abs(max(values) - 1.498077) <= 0.01
@@ -437,8 +434,8 @@ class TestTraceBoundary:
     def test_symmetric_spec_symmetric_boundary(self):
         # even direction count: mirrored weight pairs, no exact diagonal whose
         # vertex tie-break would deliberately pick the r1-heavy corner
-        spec = reference_spec(0.3, 0.3)
-        pts = trace_boundary(spec, 6, SolverConfig(max_steps=3600))
+        pts = trace_boundary(reference_spec(), ConferencingConfig(0.3, 0.3), 6,
+                             SolverConfig(max_steps=3600))
         got = sorted((p.point.r1, p.point.r2) for p in pts)
         mirrored = sorted((b, a) for a, b in got)
         for (a1, a2), (b1, b2) in zip(got, mirrored):
@@ -446,7 +443,7 @@ class TestTraceBoundary:
 
     def test_requires_two_directions(self):
         with pytest.raises(ValueError):
-            trace_boundary(reference_spec(0, 0), 1)
+            trace_boundary(reference_spec(), NO_LINKS, 1)
 
 
 def mixed_problems():
@@ -463,27 +460,31 @@ def mixed_problems():
 class TestBatchedSolver:
     CFG = SolverConfig(max_steps=540)
 
-    @pytest.mark.parametrize("spec", [reference_spec(0.3, 0.1), three_state_spec()])
+    # each case: a spec and the links it is solved at
+    @pytest.mark.parametrize("spec", [(reference_spec(), ConferencingConfig(0.3, 0.1)),
+                                      (three_state_spec(), THREE_LINKS)])
     def test_trace_points_equal_solo_solves(self, spec):
-        points = trace_boundary(spec, 5, self.CFG)
+        spec, conf = spec
+        points = trace_boundary(spec, conf, 5, self.CFG)
         assert len(points) >= 2
         for p in points:
-            solo = maximize_weighted_rate(spec, math.cos(p.theta), math.sin(p.theta), self.CFG)
+            solo = maximize_weighted_rate(spec, conf, math.cos(p.theta), math.sin(p.theta),
+                                          self.CFG)
             assert (solo.value, solo.point, solo.flag) == (p.value, p.point, p.flag)
 
     def test_common_message_points_equal_solo_solves(self):
         # the r0 slice of the common-message region: no link offsets, and the
         # total cap lowered by r0
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         problems = [(math.cos(t), math.sin(t), 0.0, 0.0, 0.3) for t in _thetas(4)]
         for problem, res in zip(problems, solve_weighted(spec, problems, self.CFG)):
             solo, = solve_weighted(spec, [problem], self.CFG)
             assert (solo.value, solo.point, solo.flag) == (res.value, res.point, res.flag)
 
     @pytest.mark.parametrize("spec,config", [
-        (reference_spec(0.3, 0.1), CFG),
+        (reference_spec(), CFG),
         (three_state_spec(), CFG),
-        (scalar_spec(p1=0.0, p2=10.0, c12=0.2, c21=0.1), CFG),
+        (scalar_spec(p1=0.0, p2=10.0), CFG),
         (scalar_spec(), SolverConfig(max_steps=540)),
     ])
     def test_mixed_batch_equals_solo_solves(self, spec, config):
@@ -508,46 +509,47 @@ class TestBatchedSolver:
 
         monkeypatch.setattr(gaussian, "_solve", unreachable)
         with pytest.raises(ValueError):
-            solve_weighted(reference_spec(0, 0), [(1.0, 0.0, 0.0, 0.0, 0.0), bad], self.CFG)
+            solve_weighted(reference_spec(), [(1.0, 0.0, 0.0, 0.0, 0.0), bad], self.CFG)
 
     def test_empty_problem_list(self):
-        assert solve_weighted(reference_spec(0, 0), [], self.CFG) == []
+        assert solve_weighted(reference_spec(), [], self.CFG) == []
 
     def test_unbounded_links(self):
-        spec = reference_spec(float("inf"), float("inf"))
+        spec, conf = reference_spec(), ConferencingConfig(float("inf"), float("inf"))
         for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
-            res = maximize_weighted_rate(spec, *mu, self.CFG)
+            res = maximize_weighted_rate(spec, conf, *mu, self.CFG)
             assert math.isfinite(res.value)
             # only the total cap binds: each single-user value is the sum-rate ceiling
             assert abs(res.point.r1 + res.point.r2 - 1.498077) <= 0.01
-        for p in trace_boundary(spec, 4, self.CFG):
+        for p in trace_boundary(spec, conf, 4, self.CFG):
             assert math.isfinite(p.value)
 
     def test_zero_power_encoder(self):
         # encoder 1 silent: it contributes only its link, encoder 2 gets the
         # point-to-point capacity
-        spec = scalar_spec(p1=0.0, p2=10.0, c12=0.2, c21=0.1)
-        r1 = maximize_weighted_rate(spec, 1.0, 0.0, self.CFG)
-        r2 = maximize_weighted_rate(spec, 0.0, 1.0, self.CFG)
+        spec, conf = scalar_spec(p1=0.0, p2=10.0), ConferencingConfig(0.2, 0.1)
+        r1 = maximize_weighted_rate(spec, conf, 1.0, 0.0, self.CFG)
+        r2 = maximize_weighted_rate(spec, conf, 0.0, 1.0, self.CFG)
         assert abs(r1.value - 0.2) <= 1e-12
         assert abs(r2.value - 0.5 * math.log2(11.0)) <= 1e-9
         assert np.all(r2.alloc.P1 == 0.0)
-        for p in trace_boundary(spec, 3, self.CFG):
+        for p in trace_boundary(spec, conf, 3, self.CFG):
             assert math.isfinite(p.value)
 
     def test_two_states_two_subchannels(self):
         spec = GaussianMacSpec(
             two_state(), [[1.0, 0.4], [0.1, 0.8]], [[0.6, 0.3], [0.9, 0.2]],
-            4.0, 6.0, ConferencingConfig(0.1, 0.2), 1, 0, "real",
+            4.0, 6.0, 1, 0, "real",
         )
+        conf = ConferencingConfig(0.1, 0.2)
         for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
-            res = maximize_weighted_rate(spec, *mu, self.CFG)
+            res = maximize_weighted_rate(spec, conf, *mu, self.CFG)
             assert feasible(spec, res.alloc)
-            b = rate_bounds_gaussian(spec, res.alloc)
+            b = rate_bounds_gaussian(spec, res.alloc, conf)
             # the reported value is the LP value at the reported allocation
-            assert abs(res.value - lp_value(spec, res.alloc, *mu)) <= 1e-12
+            assert abs(res.value - lp_value(spec, conf, res.alloc, *mu)) <= 1e-12
             assert res.point.r1 <= b.b1 + 1e-12 and res.point.r2 <= b.b2 + 1e-12
-        pts = trace_boundary(spec, 4, self.CFG)
+        pts = trace_boundary(spec, conf, 4, self.CFG)
         assert [p.point.r1 for p in pts] == sorted((p.point.r1 for p in pts), reverse=True)
 
     def test_symmetric_problem_ends_symmetric(self):
@@ -556,13 +558,12 @@ class TestBatchedSolver:
         # allocation, and the value is the free optimum's. A budget or gain
         # 1e-9 above the other's moves the value by less than 1e-6.
         cfg = SolverConfig(max_steps=3600)
-        spec = scalar_spec(c12=0.2, c21=0.2)
-        near = [scalar_spec(p2=10.0 + 1e-9, c12=0.2, c21=0.2),
-                scalar_spec(g2=1.0 + 1e-9, c12=0.2, c21=0.2)]
-        sym = maximize_weighted_rate(spec, 1.0, 1.0, cfg)
+        spec, conf = scalar_spec(), ConferencingConfig(0.2, 0.2)
+        near = [scalar_spec(p2=10.0 + 1e-9), scalar_spec(g2=1.0 + 1e-9)]
+        sym = maximize_weighted_rate(spec, conf, 1.0, 1.0, cfg)
         assert _is_symmetric(sym.alloc)
         assert abs(sym.value - _grid_oracle(1, 1, 10, 10, 0.2, 0.2, 1, 1)) <= 1e-3
-        for free in (maximize_weighted_rate(s, 1.0, 1.0, cfg) for s in near):
+        for free in (maximize_weighted_rate(s, conf, 1.0, 1.0, cfg) for s in near):
             assert abs(sym.value - free.value) <= 1e-6
         # from one asymmetric seeded start alone, the solve ends symmetric too
         problem = (1.0, 1.0, 0.2, 0.2, 0.0)
@@ -575,18 +576,18 @@ class TestBatchedSolver:
     def test_unequal_weights_not_tied(self):
         # unequal weights make the optimum asymmetric: one shared allocation
         # reaches only 2.1477 of about 2.208 bits here
-        spec = scalar_spec(c12=0.3, c21=0.3)
-        res = maximize_weighted_rate(spec, 1.0, 0.6, SolverConfig(max_steps=7200))
+        res = maximize_weighted_rate(scalar_spec(), ConferencingConfig(0.3, 0.3), 1.0, 0.6,
+                                     SolverConfig(max_steps=7200))
         assert not _is_tied(res.alloc)
         assert abs(res.value - _grid_oracle(1, 1, 10, 10, 0.3, 0.3, 1.0, 0.6)) <= 1e-3
 
     def test_two_state_spec_not_tied(self):
         # a symmetric two-state spec: the encoders' cell layouts differ, so
         # the rows are neither tied nor rejected
-        spec = reference_spec(0.2, 0.2)
-        res = maximize_weighted_rate(spec, 1.0, 1.0, self.CFG)
+        spec, conf = reference_spec(), ConferencingConfig(0.2, 0.2)
+        res = maximize_weighted_rate(spec, conf, 1.0, 1.0, self.CFG)
         assert feasible(spec, res.alloc)
-        assert abs(res.value - lp_value(spec, res.alloc, 1.0, 1.0)) <= 1e-12
+        assert abs(res.value - lp_value(spec, conf, res.alloc, 1.0, 1.0)) <= 1e-12
         # a tie would make encoder 1's cells equal the first ones of encoder 2's
         m1 = res.alloc.P1.size
         assert not all(
@@ -618,8 +619,7 @@ class TestZeroBudget:
     R2_ALONE = 0.964242340852  # encoder 2 alone at full power, c12 = 0.3
 
     def values(self, pbar1, pbar2, gains=((1.0,), (0.1,))):
-        spec = GaussianMacSpec(two_state(), gains, gains, pbar1, pbar2,
-                               ConferencingConfig(0.3, 0.0), 2, 2, "real")
+        spec = GaussianMacSpec(two_state(), gains, gains, pbar1, pbar2, 2, 2, "real")
         problems = [(*mu, 0.3, 0.0, 0.0) for mu in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))]
         return [res.value for res in solve_weighted(spec, problems, self.CFG)]
 
@@ -647,8 +647,9 @@ class TestBarrierEdges:
     def test_near_zero_budget_reaches_the_sum_face(self):
         # pbar1 = 1e-9 at c12 = 0.3, weights (1, 1): the former ascent stopped at 0.9326
         spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e-9, 10.0,
-                               ConferencingConfig(0.3, 0.0), 2, 2, "real")
-        res = maximize_weighted_rate(spec, 1.0, 1.0, SolverConfig(max_steps=7200))
+                               2, 2, "real")
+        res = maximize_weighted_rate(spec, ConferencingConfig(0.3, 0.0), 1.0, 1.0,
+                                     SolverConfig(max_steps=7200))
         assert res.value >= 0.964247 and res.flag == "converged"
         assert feasible(spec, res.alloc)
 
@@ -656,19 +657,25 @@ class TestBarrierEdges:
         # the readings are scaled up to spend each budget: at 1e8, spending
         # it exactly rounded past feasible()'s absolute slack of 1e-9
         spec = GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 1e8, 1e8,
-                               ConferencingConfig(0.3, 0.1), 2, 1, "real")
+                               2, 1, "real")
         for mu in ((1.0, 1.0), (1.0, 0.0), (0.3, 1.0)):
-            res = maximize_weighted_rate(spec, *mu, SolverConfig(max_steps=7200))
+            res = maximize_weighted_rate(spec, ConferencingConfig(0.3, 0.1), *mu,
+                                         SolverConfig(max_steps=7200))
             assert res.flag == "converged" and feasible(spec, res.alloc)
 
-    @pytest.mark.parametrize("spec", [three_state_spec(), three_state_spec(float("inf"), 0.1),
-                                      three_state_spec(float("inf"), float("inf")),
-                                      reference_spec(float("inf"), float("inf"))])
+    # each case: a spec and the links it is solved at
+    @pytest.mark.parametrize("spec", [
+        (three_state_spec(), THREE_LINKS),
+        (three_state_spec(), ConferencingConfig(float("inf"), 0.1)),
+        (three_state_spec(), ConferencingConfig(float("inf"), float("inf"))),
+        (reference_spec(), ConferencingConfig(float("inf"), float("inf"))),
+    ])
     def test_solved_whatever_the_starts(self, spec):
         # k = 3 with two subchannels, and infinite links: every problem
         # converges from the even start, and each seeded start alone reaches
         # the same value, which the one start rests on
-        problems = [(*mu, spec.conf.c12, spec.conf.c21, r0)
+        spec, conf = spec
+        problems = [(*mu, conf.c12, conf.c21, r0)
                     for mu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (1.0, 1.0)) for r0 in (0.0, 0.2)]
         even = gaussian._solve(spec, problems, SolverConfig())
         seeded = [gaussian._solve(spec, problems, SolverConfig(), seeded_start(seed, i))
@@ -680,11 +687,11 @@ class TestBarrierEdges:
             for b in others:
                 assert b.flag == "converged" and abs(a.value - b.value) <= 1e-8
             assert feasible(spec, a.alloc)
-            bounds = rate_bounds_gaussian(spec, a.alloc)
+            bounds = rate_bounds_gaussian(spec, a.alloc, conf)
             value, _ = best_weighted_point(RateBounds(
                 bounds.b1, bounds.b2, bounds.b12, bounds.bsum - problem[4]), *problem[:2])
             assert abs(a.value - value) <= 1e-12
-        if math.isinf(spec.conf.c12) and math.isinf(spec.conf.c21):
+        if math.isinf(conf.c12) and math.isinf(conf.c21):
             # only the total cap binds: each value is max(mu) times the
             # sum-rate ceiling less r0
             ceilings = [res.value / max(p[:2]) + p[4] for p, res in zip(problems, even)]
@@ -700,7 +707,7 @@ class TestBarrierEdges:
             c12 = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
             c21 = float(rng.choice([0.0, 0.3, 0.9]))
             mu = rng.uniform(0.05, 1.0, 2)
-            spec = scalar_spec(g1, g2, p1, p2, c12, c21)
+            spec = scalar_spec(g1, g2, p1, p2)
             problem = [(float(mu[0]), float(mu[1]), c12, c21, 0.0)]
             even, = gaussian._solve(spec, problem, SolverConfig())
             assert even.flag == "converged"
@@ -718,7 +725,7 @@ class TestBarrierEdges:
                             lambda bar, *args: calls.append(1) or derivatives(bar, *args))
         for steps in (1, 6, 18):
             calls.clear()
-            res = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(max_steps=steps))
+            res = maximize_weighted_rate(spec, THREE_LINKS, 0.6, 0.8, SolverConfig(max_steps=steps))
             assert res.flag == "budget-exhausted" and feasible(spec, res.alloc)
             assert len(calls) == steps
         base = {"iterations": 300, "rounds": 8, "multistarts": 1}
@@ -735,20 +742,25 @@ class TestBarrierEdges:
 
     def test_common_rate_above_the_total_cap(self):
         # no rate pair is strictly feasible at the start: the start is reported
-        spec = reference_spec(0.3, 0.1)
+        spec = reference_spec()
         res, = solve_weighted(spec, [(1.0, 1.0, 0.3, 0.1, 5.0)])
         assert res.flag == "stalled" and res.value == 0.0
+        # the largest total cap of scalar_spec(), at full power and full
+        # correlation, is (1/2) log2(41) = 2.679 bits: no start has room for 2.7
+        assert 0.5 * math.log2(41.0) < 2.7
+        res, = solve_weighted(scalar_spec(), [(1.0, 1.0, 0.0, 0.0, 2.7)])
+        assert res.flag == "stalled" and res.value == 0.0 and feasible(scalar_spec(), res.alloc)
 
     @pytest.mark.parametrize("r0", [2.0, 2.5])
-    def test_common_rate_with_no_room_at_the_start_reads_stalled(self, r0):
+    def test_common_rate_with_no_room_at_the_even_start_converges(self, r0):
         # P = 10, c = 0: the even start spends half of each budget, so
-        # bsum - r0 <= 0 there and both rates stay pinned. At r0 = 2 the row
-        # reads 0.4771 of an optimum of 0.6523: a stalled value is a feasible
-        # lower bound, not the optimum
+        # bsum - r0 <= 0 there and both rates would stay pinned; from it the
+        # rows read stalled at 0.4771 (r0 = 2) and 0.0 (r0 = 2.5). Such a
+        # problem starts at 98 % of each budget, cone and common share instead
         spec = scalar_spec()
         res, = solve_weighted(spec, [(1.0, 1.0, 0.0, 0.0, r0)])
-        assert res.flag == "stalled" and feasible(spec, res.alloc)
-        assert res.value <= _grid_oracle(1, 1, 10, 10, 0, 0, 1, 1, n=401, r0=r0)
+        assert res.flag == "converged" and feasible(spec, res.alloc)
+        assert res.value >= _grid_oracle(1, 1, 10, 10, 0, 0, 1, 1, n=401, r0=r0) - 1e-6
 
     def test_region_rows_within_their_axis_maxima(self):
         # region_gaussian.yaml: no trace point may beat its own links' max_r1
@@ -812,10 +824,10 @@ class TestOneStart:
         code = ("import sys; from fsmac import maximize_weighted_rate, GaussianMacSpec, "
                 "ConferencingConfig, MarkovChain, SolverConfig\n"
                 "chain = MarkovChain(['G', 'B'], [[0.9, 0.1], [0.1, 0.9]])\n"
-                "spec = GaussianMacSpec(chain, [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0, "
-                "ConferencingConfig(0.3, 0.1), 2, 2)\n"
-                "assert maximize_weighted_rate(spec, 0.6, 0.8).flag == 'converged'\n"
-                "short = maximize_weighted_rate(spec, 0.6, 0.8, SolverConfig(max_steps=2))\n"
+                "spec = GaussianMacSpec(chain, [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0, 2, 2)\n"
+                "conf = ConferencingConfig(0.3, 0.1)\n"
+                "assert maximize_weighted_rate(spec, conf, 0.6, 0.8).flag == 'converged'\n"
+                "short = maximize_weighted_rate(spec, conf, 0.6, 0.8, SolverConfig(max_steps=2))\n"
                 "assert short.flag == 'budget-exhausted'\n"
                 "print('numpy.random' in sys.modules)")
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -825,26 +837,27 @@ class TestOneStart:
 
 
 class TestBatchedRunners:
-    """The runners' one-call rows on one spec with no links against the loop
-    they replaced: a trace and two axis solves per c12, one solve per
-    (delay case, c), each on a spec that carries its own links."""
+    """The runners' one-call rows on one spec against the loop they
+    replaced: a trace and two axis solves per c12, one solve per (delay
+    case, c), each a call at its own links."""
 
     CFG = SolverConfig(max_steps=160)
 
     def test_region_gaussian_rows_equal_per_spec_loop(self):
         c12s = [0.0, 0.5, float("inf")]
         cfg = SimpleNamespace(objects={
-            "spec": reference_spec(0.0, 0.0), "links": [(c12, 0.1) for c12 in c12s],
+            "spec": reference_spec(), "links": [(c12, 0.1) for c12 in c12s],
             "n_directions": 3, "solver": self.CFG,
         })
         oracle = []
+        spec = reference_spec()
         for c12 in c12s:
-            spec = reference_spec(c12, 0.1)
-            trace = trace_boundary(spec, 3, self.CFG)
-            max_r1 = maximize_weighted_rate(spec, 1.0, 0.0, self.CFG).value
-            max_r2 = maximize_weighted_rate(spec, 0.0, 1.0, self.CFG).value
+            conf = ConferencingConfig(c12, 0.1)
+            trace = trace_boundary(spec, conf, 3, self.CFG)
+            max_r1 = maximize_weighted_rate(spec, conf, 1.0, 0.0, self.CFG).value
+            max_r2 = maximize_weighted_rate(spec, conf, 0.0, 1.0, self.CFG).value
             oracle += [
-                [c12, spec.conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value, tp.flag,
+                [c12, conf.c21, tp.theta, tp.point.r1, tp.point.r2, tp.value, tp.flag,
                  max_r1, max_r2, spec.convention]
                 for tp in trace
             ]
@@ -853,17 +866,18 @@ class TestBatchedRunners:
     def test_sweep_sumrate_rows_equal_per_c_loop(self):
         c_list = [0.0, 0.2]
 
-        def spec(c, d1, d2):
+        def spec(d1, d2):
             return GaussianMacSpec(two_state(), [[1.0], [0.1]], [[1.0], [0.1]], 10.0, 10.0,
-                                   ConferencingConfig(c, c), d1, d2, "real")
+                                   d1, d2, "real")
 
         delays = ((2, 1), (0, 0))
-        cases = [({"d1_raw": d1, "d2_raw": d2}, spec(0.0, d1, d2)) for d1, d2 in delays]
+        cases = [({"d1_raw": d1, "d2_raw": d2}, spec(d1, d2)) for d1, d2 in delays]
         cfg = SimpleNamespace(objects={"cases": cases, "c_list": c_list, "solver": self.CFG})
         oracle = []
         for d1, d2 in delays:
             for c in [*c_list, float("inf")]:
-                res = maximize_weighted_rate(spec(c, d1, d2), 1.0, 1.0, self.CFG)
+                res = maximize_weighted_rate(spec(d1, d2), ConferencingConfig(c, c), 1.0, 1.0,
+                                             self.CFG)
                 oracle.append([d1, d2, c, res.value, res.flag])
         assert run_sweep_sumrate(cfg).rows == oracle
 
@@ -872,32 +886,32 @@ class TestBatchedRunners:
         # and none of them carries links
         region = load_config(str(CONFIGS / "region_gaussian.yaml")).objects
         assert isinstance(region["spec"], GaussianMacSpec)
-        assert region["spec"].conf == ConferencingConfig()
+        assert not hasattr(region["spec"], "conf")
         assert region["links"] == [(c12, 0.0) for c12 in (0.0, 0.1, 0.3, 0.5, 0.9)]
         cases = load_config(str(CONFIGS / "sweep_sumrate.yaml")).objects["cases"]
         assert len(cases) == 3
         for dres, spec in cases:
-            assert isinstance(spec, GaussianMacSpec) and spec.conf == ConferencingConfig()
+            assert isinstance(spec, GaussianMacSpec) and not hasattr(spec, "conf")
             assert (spec.d1, spec.d2) == (dres["d1"], dres["d2"])
 
 
 class TestCommonMessageRegion:
     def test_zero_link_conferencing_equals_r0_zero_slice(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         rng = np.random.default_rng(5)
         for _ in range(5):
             alloc = random_feasible_alloc(spec, rng)
-            conf_bounds = rate_bounds_gaussian(spec, alloc)
-            comm_bounds = common_message_bounds_gaussian(spec, alloc)
+            conf_bounds = rate_bounds_gaussian(spec, alloc, ConferencingConfig(0.0, 0.0))
+            comm_bounds = rate_bounds_gaussian(spec, alloc, NO_LINKS)
             for name in ("b1", "b2", "b12", "bsum"):
                 assert abs(getattr(conf_bounds, name) - getattr(comm_bounds, name)) <= 1e-9
 
     def test_gamma_equals_p_collapses_gap(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         P1 = np.full((2, 1), 10.0)
         P2 = np.zeros((2, 2, 1))
         P2[0, 0, 0] = P2[1, 1, 0] = 10.0
-        b = common_message_bounds_gaussian(spec, Allocation(P1, P1.copy(), P2, P2.copy()))
+        b = rate_bounds_gaussian(spec, Allocation(P1, P1.copy(), P2, P2.copy()), NO_LINKS)
         assert abs(b.bsum - b.b12) <= 1e-12
 
     def test_conferencing_point_maps_into_common_region(self):
@@ -905,21 +919,21 @@ class TestCommonMessageRegion:
         # privates) must be a member of the common-message region at the same
         # allocation
         c12, c21 = 0.25, 0.4
-        spec = reference_spec(c12, c21)
-        res = maximize_weighted_rate(spec, 1.0, 1.0)
+        spec = reference_spec()
+        res = maximize_weighted_rate(spec, ConferencingConfig(c12, c21), 1.0, 1.0)
         r1, r2 = res.point.r1, res.point.r2
         assert r1 >= c12 and r2 >= c21  # the regime the substitution targets
         r0_t = c12 + c21
         r1_t = max(0.0, r1 - c12)
         r2_t = max(0.0, r2 - c21)
-        b = common_message_bounds_gaussian(spec, res.alloc)
+        b = rate_bounds_gaussian(spec, res.alloc, NO_LINKS)
         assert r1_t <= b.b1 + 1e-9
         assert r2_t <= b.b2 + 1e-9
         assert r1_t + r2_t <= b.b12 + 1e-9
         assert r0_t + r1_t + r2_t <= b.bsum + 1e-9
 
     def test_r0_slice_shrinks_region(self):
-        spec = reference_spec(0.0, 0.0)
+        spec = reference_spec()
         cfg = SolverConfig(max_steps=2250)
 
         def best_sum(r0):
@@ -929,36 +943,27 @@ class TestCommonMessageRegion:
         assert best_sum(0.5) <= best_sum(0.0) + 1e-9
 
 
-class TestGaussianMarkovPredicate:
-    def test_scalar_identity_chain(self):
-        cov = GaussianTripleCovariance([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert check_gaussian_markov(cov, 1e-12)
+class TestLinksAreOffsets:
+    """The links are no part of the channel: they only shift the caps, so
+    one spec serves every link pair."""
 
-    def test_scalar_product_rule(self):
-        cov = GaussianTripleCovariance([[0.5]], [[1.0]], [[0.4]], [[0.2]])
-        assert check_gaussian_markov(cov, 1e-12)
+    def test_links_lift_three_caps_by_their_capacities(self):
+        spec = three_state_spec()
+        rng = np.random.default_rng(11)
+        for c12, c21 in ((0.2, 0.1), (0.0, 1.7), (3.1, 0.45)):
+            alloc = random_feasible_alloc(spec, rng)
+            lifted = rate_bounds_gaussian(spec, alloc, ConferencingConfig(c12, c21))
+            bare = rate_bounds_gaussian(spec, alloc, NO_LINKS)
+            shift = [getattr(lifted, f) - getattr(bare, f) for f in ("b1", "b2", "b12", "bsum")]
+            assert np.allclose(shift, [c12, c21, c12 + c21, 0.0], rtol=0, atol=1e-12)
 
-    def test_scalar_violation(self):
-        cov = GaussianTripleCovariance([[0.5]], [[1.0]], [[0.4]], [[0.3]])
-        assert not check_gaussian_markov(cov, 1e-6)
-
-    def test_singular_middle_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            GaussianTripleCovariance([[0.5]], [[0.0]], [[0.4]], [[0.2]])
-
-    def test_matrix_case_from_construction(self):
-        # build A - B - C by conditional sampling and check the identity holds
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            nb = 2
-            sig_bb = rng.random((nb, nb))
-            sig_bb = sig_bb @ sig_bb.T + nb * np.eye(nb)
-            F = rng.random((2, nb))  # A = F B + noise
-            G = rng.random((3, nb))  # C = G B + noise
-            sig_ab = F @ sig_bb
-            sig_bc = sig_bb @ G.T
-            sig_ac = F @ sig_bb @ G.T
-            cov = GaussianTripleCovariance(sig_ab, sig_bb, sig_bc, sig_ac)
-            assert check_gaussian_markov(cov, 1e-8)
-            bad = GaussianTripleCovariance(sig_ab, sig_bb, sig_bc, sig_ac + 0.05)
-            assert not check_gaussian_markov(bad, 1e-8)
+    def test_one_spec_at_two_link_pairs_equals_a_call_per_pair(self):
+        spec, cfg = three_state_spec(), SolverConfig(max_steps=540)
+        cases = [(conf, mu) for conf in (THREE_LINKS, ConferencingConfig(0.0, 0.6))
+                 for mu in ((1.0, 0.0), (0.6, 0.8), (1.0, 1.0))]
+        batch = solve_weighted(spec, [(*mu, conf.c12, conf.c21, 0.0) for conf, mu in cases], cfg)
+        for got, (conf, mu) in zip(batch, cases):
+            solo = maximize_weighted_rate(spec, conf, *mu, cfg)
+            assert (got.value, got.point, got.flag) == (solo.value, solo.point, solo.flag)
+            for name in ("P1", "gamma1", "P2", "gamma2"):
+                assert np.array_equal(getattr(got.alloc, name), getattr(solo.alloc, name))

@@ -11,7 +11,7 @@ from fsmac import (
     stationary_distribution,
 )
 from fsmac import markov
-from fsmac.markov import _categorical, sample_state_path
+from fsmac.markov import _cumulative, _inverse_cdf, sample_state_path
 
 
 def two_state(g=0.1, b=0.1):
@@ -259,24 +259,26 @@ class TestValidation:
 
 
 class TestCategorical:
+    """The inverse-CDF draws of the samplers, on the thresholds they use."""
+
     def test_tie_takes_the_next_symbol(self):
         probs = np.array([0.25, 0.25, 0.5])  # cumulative 0.25, 0.5, 1.0 exactly
         u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, np.nextafter(1.0, 0.0)])
-        assert np.array_equal(_categorical(u, probs), [0, 0, 1, 2, 2])
+        assert np.array_equal(_inverse_cdf(u, _cumulative(probs)), [0, 0, 1, 2, 2])
 
     def test_zero_mass_symbols_never_drawn(self):
         probs = np.array([0.0, 0.5, 0.0, 0.5])
-        assert np.array_equal(_categorical(np.array([0.0, 0.5]), probs), [1, 3])
+        assert np.array_equal(_inverse_cdf(np.array([0.0, 0.5]), _cumulative(probs)), [1, 3])
 
     def test_last_symbol_takes_the_rounding_residue(self):
         probs = np.array([0.09] * 10 + [0.1])
         total = np.cumsum(probs)[-1]
         assert total < np.nextafter(total, 1.0) < 1.0  # the sum rounds below 1
         u = np.array([np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)])
-        assert np.array_equal(_categorical(u, probs), [10, 10, 10])
+        assert np.array_equal(_inverse_cdf(u, _cumulative(probs)), [10, 10, 10])
 
     def test_broadcasts_over_rows(self):
         K = np.array([[1.0, 0.0], [0.0, 1.0]])
-        sym = _categorical(np.array([0.1, 0.9])[:, None], K)
-        assert sym.dtype == np.int64
+        sym = _inverse_cdf(np.array([0.1, 0.9])[:, None], _cumulative(K))
+        assert sym.dtype == np.uint8  # counted in the smallest unsigned type
         assert np.array_equal(sym, [[0, 1], [0, 1]])
