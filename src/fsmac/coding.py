@@ -151,6 +151,8 @@ def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, 
     the observations there: s[i - d1] (both encoders) and s[i - d2]
     (encoder 2), as views of s. Earlier positions carry the fill symbol and
     are never decoded."""
+    if not 0 <= d2 <= d1:
+        raise ValueError(f"the delays must satisfy 0 <= d2 <= d1, got d1={d1}, d2={d2}")
     m = max(len(s) - d1, 0)
     return np.arange(d1, d1 + m), s[:m], s[d1 - d2:d1 - d2 + m]
 

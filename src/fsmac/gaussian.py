@@ -35,7 +35,7 @@ _DECREMENT = 1e-10   # a centering ends at this relative Newton decrement
 _SNAP = 1e-6         # a private or common part below this share of its cell reads as zero
 _LADDER = np.concatenate([[0.0], 0.5 ** np.arange(16)])  # step sizes, after the current point
 _FLAGS = ("converged", "budget-exhausted", "stalled")
-_HIGH = 0.98         # the even start's share where half leaves no room under the total cap
+_HIGH = 1.0 - 1e-4   # the even start's share where half leaves no room under the total cap
 
 
 class FeasibilityError(ValueError):
@@ -169,41 +169,22 @@ def feasible(spec: GaussianMacSpec, alloc: Allocation) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-def _bounds(spec: GaussianMacSpec, off, gamma1, delta1, gamma2, delta2) -> np.ndarray:
-    """The four rate caps (4, T), rows (b1, b2, b12, bsum), of allocation
-    parts with a leading batch axis, plus the offsets off: one row (c12, c21,
-    c12 + c21, -r0), or one per batch row. Each cap sums over the grid
-    [a1, a2, s, n] of observed states, true state and subchannel."""
-    _, w3 = spec.state_weights()
-    T, k, N = len(gamma1), spec.k, spec.n_sub
-    grid = (T, k, k, k, N)
-    g1, d1 = (np.broadcast_to(x[:, :, None, None, :], grid) for x in (gamma1, delta1))
-    g2, d2 = (np.broadcast_to(x[:, :, :, None, :], grid) for x in (gamma2, delta2))
-    h1, h2 = spec.gains1, spec.gains2  # [s, n], the grid's last two axes
-    A = np.empty((4, *grid))  # the arguments of the logs of b1, b2, b12, bsum
-    np.add(1.0, h1 * h1 * g1, out=A[0])
-    np.add(1.0, h2 * h2 * g2, out=A[1])
-    np.add(A[1], h1 * h1 * g1, out=A[2])
-    np.add(A[2], h1 * h1 * d1 + h2 * h2 * d2, out=A[3])
-    A[3] += 2.0 * h1 * h2 * np.sqrt(d1 * d2)
-    Lw = spec.log_factor * w3[:, :, :, None]
-    off = np.reshape(np.transpose(off), (4, -1))
-    return (np.log2(A) * Lw).reshape(4, T, -1).sum(axis=2) + off
-
-
 def rate_bounds_gaussian(
     spec: GaussianMacSpec, alloc: Allocation, conf: ConferencingConfig
 ) -> RateBounds:
     """The four conferencing rate caps at a feasible allocation, the links
     conf lifting b1, b2 and b12. With `ConferencingConfig()` they are the
-    common-message caps, bsum capping the three-rate total."""
+    common-message caps, bsum capping the three-rate total. These are the
+    solver's caps, of a one-problem `_Barrier` at kappa = sqrt(delta1 delta2):
+    cells off its live ones weigh nothing, or are a budget-0 encoder's, where
+    a feasible allocation holds at most `feasible`'s 1e-9 slack of power."""
     report = feasible(spec, alloc)
     if not report:
         raise FeasibilityError(report.violation)
-    b = _bounds(spec, (conf.c12, conf.c21, conf.c12 + conf.c21, 0.0),
-                alloc.gamma1[None], np.maximum(alloc.P1 - alloc.gamma1, 0.0)[None],
-                alloc.gamma2[None], np.maximum(alloc.P2 - alloc.gamma2, 0.0)[None])
-    return RateBounds(*(float(v) for v in b[:, 0]))
+    bar = _Barrier(spec, np.array([[1.0, 1.0, conf.c12, conf.c21, 0.0]]))
+    Z = bar.points([alloc.gamma1[None], np.maximum(alloc.P1 - alloc.gamma1, 0.0)[None],
+                    alloc.gamma2[None], np.maximum(alloc.P2 - alloc.gamma2, 0.0)[None]])
+    return RateBounds(*bar.caps(Z, [0])[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +203,8 @@ class _Barrier:
     stay at zero. With kappa^2 <= delta1 delta2, bsum's log argument
     1 + g1^2 (gamma1 + delta1) + g2^2 (gamma2 + delta2) + 2 g1 g2 kappa is
     affine in z, as are the other caps', so cap j is a weighted sum of
-    log(1 + E[j] z) over the grid cells of positive weight.
+    log(1 + E[j] z) over the grid cells of positive weight. The caps (E, c),
+    budget weights (B, pbar) and offsets (off) are stated here alone.
 
     Trajectory i minimizes -t mu_i.r - sum log(slack) over its slacks: the
     caps whose offset is finite, both budgets, gamma, delta and the live
@@ -272,8 +254,9 @@ class _Barrier:
         it starts from the even start at the _HIGH share instead."""
         T, o = len(self.mu), self.o
         Z = np.concatenate([np.broadcast_to(X, (T, o[5])), np.zeros((T, 2))], 1)
-        Z[(self._room(Z)[:, 3] <= 0) & self.E[3].any(), :o[5]] = _even_start(self, _HIGH)
-        room = self._room(Z)
+        rows = np.arange(T)
+        Z[(self.caps(Z, rows)[:, 3] <= 0) & self.E[3].any(), :o[5]] = _even_start(self, _HIGH)
+        room = self.caps(Z, rows)
         least = np.array([room[:, _RATES[:, i] > 0].min(1) for i in (0, 1)]).T
         self.rlive = least > 0
         Z[:, -2:] = np.where(self.rlive, 0.25 * least, 0.0)
@@ -288,22 +271,27 @@ class _Barrier:
         self.unsure = (np.isfinite(room) & (room <= 0) & self.E.any((1, 2))).any(1)
         return Z
 
-    def _room(self, Z):
-        """Each cap's slack at points Z whose rates are 0; inf where its link is."""
-        return self._slacks(Z, np.arange(len(Z)), 1.0 + self._lin(Z))[:, :4]
+    def caps(self, Z, rows):
+        """The caps (b1, b2, b12, bsum) of problems rows at points Z (T', nv),
+        offsets included: inf where a link is, the slacks where rates are 0."""
+        return self._caps(rows, 1.0 + self._lin(Z))
 
     def _lin(self, Z):
         return (Z[..., None, :] @ self.EdT)[..., 0, :]
 
+    def _caps(self, rows, A):
+        """`caps` at points (T', ..., nv) whose log arguments are A."""
+        lead = (len(rows),) + (1,) * (A.ndim - 2)
+        logs = np.log(np.where(A > 0, A, 1.0)).reshape(*A.shape[:-1], 4, -1)
+        return (self.c * logs).sum(-1) + self.off[rows].reshape(*lead, 4)
+
     def _slacks(self, Z, rows, A):
         """Every slack at points Z (T', ..., nv) whose log arguments are A:
         the caps, both budgets, the positive variables, the cones."""
-        lead = (len(rows),) + (1,) * (Z.ndim - 2)
-        caps = (self.c * np.log(np.where(A > 0, A, 1.0)).reshape(*A.shape[:-1], 4, -1)).sum(-1)
         r1, r2 = Z[..., -2], Z[..., -1]
         i, j, kap = self.cone
         return np.concatenate([
-            caps + self.off[rows].reshape(*lead, 4) - np.stack([r1, r2, r1 + r2, r1 + r2], -1),
+            self._caps(rows, A) - np.stack([r1, r2, r1 + r2, r1 + r2], -1),
             self.pbar - (Z[..., None, :] @ self.B.T)[..., 0, :],
             Z[..., self.pos],
             Z[..., i] * Z[..., j] - Z[..., kap] ** 2,
@@ -356,6 +344,14 @@ class _Barrier:
             out[-1][:, live] = Z[:, self.o[v]:self.o[v + 1]]
         return out
 
+    def points(self, parts):
+        """The inverse of `parts` on points with kappa = sqrt(delta1 delta2)
+        and both rates at 0, for allocation parts with a leading batch axis."""
+        x = [p[:, live] for p, live in zip(parts, (self.live[e] for e in (0, 0, 1, 1)))]
+        i1, i2, _ = self.cone
+        kappa = np.sqrt(x[1][:, i1 - self.o[1]] * x[3][:, i2 - self.o[3]])
+        return np.concatenate([*x, kappa, np.zeros((len(kappa), 2))], 1)
+
 
 @dataclass
 class SolverConfig:
@@ -402,16 +398,15 @@ def _even_start(bar: _Barrier, share: float = 0.5) -> np.ndarray:
     return np.concatenate([*x, kappa])
 
 
-def _readings(spec: GaussianMacSpec, parts):
-    """Two readings of final barrier points: as they are, and with each
-    private or common part below _SNAP of its cell's power moved to the
-    other part, since the barrier keeps both 1/t off zero. Both are scaled
-    to spend each budget, less 1e-14 of it for rounding: every cap is
-    nondecreasing in every power, so no value falls."""
-    w2, _ = spec.state_weights()
-    reads = [[], []]
-    for g, d, w, pbar in ((*parts[:2], spec.chain.pi[:, None], spec.pbar1),
-                          (*parts[2:], w2[:, :, None], spec.pbar2)):
+def _readings(bar: _Barrier, parts):
+    """Two readings of the parts of final barrier points: as they are, and
+    with each private or common part below _SNAP of its cell's power moved
+    to the other part, since the barrier keeps both 1/t off zero. Both are
+    scaled to spend each budget bar.pbar, less 1e-14 of it for rounding,
+    under the budget weights bar.B: every cap is nondecreasing in every
+    power, so no value falls."""
+    reads, B = [[], []], bar.parts(bar.B)  # each budget's weights on the cells
+    for g, d, w, pbar in ((*parts[:2], B[0][0], bar.pbar[0]), (*parts[2:], B[2][1], bar.pbar[1])):
         P = g + d
         small_d, small_g = d < _SNAP * P, g < _SNAP * P
         rounded = (np.where(small_d, P, np.where(small_g, 0.0, g)),
@@ -459,11 +454,11 @@ def _solve(spec: GaussianMacSpec, problems, config: SolverConfig,
         done[act[finished | (~moved & ~centered)]] = True
         exhausted = ~done & (steps >= config.max_steps)
         flag[exhausted], done[exhausted] = 1, True
-    reads = _readings(spec, bar.parts(Z))
-    b = _bounds(spec, np.tile(bar.off, (2, 1)), *(np.concatenate(p) for p in zip(*reads)))
+    reads = _readings(bar, bar.parts(Z))
+    b = bar.caps(bar.points([np.concatenate(p) for p in zip(*reads)]), np.tile(np.arange(T), 2))
     scored = [
         best_weighted_point(RateBounds(b1, b2, b12, max(bs, 0.0)), mu1, mu2)
-        for (b1, b2, b12, bs), (mu1, mu2) in zip(b.T.tolist(), 2 * bar.mu.tolist())
+        for (b1, b2, b12, bs), (mu1, mu2) in zip(b.tolist(), 2 * bar.mu.tolist())
     ]
     values = np.array([v for v, _ in scored]).reshape(2, T)
     pick = (values[1] >= values[0]).astype(int)  # the rounded reading on ties

@@ -32,6 +32,7 @@ from fsmac import (
     rate_bounds_gaussian,
     rho_infinity,
     snr_critical_db,
+    solve_weighted,
     stationary_distribution,
     trace_boundary,
 )
@@ -282,8 +283,28 @@ def test_criterion_09_gaussian_markov_predicate():
         cov = (F @ sig_bb, sig_bb, sig_bb @ G.T)
         all_pass = all_pass and _gaussian_markov(*cov, F @ sig_bb @ G.T, 1e-8)
         all_fail = all_fail and not _gaussian_markov(*cov, F @ sig_bb @ G.T + 0.05, 1e-8)
-    ok = all_pass and all_fail
-    _report(9, ok, f"100 Markov triples accepted: {all_pass}; all 0.05-perturbed rejected: {all_fail}")
+    # the solver's output: on one-state scalar specs, the X1-X2 covariance
+    # that the total cap at a result's allocation implies must factor through
+    # U, with Sigma_X1U = sqrt(delta1), Sigma_UU = 1 and Sigma_UX2 = sqrt(delta2)
+    lib_pass = lib_fail = True
+    for _ in range(8):
+        g1, g2 = rng.uniform(0.3, 1.8, 2)
+        spec = GaussianMacSpec(MarkovChain(["s"], [[1.0]]), [[g1]], [[g2]],
+                               *rng.uniform(1.0, 15.0, 2), 0, 0, "real")
+        problems = [(*rng.uniform(0.1, 1.0, 2), *rng.choice([0.0, 0.4, np.inf], 2), 0.0)
+                    for _ in range(4)]
+        for (_, _, c12, c21, _), res in zip(problems, solve_weighted(spec, problems)):
+            a = res.alloc
+            P1, P2 = a.P1[0, 0], a.P2[0, 0, 0]
+            bsum = rate_bounds_gaussian(spec, a, ConferencingConfig(c12, c21)).bsum
+            sig_12 = (2.0 ** (2.0 * bsum) - 1.0 - g1 * g1 * P1 - g2 * g2 * P2) / (2.0 * g1 * g2)
+            cov = (np.sqrt([[P1 - a.gamma1[0, 0]]]), np.eye(1), np.sqrt([[P2 - a.gamma2[0, 0, 0]]]))
+            lib_pass = lib_pass and _gaussian_markov(*cov, np.array([[sig_12]]), 1e-8)
+            lib_fail = lib_fail and not _gaussian_markov(*cov, np.array([[sig_12 + 0.05]]), 1e-8)
+    ok = all_pass and all_fail and lib_pass and lib_fail
+    _report(9, ok, f"100 Markov triples accepted: {all_pass}; all 0.05-perturbed rejected: "
+                   f"{all_fail}; 32 solver results accepted: {lib_pass}, "
+                   f"all 0.05-perturbed rejected: {lib_fail}")
     assert ok
 
 

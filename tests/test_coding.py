@@ -554,6 +554,16 @@ class TestDecoderKernels:
             for res in self._decode_both(monkeypatch, books, y, s, d1, 0, 0.1, joint):
                 assert res == coding.DecodeResult(False, None, 0)
 
+    @pytest.mark.parametrize("d1,d2", [(1, 3), (-2, 0), (2, -1)])
+    def test_bad_delays_named(self, d1, d2):
+        # outside 0 <= d2 <= d1 both calls used to fail in numpy broadcasting
+        rng = np.random.default_rng(7)
+        books, y, s, _, _, joint = _random_instance(rng, (2, 3, 2))
+        with pytest.raises(ValueError, match=f"d1={d1}, d2={d2}"):
+            encode(books, 0, 0, 0, s, d1, d2)
+        with pytest.raises(ValueError, match=f"d1={d1}, d2={d2}"):
+            decode_joint_typicality(books, y, s, d1, d2, 0.1, joint)
+
     @pytest.mark.parametrize("sizes", [(1, 8, 15), (1, 8, 16), (2, 16, 16), (1, 1, 200)])
     def test_both_sides_of_the_size_threshold(self, monkeypatch, sizes):
         # the default selection counts the grid below 128 pairs, screens from it

@@ -25,7 +25,7 @@ from fsmac import (
 from fsmac import gaussian
 from fsmac.config import _parse_solver, load_config
 from fsmac.experiments import run_region_gaussian, run_sweep_sumrate
-from fsmac.gaussian import _Barrier, _bounds, _thetas
+from fsmac.gaussian import _Barrier, _thetas
 from fsmac.regions import RateBounds, best_weighted_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -217,20 +217,35 @@ def per_cell_bounds(spec, alloc, c12, c21):
 
 class TestBoundsKernel:
     def test_bounds_match_per_cell_reference(self):
+        # the barrier's caps, batched over allocations and through
+        # rate_bounds_gaussian, against the plain-Python sums: an encoder
+        # with budget 0 has no cone and no variable; infinite caps must be
+        # infinite in both
         rng = np.random.default_rng(17)
+        inf, base = math.inf, three_state_spec()
+
+        def variant(p1, p2, d1, d2):
+            return GaussianMacSpec(base.chain, base.gains1, base.gains2, p1, p2, d1, d2, "complex")
+
         for spec, conf in ((reference_spec(), ConferencingConfig(0.3, 0.1)),
-                           (three_state_spec(), THREE_LINKS)):
+                           (base, THREE_LINKS),
+                           (variant(0.0, 8.0, 3, 1), THREE_LINKS),
+                           (variant(5.0, 0.0, 2, 2), ConferencingConfig(0.4, 0.0)),
+                           (base, ConferencingConfig(inf, inf)),
+                           (variant(5.0, 8.0, inf, 1), THREE_LINKS)):
             allocs = [random_feasible_alloc(spec, rng) for _ in range(6)]
             c12, c21 = conf.c12, conf.c21
-            b = _bounds(spec, (c12, c21, c12 + c21, 0.0), *(np.array(x) for x in zip(*(
+            bar = _Barrier(spec, np.array([(1.0, 1.0, c12, c21, 0.0)] * len(allocs)))
+            Z = bar.points([np.array(x) for x in zip(*(
                 (a.gamma1, a.P1 - a.gamma1, a.gamma2, a.P2 - a.gamma2) for a in allocs
-            ))))
+            ))])
+            b = bar.caps(Z, np.arange(len(allocs)))
             for t, alloc in enumerate(allocs):
                 ref = per_cell_bounds(spec, alloc, c12, c21)
                 single = rate_bounds_gaussian(spec, alloc, conf)
                 for i, name in enumerate(("b1", "b2", "b12", "bsum")):
-                    assert abs(b[i, t] - ref[i]) <= 1e-12
-                    assert abs(getattr(single, name) - ref[i]) <= 1e-12
+                    for got in (b[t, i], getattr(single, name)):
+                        assert got == ref[i] if math.isinf(ref[i]) else abs(got - ref[i]) <= 1e-12
 
     def test_gradients_match_central_differences(self):
         # the barrier of the kappa form: finite and infinite links, a common
@@ -751,12 +766,15 @@ class TestBarrierEdges:
         res, = solve_weighted(scalar_spec(), [(1.0, 1.0, 0.0, 0.0, 2.7)])
         assert res.flag == "stalled" and res.value == 0.0 and feasible(scalar_spec(), res.alloc)
 
-    @pytest.mark.parametrize("r0", [2.0, 2.5])
+    @pytest.mark.parametrize("r0", [2.0, 2.5, 2.66, 2.67, 2.678])
     def test_common_rate_with_no_room_at_the_even_start_converges(self, r0):
         # P = 10, c = 0: the even start spends half of each budget, so
         # bsum - r0 <= 0 there and both rates would stay pinned; from it the
         # rows read stalled at 0.4771 (r0 = 2) and 0.0 (r0 = 2.5). Such a
-        # problem starts at 98 % of each budget, cone and common share instead
+        # problem starts at 1 - 1e-4 of each budget, cone and common share
+        # instead. From a 98 % start, whose total cap is 2.6505 of at most
+        # 2.6788, r0 = 2.66, 2.67 and 2.678 read stalled at 0.011704,
+        # 0.001704 and 0.0
         spec = scalar_spec()
         res, = solve_weighted(spec, [(1.0, 1.0, 0.0, 0.0, r0)])
         assert res.flag == "converged" and feasible(spec, res.alloc)
