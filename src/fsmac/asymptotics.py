@@ -62,7 +62,7 @@ def snr_critical_db(c12: float, c21: float) -> float:
 def rho_infinity(c12: float, c21: float) -> float:
     """Optimal correlation in the infinite-SNR limit,
     sqrt(1 - 2 / (2^(2(c12+c21)) + 1)); nondecreasing in c12 + c21."""
-    return math.sqrt(1.0 - 2.0 / (_link_factor(c12, c21) + 1.0))
+    return rho_star(math.inf, c12, c21)
 
 
 def beta_star_high_snr(p1: float, p2: float, c12: float, c21: float) -> float:
@@ -73,10 +73,10 @@ def beta_star_high_snr(p1: float, p2: float, c12: float, c21: float) -> float:
     """
     if p1 <= 0 or p2 <= 0:
         raise ValueError("powers must be positive")
-    num = (math.sqrt(p1) + math.sqrt(p2)) ** 2
-    den = _link_factor(c12, c21) * (p1 + p2) + 2.0 * math.sqrt(p1 * p2)
+    # numerator and denominator over p1 + p2, so that no power overflows
+    cross = math.sqrt(p1) * math.sqrt(p2) / (p1 / 2.0 + p2 / 2.0)
     # mathematically in (0, 1]; clamp the floating-point residue
-    return min(max(num / den, 0.0), 1.0)
+    return min(max((1.0 + cross) / (_link_factor(c12, c21) + cross), 0.0), 1.0)
 
 
 def rho_from_beta(beta: float) -> float:
@@ -94,14 +94,15 @@ def rho_star(snr: float, c12: float, c21: float) -> float:
     2 beta P), (1/2)log2(1 + 4P - 2 beta P)), met where the rising first term
     crosses the falling second: beta* = min(2(P - P_crit) / (P(2^(2c) + 1)), 1)
     above P_crit = snr_critical(c12, c21), and rho* = sqrt(1 - beta*); rho* = 1
-    up to P_crit, and tends to rho_infinity(c12, c21) as P grows.
+    up to P_crit, and is rho_infinity(c12, c21) at P = inf. With 2^(2c) =
+    4 P_crit + 1, 1 - beta* = (P_crit/(P_crit + 1/2))(1 + 1/(2P)), which cancels and overflows nothing.
     """
     if not snr >= 0:
         raise ValueError(f"snr must be nonnegative, got {snr}")
     crit = snr_critical(c12, c21)
     if snr <= crit:
         return 1.0
-    return rho_from_beta(min(2.0 * (snr - crit) / (snr * (_link_factor(c12, c21) + 1.0)), 1.0))
+    return min(1.0, math.sqrt(crit / (crit + 0.5) * (1.0 + 0.5 / snr)))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (
-    MarkovChain, _by_content, _cumulative, _inverse_cdf, delayed_state_joint, sample_state_path,
+    MarkovChain, _by_content, _cumulative, _inverse_cdf, _steps, delayed_state_joint, sample_state_path,
 )
 from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint
 from .regions import ConferencingConfig
@@ -146,15 +146,16 @@ def _by_message(book: np.ndarray, n: int) -> np.ndarray:
     return view
 
 
-def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions i >= d1 at which both encoders observe a state, with
-    the observations there: s[i - d1] (both encoders) and s[i - d2]
-    (encoder 2), as views of s. Earlier positions carry the fill symbol and
-    are never decoded."""
-    if not 0 <= d2 <= d1:
-        raise ValueError(f"the delays must satisfy 0 <= d2 <= d1, got d1={d1}, d2={d2}")
+def _observed(s: np.ndarray, d1: int, d2: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """d1 read as `delayed_state_joint` reads it (3.0 is 3), the positions
+    i >= d1 at which both encoders observe a state, and the observations
+    there, s[i - d1] (both encoders) and s[i - d2] (encoder 2), as views of
+    s. Earlier positions carry the fill symbol and are never decoded."""
+    if not 0 <= d2 <= d1 < math.inf:
+        raise ValueError(f"the delays must satisfy 0 <= d2 <= d1 < inf, got d1={d1}, d2={d2}")
+    d1, d2 = _steps(d1, "delay d1"), _steps(d2, "delay d2")
     m = max(len(s) - d1, 0)
-    return np.arange(d1, d1 + m), s[:m], s[d1 - d2:d1 - d2 + m]
+    return d1, np.arange(d1, d1 + m), s[:m], s[d1 - d2:d1 - d2 + m]
 
 
 def encode(
@@ -173,9 +174,9 @@ def encode(
     n, k = books.n, books.policy.n_states
     if len(s) != n:
         raise ValueError("the state path must have the block length")
+    d1, i, sd1, sd2 = _observed(s, d1, d2)
     x = np.empty((2, n), dtype=np.int64)
     x[:, :d1] = FILL_SYMBOL
-    i, sd1, sd2 = _observed(s, d1, d2)
     # flat offsets r * M * n + m * n + i into t0 (k, M0, n), t1 (nu, k, M1,
     # n) and t2 (nu, k, k, M2, n), r being the component row a, (u, a) or
     # (u, a, b); the books' symbols may be bytes, so u is cast to intp
@@ -249,12 +250,12 @@ def decode_joint_typicality(
             f"model joint shape {joint.table.shape} does not match the codebook "
             f"alphabets ({nu}, {nx1}, {nx2}, {k}, {k}, {k}, ...)"
         )
-    if n - d1 <= 0:
-        return DecodeResult(False, None, 0)
     # the block view the decoder reads: post-delay positions, observed
     # states, the context index of (s, sd1, sd2, y) and the pass bounds per
     # cell (u, context, x1, x2)
-    i, sd1, sd2 = _observed(s, d1, d2)
+    d1, i, sd1, sd2 = _observed(s, d1, d2)
+    if n - d1 <= 0:
+        return DecodeResult(False, None, 0)
     ctx = ((s[d1:] * k + sd1) * k + sd2) * ny + y[d1:]
     lo, hi = _cell_bounds(joint.table, n - d1, epsilon)
     M0, M1, M2 = books.sizes

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .markov import MarkovChain, delayed_state_joint
-from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint, conditional_mutual_information
+from .pmf import DmcChannel, InputPolicy, JointPmf, assemble_joint
+from .pmf import conditional_mutual_information  # noqa: F401 (perfbench wraps)
 
 __all__ = [
     "RateBounds",
@@ -91,25 +92,16 @@ class ConferencingConfig:
 
 
 def common_message_bounds(joint: JointPmf) -> RateBounds:
-    """Rate bounds for the common-message mode, evaluated from one joint law."""
-    cond = ["S", "Sd1", "Sd2"]
-    return RateBounds(
-        b1=conditional_mutual_information(joint, ["X1"], ["Y"], ["X2", "U"] + cond),
-        b2=conditional_mutual_information(joint, ["X2"], ["Y"], ["X1", "U"] + cond),
-        b12=conditional_mutual_information(joint, ["X1", "X2"], ["Y"], ["U"] + cond),
-        bsum=conditional_mutual_information(joint, ["X1", "X2"], ["Y"], cond),
-    )
+    """Rate bounds for the common-message mode: `conferencing_bounds` without links."""
+    return conferencing_bounds(joint, ConferencingConfig())
 
 
 def conferencing_bounds(joint: JointPmf, conf: ConferencingConfig) -> RateBounds:
-    """Conferencing-mode bounds: link capacities shift the first three caps."""
-    base = common_message_bounds(joint)
-    return RateBounds(
-        b1=base.b1 + conf.c12,
-        b2=base.b2 + conf.c21,
-        b12=base.b12 + conf.c12 + conf.c21,
-        bsum=base.bsum,
-    )
+    """The four caps of a joint law over (U, X1, X2, S, Sd1, Sd2, Y), in any
+    order (others summed out), from `_entropy_caps`, shifted by `_link_offsets`."""
+    layout = joint.axes(("U", "X1", "X2", "Sd1", "Sd2", "S", "Y"))
+    q = np.einsum(joint.table, range(joint.table.ndim), layout)[..., None]  # a batch of one
+    return RateBounds(*(_entropy_caps(q)[:, 0] + _link_offsets(conf)).tolist())
 
 
 def polytope_vertices(bounds: RateBounds) -> list[RatePoint]:
@@ -215,23 +207,32 @@ def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
 
     `states` is the P(Sd1, Sd2, S) table and `w` the channel table; pU, pX1
     and pX2 are `InputPolicy` factors, each with one trailing batch axis of
-    length B, or 1 for a factor the whole batch shares. Y depends on the rest
-    only through (X1, X2, S), so with C = (S, Sd1, Sd2) each cap is a
-    conditional entropy of Y less
-    h0 = H(Y | X1, X2, U, C) = sum P(x1, x2, s) H(W(.|x1, x2, s)):
-    b1 = H(Y|X2,U,C) - h0, b2 = H(Y|X1,U,C) - h0, b12 = H(Y|U,C) - h0 and
-    bsum = H(Y|C) - h0, each clamped at 0. `common_message_bounds` is the
-    reference it matches.
+    length B, or 1 for a factor the whole batch shares. Their product is the
+    batch of joint laws that `_entropy_caps` scores.
     """
     # q over u; i,j = x1,x2; a,b,c = delayed1, delayed2, state; y; and the
     # batch last, so every product, sum and log loops over the batch. The
     # factors multiply in one fixed order and each sum adds its terms in
-    # index order, so a policy's caps do not depend on its batch.
-    q = (states[:, :, :, None, None]
-         * pU.transpose(1, 0, 2)[:, None, None, :, None, None, None]
-         * pX1.swapaxes(1, 2)[:, :, None, :, None, None, None]
-         * pX2.transpose(0, 3, 1, 2, 4)[:, None, :, :, :, None, None]
-         * w[:, :, None, None, :, :, None])
+    # index order, so a policy's caps do not depend on its batch. q goes
+    # unnamed, so that `_entropy_caps` holds its only reference.
+    return _entropy_caps(
+        states[:, :, :, None, None]
+        * pU.transpose(1, 0, 2)[:, None, None, :, None, None, None]
+        * pX1.swapaxes(1, 2)[:, :, None, :, None, None, None]
+        * pX2.transpose(0, 3, 1, 2, 4)[:, None, :, :, :, None, None]
+        * w[:, :, None, None, :, :, None])
+
+
+def _entropy_caps(q: np.ndarray) -> np.ndarray:
+    """The caps (b1, b2, b12, bsum) of a batch of joint laws
+    q[u, x1, x2, Sd1, Sd2, S, y, batch], shape (4, B).
+
+    Y depends on the rest only through (X1, X2, S), so with C = (S, Sd1,
+    Sd2) each cap is a conditional entropy of Y less
+    h0 = H(Y | X1, X2, U, C) = sum P(x1, x2, s) H(W(.|x1, x2, s)):
+    b1 = H(Y|X2,U,C) - h0, b2 = H(Y|X1,U,C) - h0, b12 = H(Y|U,C) - h0 and
+    bsum = H(Y|C) - h0, each clamped at 0.
+    """
     q_i = q.sum(axis=2)
     q_u = q_i.sum(axis=1)
     # Y jointly with (X1,X2,U,C), (X2,U,C), (X1,U,C), (U,C) and C
@@ -250,11 +251,16 @@ def _common_caps(states: np.ndarray, w: np.ndarray, pU, pX1, pX2) -> np.ndarray:
     return np.maximum(h[1:] - h[:1], 0.0)
 
 
+def _link_offsets(conf: ConferencingConfig) -> np.ndarray:
+    """The row (c12, c21, c12 + c21, 0) the links add to the caps (b1, b2, b12, bsum)."""
+    return np.array([conf.c12, conf.c21, conf.c12 + conf.c21, 0.0])
+
+
 def _weighted_values(caps: np.ndarray, conf: ConferencingConfig, mu1, mu2) -> np.ndarray:
     """best_weighted_point's value for each column of common-message `caps`,
     shifted by the link capacities of `conf`; mu1 and mu2 may vary by column."""
-    cap = np.minimum(caps[2] + conf.c12 + conf.c21, caps[3])
-    r1, r2 = _greedy_fill(caps[0] + conf.c12, caps[1] + conf.c21, cap, mu1, mu2)
+    b1, b2, b12, bsum = caps + _link_offsets(conf)[:, None]
+    r1, r2 = _greedy_fill(b1, b2, np.minimum(b12, bsum), mu1, mu2)
     return mu1 * r1 + mu2 * r2
 
 
@@ -283,10 +289,8 @@ def check_search_size(config: SearchConfig, k: int, channel: DmcChannel) -> int:
     return rows * entries
 
 
-def search_weighted(
-    chain: MarkovChain, d1: int, d2: int, channel: DmcChannel, conf: ConferencingConfig,
-    configs: list[SearchConfig], joint_states=None,
-) -> list[SearchResult]:
+def search_weighted(chain: MarkovChain, d1: float, d2: float, channel: DmcChannel,
+                    conf: ConferencingConfig, configs: list[SearchConfig]) -> list[SearchResult]:
     """Search quantized input policies for the best weighted rate of each of
     `configs`, which may differ only in their weights (mu1, mu2).
 
@@ -302,10 +306,8 @@ def search_weighted(
     whose batch stays within `_CAPS_BATCH_ELEMENTS`. A restart replaces its
     direction's best only by the same margin, so the earliest wins ties. Each
     value is an inner bound: the exact weighted rate of the returned policy,
-    evaluated once more through `conferencing_bounds`.
-
-    `joint_states` overrides the state law computed from (chain, d1, d2),
-    for surrogate models such as a decoupled first observation.
+    evaluated once more through `conferencing_bounds`. Either delay may be
+    inf, as in `delayed_state_joint`.
     """
     if not configs:
         return []
@@ -315,9 +317,7 @@ def search_weighted(
     k = chain.k
     # trajectories per group, so that a row step's batch fits the budget
     group = _CAPS_BATCH_ELEMENTS // check_search_size(config, k, channel)
-    dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
-    if dsj.k != k:
-        raise ValueError(f"the state law must have the chain's {k} states")
+    dsj = delayed_state_joint(chain, d1, d2)
 
     # one flat list of conditional rows; each row is a simplex of its own size
     n_u = config.u_size
@@ -388,9 +388,7 @@ def search_weighted(
     return results
 
 
-def inner_bound_search(
-    chain: MarkovChain, d1: int, d2: int, channel: DmcChannel, conf: ConferencingConfig,
-    config: SearchConfig, joint_states=None,
-) -> SearchResult:
+def inner_bound_search(chain: MarkovChain, d1: float, d2: float, channel: DmcChannel,
+                       conf: ConferencingConfig, config: SearchConfig) -> SearchResult:
     """`search_weighted` for one weight direction."""
-    return search_weighted(chain, d1, d2, channel, conf, [config], joint_states)[0]
+    return search_weighted(chain, d1, d2, channel, conf, [config])[0]

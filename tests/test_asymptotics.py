@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +221,54 @@ class TestRhoStar:
                 rho_star(p, 0.1, 0.1)
         with pytest.raises(ValueError):
             rho_star(1.0, -0.1, 0.0)
+
+
+def _decimal_rho(c: float, p: float = math.inf) -> float:
+    """rho_star at total link capacity c and power p (rho_infinity at
+    p = inf) from its definition, in 50-digit decimal arithmetic:
+    F = 2^(2c), P_crit = (F - 1)/4, beta* = 2(p - P_crit)/(p(F + 1)) capped
+    at 1, and rho = sqrt(1 - beta*), with beta* = 2/(F + 1) at p = inf."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        f = (2 * Decimal(c) * Decimal(2).ln()).exp()
+        if p == math.inf:
+            beta = 2 / (f + 1)
+        else:
+            q = Decimal(p)
+            if q <= (f - 1) / 4:
+                return 1.0
+            beta = min(2 * (q - (f - 1) / 4) / (q * (f + 1)), Decimal(1))
+        return float((1 - beta).sqrt())
+
+
+class TestClosedFormsAgainstDecimal:
+    C_GRID = [1e-12, 1e-9, 1e-6, 0.3, 5.0]
+
+    @pytest.mark.parametrize("c", C_GRID)
+    def test_rho_infinity(self, c):
+        # 1 - 2/(F + 1) cancelled at small links: 9.9e-8 off at c = 1e-9
+        want = _decimal_rho(c)
+        for c12, c21 in ((c, 0.0), (c / 2, c / 2)):
+            assert abs(rho_infinity(c12, c21) - want) <= 1e-14 * want, (c12, c21)
+
+    @pytest.mark.parametrize("c", C_GRID)
+    def test_rho_star(self, c):
+        crit = snr_critical(c / 2, c / 2)
+        powers = [crit * s for s in (1.0 + 1e-9, 1.001, 2.0, 1e3)]
+        powers += [10.0 ** (k / 2) for k in range(-30, 31)] + [1e100, 1e300]
+        for p in powers:
+            want = _decimal_rho(c, p)
+            assert abs(rho_star(p, c / 2, c / 2) - want) <= 1e-14 * want, (c, p)
+
+    @pytest.mark.parametrize("c12,c21", [(0.0, 0.0), (0.1, 0.1), (1e-9, 0.0), (5.0, 0.0)])
+    def test_top_of_the_float_range(self, c12, c21):
+        # snr·(F + 1) overflowed and rho_star raised "beta must lie in [0, 1]"
+        # at 1e308; beta_star_high_snr raised OverflowError
+        for p in (1e308, math.inf):
+            assert rho_star(p, c12, c21) == rho_infinity(c12, c21)
+        f = 4.0 ** (c12 + c21)
+        assert abs(beta_star_high_snr(1e308, 1e308, c12, c21) - 2.0 / (f + 1.0)) <= 1e-15
+        assert beta_star_high_snr(1e308, 1e308, c12, c21) == beta_star_high_snr(1.0, 1.0, c12, c21)
 
 
 class TestRhoFromBeta:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fsmac import SearchConfig, SolverConfig, experiments, gaussian, rho_star
+from fsmac import SearchConfig, SolverConfig, experiments, gaussian, rho_infinity, rho_star
 from fsmac.cli import main
 from fsmac.config import KINDS, ConfigError, load_config
 from fsmac.experiments import run_experiment
@@ -467,6 +467,17 @@ class TestOtherKinds:
         assert [r["rho"] for r in read_rows(tmp_path / "corr.csv")] == ["1", "1"]
         svg = (tmp_path / "corr.svg").read_text()
         assert "infinite-SNR limit" in svg and "critical SNR" not in svg
+
+    def test_sweep_correlation_at_the_top_of_the_float_range(self, tmp_path):
+        # 3080 dB is a linear SNR of 1e308, where snr·(2^(2c) + 1) overflowed
+        # and the run exited 1 after validate had accepted the file
+        payload = correlation_payload(str(tmp_path))
+        payload["snr_db"] = [10.0, 3080]
+        cfgp = write_config(tmp_path, payload)
+        assert main(["validate", "--config", cfgp]) == 0
+        assert main(["sweep-correlation", "--config", cfgp]) == 0
+        rows = read_rows(tmp_path / "corr.csv")
+        assert rows[1]["rho"] == f"{rho_infinity(0.3, 0.3):.12g}" == f"{rho_star(1e308, 0.3, 0.3):.12g}"
 
     def test_region_gaussian_silent_encoder_reaches_the_sum_face(self, tmp_path):
         # encoder 1 has no power: every trace point of the shipped region

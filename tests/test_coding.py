@@ -501,7 +501,7 @@ def _block_view(books, y, s, d1, d2, joint, eps):
     them."""
     pol = books.policy
     k, ny = pol.n_states, joint.table.shape[-1]
-    i, sd1, sd2 = coding._observed(s, d1, d2)
+    _, i, sd1, sd2 = coding._observed(s, d1, d2)
     ctx = ((s[i] * k + sd1) * k + sd2) * ny + y[i]
     p = joint.table.reshape(pol.n_u, pol.n_x1, pol.n_x2, -1).transpose(0, 3, 1, 2)
     return (i, sd1, sd2, ctx, *coding._pass_bounds(p, len(i), eps))
@@ -554,15 +554,30 @@ class TestDecoderKernels:
             for res in self._decode_both(monkeypatch, books, y, s, d1, 0, 0.1, joint):
                 assert res == coding.DecodeResult(False, None, 0)
 
-    @pytest.mark.parametrize("d1,d2", [(1, 3), (-2, 0), (2, -1)])
-    def test_bad_delays_named(self, d1, d2):
-        # outside 0 <= d2 <= d1 both calls used to fail in numpy broadcasting
+    BAD_DELAYS = [
+        (1, 3, "d1=1, d2=3"), (-2, 0, "d1=-2, d2=0"), (2, -1, "d1=2, d2=-1"),
+        (2.5, 0, "delay d1 .* got 2.5"), (3, 1.5, "delay d2 .* got 1.5"),
+        (math.inf, 0, "d1=inf, d2=0"), (math.nan, 0, "d1=nan, d2=0"),
+    ]
+
+    @pytest.mark.parametrize("d1,d2,match", BAD_DELAYS, ids=[f"{d1}-{d2}" for d1, d2, _ in BAD_DELAYS])
+    def test_bad_delays_named(self, d1, d2, match):
+        # outside 0 <= d2 <= d1 both calls used to fail in numpy broadcasting,
+        # and a non-integral delay in slicing; an infinite d1 is at least n,
+        # where the decoder returns no candidate, so it is checked before that
         rng = np.random.default_rng(7)
         books, y, s, _, _, joint = _random_instance(rng, (2, 3, 2))
-        with pytest.raises(ValueError, match=f"d1={d1}, d2={d2}"):
+        with pytest.raises(ValueError, match=match):
             encode(books, 0, 0, 0, s, d1, d2)
-        with pytest.raises(ValueError, match=f"d1={d1}, d2={d2}"):
+        with pytest.raises(ValueError, match=match):
             decode_joint_typicality(books, y, s, d1, d2, 0.1, joint)
+
+    def test_integral_float_delays_are_steps(self):
+        # 3.0 is 3 steps, as delayed_state_joint reads it; the run used to pass
+        # every check and then fail in slicing
+        chain, channel = two_state(0.2, 0.1), xor_bsc_channel(2, (0.0, 0.2))
+        args = (chain, channel, uniform_policy(2, nu=2), (1 / 16, 1 / 16, 1 / 16), 16, 0.15, 5)
+        assert estimate_error_rate(*args, seed=5, d1=3.0, d2=1.0) == estimate_error_rate(*args, seed=5, d1=3, d2=1)
 
     @pytest.mark.parametrize("sizes", [(1, 8, 15), (1, 8, 16), (2, 16, 16), (1, 1, 200)])
     def test_both_sides_of_the_size_threshold(self, monkeypatch, sizes):

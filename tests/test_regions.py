@@ -15,6 +15,7 @@ from fsmac import (
     assemble_joint,
     best_weighted_point,
     common_message_bounds,
+    conditional_mutual_information,
     conferencing_bounds,
     delayed_state_joint,
     inner_bound_search,
@@ -22,7 +23,7 @@ from fsmac import (
     search_weighted,
 )
 from fsmac.config import load_config
-from fsmac.markov import DelayedStateJoint
+from fsmac.pmf import JointPmf
 from fsmac.regions import SearchResult, _common_caps, _simplex_grid, _weighted_values
 
 SHIPPED_DISCRETE = Path(__file__).resolve().parent.parent / "configs" / "region_discrete.yaml"
@@ -401,8 +402,8 @@ def test_conferencing_config_validation():
 def random_instance(rng, max_k=3, max_u=3, max_x=3, max_y=3):
     """(state law, channel, u_size) with k states, 1 to max_x inputs per
     alphabet, 2 to max_y outputs, and d1 >= d2; a quarter of the state laws
-    are the decoupled surrogate and half the channels are deterministic (W
-    entries 0 or 1)."""
+    have d1 = inf, so encoder 1's observation is independent of the others,
+    and half the channels are deterministic (W entries 0 or 1)."""
     k = int(rng.integers(1, max_k + 1))
     n_u = int(rng.integers(1, max_u + 1))
     nx1, nx2 = (int(v) for v in rng.integers(1, max_x + 1, size=2))
@@ -410,10 +411,10 @@ def random_instance(rng, max_k=3, max_u=3, max_x=3, max_y=3):
     # a floor on every transition keeps the chain primitive
     chain = MarkovChain([f"s{i}" for i in range(k)], 0.9 * rng.dirichlet(np.ones(k), size=k) + 0.1 / k)
     d2 = int(rng.integers(0, 3))
-    dsj = delayed_state_joint(chain, d2 + int(rng.integers(0, 3)), d2)
+    d1 = d2 + int(rng.integers(0, 3))
     if rng.random() < 0.25:
-        table = chain.pi[:, None, None] * dsj.table.sum(axis=0)[None]
-        dsj = DelayedStateJoint(chain, dsj.d1, d2, table, table.sum(axis=2))
+        d1 = math.inf
+    dsj = delayed_state_joint(chain, d1, d2)
     if rng.random() < 0.5:
         table = np.eye(ny)[rng.integers(0, ny, size=(nx1, nx2, k))]
     else:
@@ -430,6 +431,19 @@ def random_rows(rng, shape, quarter):
 
 
 WEIGHTS = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0), (0.0, 1.0), (1.0, 0.0)]
+
+
+def cmi_bounds(joint, conf=ConferencingConfig()):
+    """The oracle: each cap as a conditional mutual information of the joint
+    law, the links added to the first three."""
+    cond = ["S", "Sd1", "Sd2"]
+    cmi = conditional_mutual_information
+    return RateBounds(
+        b1=cmi(joint, ["X1"], ["Y"], ["X2", "U"] + cond) + conf.c12,
+        b2=cmi(joint, ["X2"], ["Y"], ["X1", "U"] + cond) + conf.c21,
+        b12=cmi(joint, ["X1", "X2"], ["Y"], ["U"] + cond) + conf.c12 + conf.c21,
+        bsum=cmi(joint, ["X1", "X2"], ["Y"], cond),
+    )
 
 
 class TestBatchedEvaluator:
@@ -462,12 +476,40 @@ class TestBatchedEvaluator:
             for i in range(4):
                 policy = InputPolicy(*(f[..., min(i, f.shape[-1] - 1)] for f in factors))
                 joint = assemble_joint(dsj, policy, chan)
-                ref = common_message_bounds(joint)
+                ref = cmi_bounds(joint)
                 assert np.abs(caps[:, i] - [ref.b1, ref.b2, ref.b12, ref.bsum]).max() <= 1e-12
                 for c in (conf, ConferencingConfig(inf, inf)):
-                    want = best_weighted_point(conferencing_bounds(joint, c), mu1, mu2)[0]
+                    want = best_weighted_point(cmi_bounds(joint, c), mu1, mu2)[0]
                     got = _weighted_values(caps[:, i:i + 1], c, mu1, mu2)[0]
                     assert abs(got - want) <= 1e-12
+
+    def test_bounds_match_the_cmi_oracle(self):
+        # conferencing_bounds and common_message_bounds against cmi_bounds on
+        # random instances with k = 1, deterministic channels, d1 = inf and
+        # unbounded links among them (infinite caps compared by equality);
+        # each joint law also in a permuted variable order and with an extra
+        # variable, which is summed out
+        rng = np.random.default_rng(22)
+        inf = math.inf
+        seen = np.zeros(4, dtype=bool)
+        for _ in range(60):
+            dsj, chan, n_u = random_instance(rng, max_u=4, max_x=4, max_y=9)
+            shapes = [(dsj.k, n_u), (n_u, dsj.k, chan.n_x1), (n_u, dsj.k, dsj.k, chan.n_x2)]
+            policy = InputPolicy(*(random_rows(rng, s, quarter=rng.random() < 0.5) for s in shapes))
+            joint = assemble_joint(dsj, policy, chan)
+            conf = ConferencingConfig(*(float(v) for v in rng.choice([0.0, 0.3, inf], size=2)))
+            seen |= [dsj.k == 1, np.isin(chan.table, (0.0, 1.0)).all(), dsj.d1 == inf,
+                     inf in (conf.c12, conf.c21)]
+            perm = rng.permutation(7)
+            variants = [joint, JointPmf([joint.variables[i] for i in perm], joint.table.transpose(perm)),
+                        JointPmf(joint.variables + ("V",), joint.table[..., None] * rng.dirichlet(np.ones(3)))]
+            for law in variants:
+                for got, want in ((conferencing_bounds(law, conf), cmi_bounds(joint, conf)),
+                                  (common_message_bounds(law), cmi_bounds(joint))):
+                    for name in ("b1", "b2", "b12", "bsum"):
+                        g, w = getattr(got, name), getattr(want, name)
+                        assert (g == w) if math.isinf(w) else abs(g - w) <= 1e-12, (name, g, w)
+        assert seen.all()
 
     def test_per_column_weights(self):
         rng = np.random.default_rng(21)
@@ -479,12 +521,14 @@ class TestBatchedEvaluator:
             assert got[j] == one[0]
 
 
-def reference_search(chain, d1, d2, channel, conf, config, joint_states=None):
+def reference_search(chain, d1, d2, channel, conf, config):
     """The per-candidate search: every candidate policy is built, assembled into
-    its full joint law and scored through four conditional mutual informations."""
+    its full joint law and scored through four conditional mutual informations
+    (`cmi_bounds`); the returned policy is reported through `conferencing_bounds`,
+    as the search reports it."""
     k = chain.k
     n_u = config.u_size
-    dsj = joint_states if joint_states is not None else delayed_state_joint(chain, d1, d2)
+    dsj = delayed_state_joint(chain, d1, d2)
     row_specs = [("pU", (a,), n_u) for a in range(k)]
     row_specs += [("pX1", (u, a), channel.n_x1) for u in range(n_u) for a in range(k)]
     row_specs += [("pX2", (u, a, b), channel.n_x2)
@@ -498,7 +542,7 @@ def reference_search(chain, d1, d2, channel, conf, config, joint_states=None):
         return InputPolicy(arrays["pU"], arrays["pX1"], arrays["pX2"])
 
     def evaluate(rows):
-        bounds = conferencing_bounds(assemble_joint(dsj, make_policy(rows), channel), conf)
+        bounds = cmi_bounds(assemble_joint(dsj, make_policy(rows), channel), conf)
         return best_weighted_point(bounds, config.mu1, config.mu2)[0]
 
     grids = {size: _simplex_grid(size, config.grid_levels) for _, _, size in row_specs}
@@ -544,11 +588,11 @@ def assert_same_search(got, want):
         assert np.array_equal(getattr(got.policy, name), getattr(want.policy, name))
 
 
-def assert_same_directions(results, args, configs, joint_states=None):
+def assert_same_directions(results, args, configs):
     """Each direction of one `search_weighted` call against its own reference search."""
     assert len(results) == len(configs)
     for cfg, got in zip(configs, results):
-        assert_same_search(got, reference_search(*args, cfg, joint_states=joint_states))
+        assert_same_search(got, reference_search(*args, cfg))
 
 
 class TestSearchAgainstReference:
@@ -561,8 +605,7 @@ class TestSearchAgainstReference:
             cfg = SearchConfig(u_size=n_u, grid_levels=int(rng.integers(2, 5)), restarts=3,
                                seed=int(rng.integers(0, 100)), mu1=mu1, mu2=mu2, max_passes=2)
             args = (dsj.chain, dsj.d1, dsj.d2, chan, conf, cfg)
-            assert_same_search(inner_bound_search(*args, joint_states=dsj),
-                               reference_search(*args, joint_states=dsj))
+            assert_same_search(inner_bound_search(*args), reference_search(*args))
 
     def test_restart_ties_keep_the_earliest(self):
         # region_discrete.yaml's instance at a finer grid: restarts 0, 1 and 3
@@ -670,7 +713,7 @@ class TestSearchAgainstReference:
                           seed=int(rng.integers(0, 100)), max_passes=2)
             configs = [SearchConfig(mu1=mu1, mu2=mu2, **budget) for mu1, mu2 in weights]
             args = (dsj.chain, dsj.d1, dsj.d2, chan, conf)
-            assert_same_directions(search_weighted(*args, configs, joint_states=dsj), args, configs, dsj)
+            assert_same_directions(search_weighted(*args, configs), args, configs)
         assert seen_repeat and seen_axis
 
     def test_edge_instances_in_one_call(self):
